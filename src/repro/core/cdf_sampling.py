@@ -22,7 +22,7 @@ above) or a stratified grid with jitter (same unbiasedness, lower variance
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Literal, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -31,7 +31,6 @@ from repro.core.backend import RingBackend
 from repro.core.cdf import PiecewiseCDF
 from repro.core.synopsis import (
     PeerSummary,
-    SegmentSummary,
     summarize_compact,
     summarize_peer,
 )
@@ -55,7 +54,10 @@ __all__ = [
     "estimate_peer_count",
     "assemble_cdf",
     "assemble_cdf_interpolated",
+    "assemble_rows",
     "InterpolatedReconstruction",
+    "RowAssembly",
+    "SegmentTable",
 ]
 
 Placement = Literal["uniform", "stratified"]
@@ -394,22 +396,324 @@ class InterpolatedReconstruction:
     gap_masses: tuple[tuple[float, float, float], ...]
 
 
-def _gap_mass(d_left: float, d_right: float, width: float, mode: str) -> float:
-    """Estimated item mass of an unprobed gap from its edge densities.
+def _linspace_rows(
+    start: NDArray[np.float64], stop: NDArray[np.float64], num: int
+) -> NDArray[np.float64]:
+    """``np.linspace(start[k], stop[k], num)`` for every row ``k``, bit for bit.
+
+    A single 2-D ``np.linspace`` switches *every* row to its denormal-step
+    formula as soon as one row's step underflows to zero, so the rows are
+    split by that branch first and each half takes one call.
+    """
+    out = np.empty((start.size, num))
+    underflow = (stop - start) / (num - 1) == 0
+    for rows in (~underflow, underflow):
+        if rows.any():
+            out[rows] = np.linspace(start[rows], stop[rows], num, axis=1)
+    return out
+
+
+def _gap_masses(
+    d_left: NDArray[np.float64],
+    d_right: NDArray[np.float64],
+    width: NDArray[np.float64],
+    mode: str,
+) -> NDArray[np.float64]:
+    """Estimated item mass of unprobed gaps from their edge densities.
 
     ``linear`` uses the trapezoid rule; ``log`` uses the logarithmic mean
-    (exact for exponentially varying density, better for heavy tails).
+    (exact for exponentially varying density, better for heavy tails),
+    falling back to the trapezoid when an edge density is not positive and
+    to ``d_left * width`` when the two densities agree to ``1e-9`` in log
+    ratio.  Gaps of non-positive width carry no mass.  Elementwise; lanes
+    that are not gaps may hold anything and are masked by the caller.
     """
-    if width <= 0:
-        return 0.0
-    if mode == "linear" or d_left <= 0 or d_right <= 0:
-        return 0.5 * (d_left + d_right) * width
-    if mode != "log":
-        raise ValueError(f"unknown gap interpolation mode {mode!r}")
-    log_ratio = np.log(d_right / d_left)
-    if abs(log_ratio) < 1e-9:
-        return d_left * width
-    return width * (d_right - d_left) / log_ratio
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mass = 0.5 * (d_left + d_right) * width
+        if mode == "log":
+            positive = (d_left > 0) & (d_right > 0)
+            log_ratio = np.log(d_right / d_left)
+            flat = np.abs(log_ratio) < 1e-9
+            log_mean = np.where(
+                flat, d_left * width, width * (d_right - d_left) / log_ratio
+            )
+            mass = np.where(positive, log_mean, mass)
+    return np.where(width <= 0, 0.0, mass)
+
+
+@dataclass(frozen=True)
+class SegmentTable:
+    """The probed value segments as columns, sorted by ``value_low``.
+
+    Built once per reconstruction from a list of summaries: row ``k`` holds
+    one segment's bounds, its ``B + 1`` bucket edges (equi-width rows come
+    from one 2-D ``np.linspace``, explicit equi-depth edges are copied),
+    its float bucket counts, and the densities at both of its edges.
+    Segments with fewer than ``B`` buckets (mixed resolutions) are padded
+    with zero-width, zero-count buckets that ``valid`` marks as absent.
+    ``owner`` and ``rank`` give each row's summary (by position in the
+    input list) and its position among that summary's segments.
+
+    The sort is stable, so segments that share a ``value_low`` keep their
+    input order — the order the reconstruction's breakpoint sequence
+    depends on.
+    """
+
+    low: NDArray[np.float64]
+    high: NDArray[np.float64]
+    edges: NDArray[np.float64]
+    counts: NDArray[np.float64]
+    valid: Optional[NDArray[np.bool_]]
+    d_left: NDArray[np.float64]
+    d_right: NDArray[np.float64]
+    owner: NDArray[np.int64]
+    rank: NDArray[np.int64]
+
+    @property
+    def size(self) -> int:
+        """Number of segments ``K``."""
+        return int(self.low.size)
+
+    @classmethod
+    def from_summaries(cls, summaries: Sequence[PeerSummary]) -> "SegmentTable":
+        """Tabulate every segment of ``summaries`` (duplicates included)."""
+        segments = [seg for summary in summaries for seg in summary.segments]
+        if not segments:
+            raise ValueError("no probe evidence to reconstruct from")
+        per_summary = [len(summary.segments) for summary in summaries]
+        owner = np.repeat(np.arange(len(summaries), dtype=np.int64), per_summary)
+        rank = np.arange(len(segments)) - np.repeat(
+            np.cumsum(per_summary) - per_summary, per_summary
+        )
+        low = np.asarray([seg.value_low for seg in segments], dtype=float)
+        high = np.asarray([seg.value_high for seg in segments], dtype=float)
+        count_rows = [seg.counts for seg in segments]
+        edge_rows = [seg.edges for seg in segments]
+        buckets = np.fromiter(map(len, count_rows), dtype=np.int64, count=len(segments))
+        implicit = np.fromiter(
+            (edge is None for edge in edge_rows), dtype=bool, count=len(segments)
+        )
+        width = int(buckets.max())
+        edges = np.empty((len(segments), width + 1))
+        counts = np.zeros((len(segments), width))
+        valid = np.ones(counts.shape, dtype=bool)
+        for b in np.unique(buckets).tolist():
+            rows = buckets == b
+            if (rows & implicit).any():
+                edges[rows & implicit, : b + 1] = _linspace_rows(
+                    low[rows & implicit], high[rows & implicit], b + 1
+                )
+            explicit = [edge_rows[k] for k in np.flatnonzero(rows & ~implicit).tolist()]
+            if explicit:
+                edges[rows & ~implicit, : b + 1] = np.stack(
+                    [edge for edge in explicit if edge is not None]
+                )
+            counts[rows, :b] = np.stack([count_rows[k] for k in np.flatnonzero(rows).tolist()])
+            if b < width:
+                edges[rows, b + 1 :] = edges[rows, b : b + 1]
+                valid[rows, b:] = False
+
+        # Edge densities: each side uses its outermost bucket with positive
+        # width (equi-depth synopses can carry zero-width point-mass
+        # buckets whose density is not finite); a segment without one
+        # falls back to its average density.
+        widths = np.diff(edges, axis=1)
+        positive = widths > 0
+        has_positive = positive.any(axis=1)
+        span = high - low
+        index = np.arange(len(segments))
+        first = positive.argmax(axis=1)
+        last = width - 1 - positive[:, ::-1].argmax(axis=1)
+        safe = np.where(positive, widths, 1.0)
+        with np.errstate(over="ignore"):  # a tiny bucket's density may overflow, as a float would
+            fallback = np.where(
+                span > 0, counts.sum(axis=1) / np.where(span > 0, span, 1.0), 0.0
+            )
+            d_left = np.where(has_positive, counts[index, first] / safe[index, first], fallback)
+            d_right = np.where(has_positive, counts[index, last] / safe[index, last], fallback)
+
+        order = np.argsort(low, kind="stable")
+        return cls(
+            low=low[order],
+            high=high[order],
+            edges=edges[order],
+            counts=counts[order],
+            valid=valid[order] if int(buckets.min()) < width else None,
+            d_left=d_left[order],
+            d_right=d_right[order],
+            owner=owner[order],
+            rank=rank[order],
+        )
+
+
+@dataclass(frozen=True)
+class RowAssembly:
+    """Reconstructions of several segment subsets, one row each.
+
+    Row ``r``'s breakpoints and cumulative item masses are
+    ``xs[bounds[r]:bounds[r + 1]]`` and ``cum[bounds[r]:bounds[r + 1]]``:
+    its chosen pieces in order, duplicate breakpoints collapsed to their
+    last slot.  ``total`` is each row's item mass, ``increasing`` whether
+    its breakpoints strictly increase.  The ``gap_*`` columns list each
+    row's gaps in reconstruction order — lead gap, one slot per segment,
+    trail gap — with ``gap_on`` marking the ones present.
+    """
+
+    xs: NDArray[np.float64]
+    cum: NDArray[np.float64]
+    bounds: NDArray[np.int64]
+    total: NDArray[np.float64]
+    increasing: NDArray[np.bool_]
+    gap_on: NDArray[np.bool_]
+    gap_low: NDArray[np.float64]
+    gap_high: NDArray[np.float64]
+    gap_mass: NDArray[np.float64]
+
+
+def assemble_rows(
+    table: SegmentTable,
+    chosen: NDArray[np.bool_],
+    domain: tuple[float, float],
+    gap_interpolation: str,
+    order: Optional[NDArray[np.intp]] = None,
+) -> RowAssembly:
+    """The columnar reconstruction kernel behind :func:`assemble_cdf_interpolated`.
+
+    Row ``r`` reconstructs from the segments ``chosen[r]`` selects (every
+    row must choose at least one).  ``order``, when given, permutes each
+    row's segments before assembly (a per-row tie order for segments that
+    share a ``value_low``); by default the table order is used.
+
+    Every row is laid out as the same ``(K + 2, B + 1)`` block of slots —
+    a head block holding the domain start and the lead gap, one block per
+    segment holding its gap and its ``B`` inner bucket edges, and a tail
+    block holding the trail gap — and slots a row does not use carry an
+    exact zero mass.  A ufunc ``np.add.accumulate`` is strictly sequential
+    along a row, and adding ``0.0`` leaves a partial sum unchanged, so each
+    row's cumulative masses are bit-identical to accumulating only its own
+    pieces in order.  Every mass is non-negative, so the cumulative masses
+    never decrease and need no running maximum.
+    """
+    low, high = domain
+    n_rows, n_seg = chosen.shape
+    n_inner = table.counts.shape[1]
+
+    def rows_of(column: NDArray[Any]) -> NDArray[Any]:
+        if order is None:
+            return np.broadcast_to(column, (n_rows,) + column.shape)
+        return column[order]
+
+    if order is not None:
+        chosen = np.take_along_axis(chosen, order, axis=1)
+    seg_low, seg_high = rows_of(table.low), rows_of(table.high)
+    d_left, d_right = rows_of(table.d_left), rows_of(table.d_right)
+    row = np.arange(n_rows)
+    first = chosen.argmax(axis=1)
+    last = n_seg - 1 - chosen[:, ::-1].argmax(axis=1)
+    first_low = seg_low[row, first]
+    last_high = seg_high[row, last]
+
+    # The ring is a cycle: the gap after the last segment wraps into the
+    # gap before the first one, so both shares of it are interpolated
+    # between the last and first chosen segments' outer edge densities.
+    lead = first_low - low
+    trail = high - last_high
+    wrap_width = np.maximum(lead, 0.0) + np.maximum(trail, 0.0)
+    wrap_mass = _gap_masses(
+        d_right[row, last], d_left[row, first], wrap_width, gap_interpolation
+    )
+    safe_wrap = np.where(wrap_width > 0, wrap_width, 1.0)
+    lead_on, trail_on = lead > 0, trail > 0
+
+    # Interior gaps: a chosen segment starting past every earlier chosen
+    # segment's end (and the first chosen start) opens a gap whose left
+    # density is the previous chosen segment's right edge density.
+    ends = np.maximum.accumulate(np.where(chosen, seg_high, -np.inf), axis=1)
+    prev_end = np.maximum(
+        first_low[:, None],
+        np.concatenate((np.full((n_rows, 1), -np.inf), ends[:, :-1]), axis=1),
+    )
+    source = np.maximum.accumulate(np.where(chosen, np.arange(n_seg), -1), axis=1)
+    prev = np.concatenate((np.full((n_rows, 1), -1), source[:, :-1]), axis=1)
+    gap = chosen & (prev >= 0) & (seg_low > prev_end)
+    prev_density = d_right[row[:, None], np.maximum(prev, 0)]
+    interior = _gap_masses(prev_density, d_left, seg_low - prev_end, gap_interpolation)
+    with np.errstate(invalid="ignore"):  # absent lead/trail shares are masked below
+        lead_mass = wrap_mass * (lead / safe_wrap)
+        trail_mass = wrap_mass * (trail / safe_wrap)
+
+    # Slot blocks: head [start, lead gap, unused...], one [gap, inner
+    # edges...] block per segment, tail [trail gap, unused...].
+    inner_on = np.broadcast_to(chosen[:, :, None], (n_rows, n_seg, n_inner))
+    if table.valid is not None:
+        inner_on = inner_on & rows_of(table.valid)
+    active = np.zeros((n_rows, n_seg + 2, n_inner + 1), dtype=bool)
+    active[:, 0, 0] = True
+    active[:, 0, 1] = lead_on
+    active[:, 1:-1, 0] = gap
+    active[:, 1:-1, 1:] = inner_on
+    active[:, -1, 0] = trail_on
+    deltas = np.zeros(active.shape)
+    deltas[:, 0, 1] = np.where(lead_on, lead_mass, 0.0)
+    deltas[:, 1:-1, 0] = np.where(gap, interior, 0.0)
+    # Padding buckets count zero: only unchosen segments need silencing.
+    np.multiply(chosen[:, :, None], rows_of(table.counts), out=deltas[:, 1:-1, 1:])
+    deltas[:, -1, 0] = np.where(trail_on, trail_mass, 0.0)
+    if order is None:
+        slot_x = np.empty((1,) + active.shape[1:])
+    else:
+        slot_x = np.empty(active.shape)
+    slot_x[:, 0] = low
+    slot_x[:, 1:-1, 0] = table.low if order is None else table.low[order]
+    slot_x[:, 1:-1, 1:] = table.edges[:, 1:] if order is None else table.edges[order, 1:]
+    slot_x[:, -1] = high
+
+    n_slots = slot_x[0].size
+    cum = deltas.reshape(n_rows, n_slots)
+    np.add.accumulate(cum, axis=1, out=cum)
+    used = np.flatnonzero(active)
+    cum = cum.ravel()[used]
+    counts = active.reshape(n_rows, n_slots).sum(axis=1)
+    row_end = np.cumsum(counts)
+    if order is None:
+        xs = slot_x.ravel()[used - np.repeat(row * n_slots, counts)]
+    else:
+        xs = slot_x.ravel()[used]
+    # The lead gap's breakpoint is its row's first chosen start.
+    xs[(row_end - counts)[lead_on] + 1] = first_low[lead_on]
+
+    # Collapse duplicate breakpoints keeping the *last* cumulative value at
+    # each x, so no mass is dropped when a degenerate piece has zero width.
+    keep = np.empty(xs.size, dtype=bool)
+    keep[:-1] = np.diff(xs) > 0
+    keep[row_end - 1] = True
+    if not keep.all():
+        row_end = np.cumsum(np.bincount(np.repeat(row, counts)[keep], minlength=n_rows))
+        xs, cum = xs[keep], cum[keep]
+    # Kept breakpoints must strictly increase within each row; the drop
+    # from one row's end to the next row's start does not count.
+    drops = np.flatnonzero(np.diff(xs) <= 0)
+    drops = drops[~np.isin(drops + 1, row_end)]
+    increasing = np.ones(n_rows, dtype=bool)
+    increasing[np.searchsorted(row_end, drops, side="right")] = False
+    bounds = np.concatenate(([0], row_end))
+    return RowAssembly(
+        xs=xs,
+        cum=cum,
+        bounds=bounds,
+        total=cum[bounds[1:] - 1],
+        increasing=increasing,
+        gap_on=np.concatenate((lead_on[:, None], gap, trail_on[:, None]), axis=1),
+        gap_low=np.concatenate(
+            (np.full((n_rows, 1), low), prev_end, last_high[:, None]), axis=1
+        ),
+        gap_high=np.concatenate(
+            (first_low[:, None], seg_low, np.full((n_rows, 1), high)), axis=1
+        ),
+        gap_mass=np.concatenate(
+            (lead_mass[:, None], interior, trail_mass[:, None]), axis=1
+        ),
+    )
 
 
 def assemble_cdf_interpolated(
@@ -430,119 +734,29 @@ def assemble_cdf_interpolated(
     global CDF as probes cover the ring.
 
     Duplicate summaries of the same peer are collapsed (repeat probes add
-    no evidence to a reconstruction).
+    no evidence to a reconstruction); the last summary of a peer wins.
+    The work is one :class:`SegmentTable` and one row of
+    :func:`assemble_rows`.
     """
     if gap_interpolation not in ("linear", "log"):
         raise ValueError(f"unknown gap interpolation mode {gap_interpolation!r}")
     unique: dict[int, PeerSummary] = {}
     for summary in summaries:
         unique[summary.peer_id] = summary
-    segments = sorted(
-        (seg for s in unique.values() for seg in s.segments),
-        key=lambda seg: seg.value_low,
+    table = SegmentTable.from_summaries(list(unique.values()))
+    rows = assemble_rows(
+        table, np.ones((1, table.size), dtype=bool), domain, gap_interpolation
     )
-    if not segments:
-        raise ValueError("no probe evidence to reconstruct from")
-    low, high = domain
-
-    def edge_densities(seg: SegmentSummary) -> tuple[float, float]:
-        """Densities (items per value unit) at both edges of a segment.
-
-        Each side uses its outermost bucket with positive width (equi-depth
-        synopses can carry zero-width point-mass buckets whose density is
-        not finite); falls back to the segment's average density.  Memoized
-        on the segment — cached summaries resurface the same segment
-        objects across assemblies, and the pair is a pure function of one.
-        """
-        cached = seg.__dict__.get("_edge_density_pair")
-        if cached is not None:
-            return cached
-        edges = seg.bucket_edges()
-        pair = []
-        for indices in (range(seg.buckets), range(seg.buckets - 1, -1, -1)):
-            density = None
-            for index in indices:
-                width = float(edges[index + 1] - edges[index])
-                if width > 0:
-                    density = float(seg.counts[index]) / width
-                    break
-            if density is None:
-                span = seg.value_high - seg.value_low
-                density = float(seg.total) / span if span > 0 else 0.0
-            pair.append(density)
-        cached = (pair[0], pair[1])
-        object.__setattr__(seg, "_edge_density_pair", cached)
-        return cached
-
-    # Breakpoints accumulate as a flat delta sequence folded into one
-    # ``np.add.accumulate`` at the end: a ufunc accumulate is strictly
-    # sequential (unlike ``np.sum``'s pairwise reduction), so the float
-    # additions happen in exactly the order the old scalar loop used and
-    # the partial sums are bit-identical.
-    xs: list[float] = [low]
-    deltas: list[float] = [0.0]
-    gaps: list[tuple[float, float, float]] = []
-
-    # The ring is a cycle: the gap after the last segment wraps into the
-    # gap before the first one.  Their interpolation endpoints therefore
-    # come from the last and first probed segments respectively.
-    lead_gap = segments[0].value_low - low
-    trail_gap = high - segments[-1].value_high
-    wrap_width = max(lead_gap, 0.0) + max(trail_gap, 0.0)
-    d_wrap_left = edge_densities(segments[-1])[1]
-    d_wrap_right = edge_densities(segments[0])[0]
-    wrap_mass = _gap_mass(d_wrap_left, d_wrap_right, wrap_width, gap_interpolation)
-
-    if lead_gap > 0:
-        share = lead_gap / wrap_width if wrap_width > 0 else 0.0
-        lead_mass = wrap_mass * share
-        xs.append(segments[0].value_low)
-        deltas.append(lead_mass)
-        gaps.append((low, segments[0].value_low, lead_mass))
-
-    prev_end = segments[0].value_low
-    prev_density = None
-    for seg in segments:
-        d_left, d_right = edge_densities(seg)
-        if seg.value_low > prev_end and prev_density is not None:
-            width = seg.value_low - prev_end
-            mass = _gap_mass(prev_density, d_left, width, gap_interpolation)
-            xs.append(seg.value_low)
-            deltas.append(mass)
-            gaps.append((prev_end, seg.value_low, mass))
-        # Per-segment breakpoints, memoized (cached summaries reuse their
-        # segment objects): the inner-edge x values and float bucket
-        # counts, which join the global delta sequence verbatim.
-        memo = seg.__dict__.get("_breakpoints_cache")
-        if memo is None:
-            memo = (
-                seg.bucket_edges()[1:].astype(float).tolist(),
-                seg.counts.astype(float).tolist(),
-            )
-            object.__setattr__(seg, "_breakpoints_cache", memo)
-        inner_edges, float_counts = memo
-        xs.extend(inner_edges)
-        deltas.extend(float_counts)
-        prev_end = max(prev_end, seg.value_high)
-        prev_density = d_right
-
-    if trail_gap > 0:
-        share = trail_gap / wrap_width if wrap_width > 0 else 0.0
-        trail_mass = wrap_mass * share
-        xs.append(high)
-        deltas.append(trail_mass)
-        gaps.append((segments[-1].value_high, high, trail_mass))
-
-    xs_arr = np.asarray(xs, dtype=float)
-    cum_arr = np.add.accumulate(np.asarray(deltas, dtype=float))
-    # Collapse duplicate breakpoints keeping the *last* cumulative value at
-    # each x, so no mass is dropped when a degenerate piece has zero width.
-    keep = np.concatenate((np.diff(xs_arr) > 0, [True]))
-    xs_arr, cum_arr = xs_arr[keep], np.maximum.accumulate(cum_arr[keep])
-    total = float(cum_arr[-1])
+    total = float(rows.total[0])
     if total <= 0:
         raise ValueError("all probed peers were empty; cannot estimate a distribution")
-    cdf = PiecewiseCDF(xs_arr, cum_arr / total, kind="linear")
+    cdf = PiecewiseCDF(rows.xs, rows.cum / total, kind="linear")
+    on = rows.gap_on[0]
+    gaps = zip(
+        rows.gap_low[0][on].tolist(),
+        rows.gap_high[0][on].tolist(),
+        rows.gap_mass[0][on].tolist(),
+    )
     return InterpolatedReconstruction(
         cdf=cdf, total_items=total, gap_masses=tuple(gaps)
     )

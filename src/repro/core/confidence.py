@@ -19,7 +19,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.core.cdf_sampling import (
+    SegmentTable,
     assemble_cdf_interpolated,
+    assemble_rows,
     collect_probes,
     estimate_peer_count,
 )
@@ -28,6 +30,9 @@ from repro.core.synopsis import PeerSummary
 from repro.ring.network import RingNetwork
 
 __all__ = ["ConfidenceBand", "bootstrap_confidence_band", "estimate_with_confidence"]
+
+# Cells per (rows x slots) matrix in one kernel call of the bootstrap.
+_KERNEL_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,17 @@ def bootstrap_confidence_band(
     ``summaries`` must be the raw probe replies *with* repetitions — the
     bootstrap resamples the probe design, so collapsing duplicates first
     would understate the variance.
+
+    Each replicate draws ``len(summaries)`` replies with replacement and is
+    reconstructed exactly as :func:`assemble_cdf_interpolated` would
+    reconstruct that resample.  A replicate that cannot be reconstructed
+    (every drawn peer was empty) is not redrawn: it copies the previous
+    replicate's curve, or is all zeros when it is the first replicate.
+
+    All replicates run through the columnar kernel at once: the segment
+    table is built once from the distinct replies, each replicate is one
+    row of a chosen-segment mask, and only the final grid interpolation
+    runs per replicate.
     """
     if not summaries:
         raise ValueError("need at least one probe summary")
@@ -92,20 +108,45 @@ def bootstrap_confidence_band(
     low, high = domain
     grid = np.linspace(low, high, grid_points)
 
-    curves = np.empty((replicates, grid_points))
     count = len(summaries)
-    for rep in range(replicates):
-        picks = generator.integers(0, count, size=count)
-        resampled = [summaries[int(i)] for i in picks]
-        try:
-            reconstruction = assemble_cdf_interpolated(
-                resampled, domain, gap_interpolation
-            )
-        except ValueError:
-            # A replicate of all-empty peers carries no curve; resample.
-            curves[rep] = curves[rep - 1] if rep else 0.0
-            continue
-        curves[rep] = np.asarray(reconstruction.cdf(grid), dtype=float)
+    # One (replicates, count) draw: the same stream as one size-``count``
+    # draw per replicate.
+    picks = generator.integers(0, count, size=(replicates, count))
+    table, chosen, order = _replicate_rows(summaries, picks)
+
+    curves = np.zeros((replicates, grid_points))
+    failed = np.zeros(replicates, dtype=bool)
+    # Bound the transient (rows x slots) matrices of one kernel call.
+    slots = (table.size + 2) * (table.counts.shape[1] + 1)
+    block = max(1, _KERNEL_CELLS // slots)
+    for start in range(0, replicates, block):
+        stop = min(start + block, replicates)
+        rows = assemble_rows(
+            table,
+            chosen[start:stop],
+            domain,
+            gap_interpolation,
+            None if order is None else order[start:stop],
+        )
+        bad = (rows.total <= 0) | ~rows.increasing
+        failed[start:stop] = bad
+        # The kernel's masses never decrease, so ``cum / total`` is already
+        # a valid CDF row (the clip and running maximum a PiecewiseCDF
+        # applies leave it unchanged).
+        total = np.where(bad, 1.0, rows.total)
+        fs = rows.cum / np.repeat(total, np.diff(rows.bounds))
+        bounds = rows.bounds.tolist()
+        for offset, rep in enumerate(range(start, stop)):
+            if not bad[offset]:
+                begin, end = bounds[offset], bounds[offset + 1]
+                curves[rep] = np.interp(
+                    grid, rows.xs[begin:end], fs[begin:end], left=0.0, right=float(fs[end - 1])
+                )
+    if failed.any():
+        source = np.maximum.accumulate(np.where(failed, -1, np.arange(replicates)))
+        curves = np.where(
+            (source >= 0)[:, None], curves[np.maximum(source, 0)], 0.0
+        )
 
     alpha = (1.0 - level) / 2.0
     lower = np.quantile(curves, alpha, axis=0)
@@ -116,6 +157,62 @@ def bootstrap_confidence_band(
     return ConfidenceBand(
         grid=grid, lower=lower, upper=upper, level=level, replicates=replicates
     )
+
+
+def _replicate_rows(
+    summaries: Sequence[PeerSummary], picks: NDArray[np.int64]
+) -> tuple[SegmentTable, NDArray[np.bool_], Optional[NDArray[np.intp]]]:
+    """Segment table, chosen-segment mask and tie order of every replicate.
+
+    The table covers each distinct reply object once.  Replicate ``r``
+    reconstructs the resample ``summaries[picks[r]]``, which keeps each
+    peer's *last* drawn reply and orders segments that share a
+    ``value_low`` by the peer's *first* draw — the dict-then-stable-sort
+    semantics of :func:`assemble_cdf_interpolated`.  The per-row ``order``
+    is only needed (and only returned) when segments of different peers
+    tie on ``value_low``.
+    """
+    variant_of: dict[int, int] = {}
+    variants: list[PeerSummary] = []
+    for summary in summaries:
+        if variant_of.setdefault(id(summary), len(variants)) == len(variants):
+            variants.append(summary)
+    peer_of: dict[int, int] = {}
+    variant_peer = np.asarray(
+        [peer_of.setdefault(v.peer_id, len(peer_of)) for v in variants], dtype=np.int64
+    )
+    pick_variant = np.asarray([variant_of[id(s)] for s in summaries], dtype=np.int64)
+    table = SegmentTable.from_summaries(variants)
+
+    n_rows, count = picks.shape
+    row = np.arange(n_rows)[:, None]
+    position = np.broadcast_to(np.arange(count), picks.shape)
+    drawn = pick_variant[picks]
+    drawn_peer = variant_peer[drawn]
+    # A peer's last draw in a replicate is the reply its reconstruction keeps.
+    last = np.full((n_rows, len(peer_of)), -1)
+    np.maximum.at(last, (row, drawn_peer), position)
+    hit_row, hit_peer = np.nonzero(last >= 0)
+    chosen_variant = np.zeros((n_rows, len(variants)), dtype=bool)
+    chosen_variant[hit_row, drawn[hit_row, last[hit_row, hit_peer]]] = True
+    chosen = chosen_variant[:, table.owner]
+
+    segment_peer = variant_peer[table.owner]
+    lows = table.low.tolist()
+    if len(set(zip(lows, segment_peer.tolist()))) == len(set(lows)):
+        return table, chosen, None
+    first = np.full((n_rows, len(peer_of)), count)
+    np.minimum.at(first, (row, drawn_peer), position)
+    shape = chosen.shape
+    order = np.lexsort(
+        (
+            np.broadcast_to(table.rank, shape),
+            first[:, segment_peer],
+            np.broadcast_to(table.low, shape),
+        ),
+        axis=-1,
+    )
+    return table, chosen, order
 
 
 def estimate_with_confidence(

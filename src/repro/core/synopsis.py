@@ -107,8 +107,8 @@ class SegmentSummary:
 
     def bucket_edges(self) -> NDArray[np.float64]:
         """The ``B + 1`` bucket boundary values (memoized; treat as
-        read-only — CDF assembly asks for the same edges once per probe
-        that returns this segment)."""
+        read-only — :meth:`count_leq` and local CDFs ask for the same
+        edges on every call)."""
         if self.edges is not None:
             return self.edges
         cached = self.__dict__.get("_edges_cache")

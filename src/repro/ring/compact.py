@@ -319,6 +319,9 @@ class CompactRing:
         Covers every persistent column (identifiers, loads, the scan
         matrix, gossip state when materialized); transient build slabs are
         excluded because they are freed before the ring is usable.
+        ``summary_memo_entries`` counts the memoized probe replies (Python
+        objects, not columns): it is reported beside the byte totals, not
+        in them, and grows until the next :meth:`load_counts`.
         """
         columns = {
             "ids": float(self.ids.nbytes),
@@ -348,6 +351,7 @@ class CompactRing:
         report["scan_width"] = float(self.scan.shape[1])
         report["synopsis_bytes"] = synopsis_bytes
         report["synopsis_buckets"] = float(self.synopsis_buckets)
+        report["summary_memo_entries"] = float(len(self._summary_cache))
         return report
 
     # ------------------------------------------------------------------

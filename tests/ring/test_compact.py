@@ -9,6 +9,7 @@ footprint stays bounded (the CI memory budget) no matter the data volume.
 import numpy as np
 import pytest
 
+from repro.core.synopsis import summarize_compact
 from repro.ring.compact import CompactRing
 from repro.ring.messages import MessageType
 from repro.ring.network import RingNetwork
@@ -191,6 +192,19 @@ class TestMemoryFootprint:
             report["synopsis_seg_low"] + report["synopsis_seg_high"]
         )
         assert "synopsis_hist" not in report
+        # The reply memo is counted, not sized, and stays out of the totals.
+        assert report["summary_memo_entries"] == 0.0
+        compact.load_counts(np.random.default_rng(3).random(500))
+        summarize_compact(compact, [0, 5, 5, 9], compact.synopsis_buckets)
+        grown = compact.memory_report()
+        assert grown["summary_memo_entries"] == 3.0
+        assert grown["total_bytes"] == sum(
+            grown[column]
+            for column in ("ids", "counts", "scan", "synopsis_seg_low", "synopsis_seg_high")
+            + ("synopsis_hist", "synopsis_wrap_hist")
+            if column in grown
+        )
+        assert grown["bytes_per_peer"] == grown["total_bytes"] / 64.0
 
     def test_bytes_per_peer_within_ci_budget_at_1e5(self):
         ring = CompactRing.build(100_000, seed=0)
