@@ -2,7 +2,7 @@
 
 These are not paper figures; they document the simulator's raw throughput
 so regressions in the hot paths (CDF evaluation/inversion, probing,
-routing) are visible.
+routing) are visible — on the object ring and on a 10^5-peer compact ring.
 """
 
 import numpy as np
@@ -23,6 +23,14 @@ def loaded_network():
     network.load_data(data.values)
     network.reset_stats()
     return network
+
+
+@pytest.fixture(scope="module")
+def loaded_compact():
+    data = build_dataset("normal", 200_000, seed=1)
+    ring = RingNetwork.create(100_000, domain=(0.0, 1.0), seed=2, compact=True)
+    ring.load_counts(data.values)
+    return ring
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +83,17 @@ def test_full_estimate(benchmark, loaded_network):
     estimator = DistributionFreeEstimator(probes=64)
     rng = np.random.default_rng(5)
     benchmark(estimator.estimate, loaded_network, rng)
+
+
+def test_compact_probe_batch(benchmark, loaded_compact):
+    rng = np.random.default_rng(4)
+    benchmark(collect_probes, loaded_compact, 256, 8, rng)
+
+
+def test_compact_full_estimate(benchmark, loaded_compact):
+    estimator = DistributionFreeEstimator(probes=256)
+    rng = np.random.default_rng(5)
+    benchmark(estimator.estimate, loaded_compact, rng)
 
 
 def test_network_construction(benchmark):

@@ -25,6 +25,7 @@ from repro.core.cdf_compute import (
 from repro.core.cdf_sampling import (
     InterpolatedReconstruction,
     ProbeFailure,
+    ProbeReplies,
     ProbeResult,
     assemble_cdf,
     assemble_cdf_interpolated,
@@ -84,6 +85,7 @@ __all__ = [
     "PiecewiseCDF",
     "PrefixIndex",
     "ProbeFailure",
+    "ProbeReplies",
     "ProbeResult",
     "SegmentSummary",
     "InterpolatedReconstruction",

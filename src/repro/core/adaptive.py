@@ -206,7 +206,7 @@ class AdaptiveDensityEstimator:
             # Size estimation needs the *uniform* design, so only the
             # scout phase's probes feed it; refinement probes are biased
             # towards dense regions by construction.
-            n_peers=estimate_peer_count(scout_summaries, network.space.size),
+            n_peers=estimate_peer_count(scout, network.space.size),
             probes=len(summaries),
             cost=cost,
             method=self.name,

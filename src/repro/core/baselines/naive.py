@@ -67,7 +67,7 @@ class NaivePeerSamplingEstimator:
         cost = before.delta(network.stats.snapshot())
         latency = max(r.hops for r in results) + 2
         # Naive volume extrapolation: average probed count times peer count.
-        n_peers = estimate_peer_count(summaries, network.space.size)
+        n_peers = estimate_peer_count(results, network.space.size)
         mean_count = float(np.mean([s.local_count for s in summaries]))
         return DensityEstimate(
             cdf=cdf,

@@ -91,7 +91,7 @@ class ParametricEstimator:
         try:
             results = collect_probes(network, self.probes, self.synopsis_buckets, rng=rng)
             summaries = [r.summary for r in results]
-            weights = ht_weights(summaries)
+            weights = ht_weights(results)
         except (NetworkError, ValueError) as exc:
             return degraded_from_exception(
                 exc, network.domain, before.delta(network.stats.snapshot()), self.name, self.probes
@@ -116,8 +116,8 @@ class ParametricEstimator:
         return DensityEstimate(
             cdf=cdf,
             domain=network.domain,
-            n_items=estimate_total_items(summaries, network.space.size),
-            n_peers=estimate_peer_count(summaries, network.space.size),
+            n_items=estimate_total_items(results, network.space.size),
+            n_peers=estimate_peer_count(results, network.space.size),
             probes=len(summaries),
             cost=cost,
             method=f"{self.name}-{self.family}",

@@ -2,10 +2,12 @@
 
 The cheap estimation path probes ``s ≪ N`` ring positions.  Each probe is a
 routed lookup to the peer owning a position, answered with that peer's
-:class:`~repro.core.synopsis.PeerSummary`.  Because a uniform ring position
-lands on a peer with probability proportional to its segment length
-``ℓ_p``, pooling the replies *unweighted* is biased; the Horvitz–Thompson
-correction (weight ``∝ c_p / ℓ_p``) makes the pooled estimate
+segment length, item count and histogram synopsis (a batch of answers
+travels as the columns of a :class:`~repro.core.replies.ProbeReplies`).
+Because a uniform ring position lands on a peer with probability
+proportional to its segment length ``ℓ_p``, pooling the replies
+*unweighted* is biased; the Horvitz–Thompson correction (weight
+``∝ c_p / ℓ_p``) makes the pooled estimate
 
     F̂(x) = Σ_i w_i · H_i(x),   w_i = (c_i/ℓ_i) / Σ_j (c_j/ℓ_j)
 
@@ -29,11 +31,15 @@ from numpy.typing import NDArray
 
 from repro.core.backend import RingBackend
 from repro.core.cdf import PiecewiseCDF
-from repro.core.synopsis import (
-    PeerSummary,
-    summarize_compact,
-    summarize_peer,
+from repro.core.replies import (
+    Evidence,
+    ProbeReplies,
+    ProbeResult,
+    _linspace_rows,
+    as_replies,
+    as_summaries,
 )
+from repro.core.synopsis import PeerSummary, summarize_compact, summarize_peer
 from repro.ring.compact import CompactRing
 from repro.ring.messages import MessageType
 from repro.ring.network import RingNetwork
@@ -44,6 +50,7 @@ if TYPE_CHECKING:  # runtime import stays local to avoid a module cycle
 
 __all__ = [
     "ProbeResult",
+    "ProbeReplies",
     "ProbeFailure",
     "probe_positions",
     "collect_probes",
@@ -61,15 +68,6 @@ __all__ = [
 ]
 
 Placement = Literal["uniform", "stratified"]
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """One answered probe: where it went, what came back, what it cost."""
-
-    target: int
-    summary: PeerSummary
-    hops: int
 
 
 @dataclass(frozen=True)
@@ -108,8 +106,10 @@ def probe_positions(
     if placement == "stratified":
         stratum = ring_size / count
         offsets = rng.uniform(0.0, 1.0, size=count)
-        positions = ((np.arange(count) + offsets) * stratum).astype(np.uint64)
-        return np.minimum(positions, np.uint64(ring_size - 1))
+        # Clip in float before the cast: a product that rounds up to
+        # ``ring_size`` (2^64 overflows uint64) stays in the last stratum.
+        top = np.nextafter(float(ring_size), 0.0)
+        return np.minimum((np.arange(count) + offsets) * stratum, top).astype(np.uint64)
     raise ValueError(f"unknown placement {placement!r}")
 
 
@@ -120,8 +120,8 @@ def collect_probes(
     rng: Optional[np.random.Generator] = None,
     placement: Placement = "uniform",
     synopsis_kind: str = "equi-width",
-) -> list[ProbeResult]:
-    """Route ``count`` probes and gather peer summaries.
+) -> ProbeReplies:
+    """Route ``count`` probes and gather their replies.
 
     Each probe starts at a uniformly chosen entry peer (as a real client
     would), routes to the target position (counted hops), and exchanges one
@@ -129,9 +129,9 @@ def collect_probes(
     kept — deduplicating would break the Horvitz–Thompson design.
 
     Works against either backend: on a :class:`CompactRing` the probes
-    route in one vectorized batch and replies slice the columnar synopsis
-    plane, with targets, entry draws, hop counts, reply contents, and
-    ledger records all bit-identical to the object backend at the same
+    route in one vectorized batch and replies gather from the columnar
+    synopsis plane, with targets, entry draws, hop counts, reply contents,
+    and ledger records all bit-identical to the object backend at the same
     seed.
     """
     generator = rng if rng is not None else network.rng
@@ -144,7 +144,7 @@ def collect_probes_at(
     targets: Sequence[int],
     buckets: int,
     synopsis_kind: str = "equi-width",
-) -> list[ProbeResult]:
+) -> ProbeReplies:
     """Probe explicit ring positions (used by adaptive refinement).
 
     With reliable delivery (``loss_rate == 0``) the batch fast path is
@@ -162,7 +162,8 @@ def collect_probes_at(
         return _collect_probes_compact(network, targets, buckets, synopsis_kind)
     if network.loss_rate <= 0.0:
         return _collect_probes_batch(network, targets, buckets, synopsis_kind)
-    results: list[ProbeResult] = []
+    summaries: list[PeerSummary] = []
+    hops: list[int] = []
     for target in targets:
         entry = network.random_peer()
         route = route_to_key(network, entry, int(target))
@@ -176,9 +177,9 @@ def collect_probes_at(
             network.record(MessageType.PROBE_REPLY, payload=buckets + 2)
             if network.delivery_succeeds():
                 break
-        summary = summarize_peer(network, route.owner, buckets, kind=synopsis_kind)
-        results.append(ProbeResult(target=int(target), summary=summary, hops=route.hops))
-    return results
+        summaries.append(summarize_peer(network, route.owner, buckets, kind=synopsis_kind))
+        hops.append(route.hops)
+    return ProbeReplies.from_summaries(summaries, targets, hops)
 
 
 def collect_probes_resilient(
@@ -187,7 +188,7 @@ def collect_probes_resilient(
     buckets: int,
     synopsis_kind: str = "equi-width",
     policy: Optional[RetryPolicy] = None,
-) -> tuple[list[ProbeResult], list[ProbeFailure]]:
+) -> tuple[ProbeReplies, list[ProbeFailure]]:
     """Probe explicit ring positions, reporting failures instead of raising.
 
     The fault-aware counterpart of :func:`collect_probes_at`: every probe
@@ -215,7 +216,9 @@ def collect_probes_resilient(
 
     if policy is None:
         policy = RetryPolicy.DEFAULT
-    results: list[ProbeResult] = []
+    summaries: list[PeerSummary] = []
+    answered: list[int] = []
+    hops: list[int] = []
     failures: list[ProbeFailure] = []
     for target in targets:
         if network.n_peers == 0:
@@ -247,9 +250,10 @@ def collect_probes_resilient(
                 ProbeFailure(target=int(target), reason="reply_lost", hops=outcome.hops)
             )
             continue
-        summary = summarize_peer(network, outcome.owner, buckets, kind=synopsis_kind)
-        results.append(ProbeResult(target=int(target), summary=summary, hops=outcome.hops))
-    return results, failures
+        summaries.append(summarize_peer(network, outcome.owner, buckets, kind=synopsis_kind))
+        answered.append(int(target))
+        hops.append(outcome.hops)
+    return ProbeReplies.from_summaries(summaries, answered, hops), failures
 
 
 def _collect_probes_batch(
@@ -257,22 +261,21 @@ def _collect_probes_batch(
     targets: Sequence[int],
     buckets: int,
     synopsis_kind: str,
-) -> list[ProbeResult]:
+) -> ProbeReplies:
     """Loss-free probe batch: lockstep routing, bulk ledger, memoized summaries."""
     entries = [network.random_peer() for _ in range(len(targets))]
     routes = route_probes_batch(network, entries, [int(target) for target in targets])
-    results: list[ProbeResult] = []
-    for route, target in zip(routes, targets):
-        summary = summarize_peer(network, route.owner, buckets, kind=synopsis_kind)
-        results.append(ProbeResult(target=int(target), summary=summary, hops=route.hops))
-    if results:
-        network.record(MessageType.PROBE_REQUEST, count=len(results))
+    summaries = [
+        summarize_peer(network, route.owner, buckets, kind=synopsis_kind) for route in routes
+    ]
+    if routes:
+        network.record(MessageType.PROBE_REQUEST, count=len(routes))
         network.record(
             MessageType.PROBE_REPLY,
-            count=len(results),
-            payload=(buckets + 2) * len(results),
+            count=len(routes),
+            payload=(buckets + 2) * len(routes),
         )
-    return results
+    return ProbeReplies.from_summaries(summaries, targets, [route.hops for route in routes])
 
 
 def _collect_probes_compact(
@@ -280,70 +283,61 @@ def _collect_probes_compact(
     targets: Sequence[int],
     buckets: int,
     synopsis_kind: str,
-) -> list[ProbeResult]:
-    """Columnar probe batch: vectorized routing, row-sliced summaries.
+) -> ProbeReplies:
+    """Columnar probe batch: vectorized routing, replies gathered as columns.
 
     Entry peers come from one vectorized draw against the ring's generator
     — NumPy's bounded-integer sampling produces the same stream as the
     object path's per-probe scalar draws, so probe trajectories match the
     object backend bit for bit at the same seed.  Routing runs in lockstep
     through :meth:`CompactRing.route_batch` (which posts the bulk
-    ``LOOKUP_HOP`` record), replies are sliced from the synopsis plane by
+    ``LOOKUP_HOP`` record), replies are gathered from the synopsis plane by
     :func:`summarize_compact`, and the request/reply traffic lands in the
     ledger as the same two bulk records the object batch path posts.
     """
     count = len(targets)
     if count == 0:
-        return []
+        return summarize_compact(ring, np.empty(0, dtype=np.int64), buckets, synopsis_kind)
+    keys = np.asarray(targets, dtype=np.uint64)
     entries = ring.rng.integers(0, ring.n_peers, size=count).astype(np.int64)
-    keys = np.asarray([int(target) for target in targets], dtype=np.uint64)
     owners, hops = ring.route_batch(entries, keys)
-    summaries = summarize_compact(ring, owners, buckets, kind=synopsis_kind)
-    results = [
-        ProbeResult(target=int(target), summary=summary, hops=int(hop_count))
-        for target, summary, hop_count in zip(targets, summaries, hops)
-    ]
-    if results:
-        ring.record(MessageType.PROBE_REQUEST, count=len(results))
-        ring.record(
-            MessageType.PROBE_REPLY,
-            count=len(results),
-            payload=(buckets + 2) * len(results),
-        )
-    return results
+    replies = summarize_compact(
+        ring, owners, buckets, kind=synopsis_kind, targets=keys, hops=hops
+    )
+    ring.record(MessageType.PROBE_REQUEST, count=count)
+    ring.record(MessageType.PROBE_REPLY, count=count, payload=(buckets + 2) * count)
+    return replies
 
 
-def ht_weights(summaries: Sequence[PeerSummary]) -> NDArray[np.float64]:
+def ht_weights(evidence: Evidence) -> NDArray[np.float64]:
     """Normalised Horvitz–Thompson weights ``w_i ∝ c_i / ℓ_i``.
 
     Peers with no data get weight zero.  Raises if *all* probed peers are
     empty — there is then no evidence to build a distribution from.
     """
-    raw = np.asarray([s.density for s in summaries], dtype=float)
+    raw = as_replies(evidence).density
     total = raw.sum()
     if total <= 0:
         raise ValueError("all probed peers were empty; cannot estimate a distribution")
     return raw / total
 
 
-def estimate_total_items(summaries: Sequence[PeerSummary], ring_size: int) -> float:
+def estimate_total_items(evidence: Evidence, ring_size: int) -> float:
     """Unbiased estimate of the global item count, ``n̂ = (2^m/s) Σ c/ℓ``."""
-    if not summaries:
+    if not len(evidence):
         raise ValueError("need at least one probe summary")
-    densities = np.asarray([s.density for s in summaries], dtype=float)
-    return float(ring_size * densities.mean())
+    return float(ring_size * as_replies(evidence).density.mean())
 
 
-def estimate_peer_count(summaries: Sequence[PeerSummary], ring_size: int) -> float:
+def estimate_peer_count(evidence: Evidence, ring_size: int) -> float:
     """Unbiased estimate of the live peer count, ``N̂ = (2^m/s) Σ 1/ℓ``."""
-    if not summaries:
+    if not len(evidence):
         raise ValueError("need at least one probe summary")
-    inverse_lengths = np.asarray([1.0 / s.segment_length for s in summaries], dtype=float)
-    return float(ring_size * inverse_lengths.mean())
+    return float(ring_size * as_replies(evidence).inverse_length.mean())
 
 
 def assemble_cdf(
-    summaries: Sequence[PeerSummary],
+    evidence: Evidence,
     weights: Sequence[float],
     domain: tuple[float, float],
     interpolation: Literal["linear", "step"] = "linear",
@@ -354,6 +348,7 @@ def assemble_cdf(
     ``F̂(high) = 1`` exactly, so downstream quantile/selectivity queries
     behave at the edges even when no probe landed there.
     """
+    summaries = as_summaries(evidence)
     weight_arr = np.asarray(weights, dtype=float)
     if len(summaries) != weight_arr.size:
         raise ValueError("one weight per summary required")
@@ -396,23 +391,6 @@ class InterpolatedReconstruction:
     gap_masses: tuple[tuple[float, float, float], ...]
 
 
-def _linspace_rows(
-    start: NDArray[np.float64], stop: NDArray[np.float64], num: int
-) -> NDArray[np.float64]:
-    """``np.linspace(start[k], stop[k], num)`` for every row ``k``, bit for bit.
-
-    A single 2-D ``np.linspace`` switches *every* row to its denormal-step
-    formula as soon as one row's step underflows to zero, so the rows are
-    split by that branch first and each half takes one call.
-    """
-    out = np.empty((start.size, num))
-    underflow = (stop - start) / (num - 1) == 0
-    for rows in (~underflow, underflow):
-        if rows.any():
-            out[rows] = np.linspace(start[rows], stop[rows], num, axis=1)
-    return out
-
-
 def _gap_masses(
     d_left: NDArray[np.float64],
     d_right: NDArray[np.float64],
@@ -445,17 +423,17 @@ def _gap_masses(
 class SegmentTable:
     """The probed value segments as columns, sorted by ``value_low``.
 
-    Built once per reconstruction from a list of summaries: row ``k`` holds
-    one segment's bounds, its ``B + 1`` bucket edges (equi-width rows come
-    from one 2-D ``np.linspace``, explicit equi-depth edges are copied),
-    its float bucket counts, and the densities at both of its edges.
-    Segments with fewer than ``B`` buckets (mixed resolutions) are padded
-    with zero-width, zero-count buckets that ``valid`` marks as absent.
-    ``owner`` and ``rank`` give each row's summary (by position in the
-    input list) and its position among that summary's segments.
+    Built once per reconstruction from a reply batch: row ``k`` holds one
+    segment's bounds, its ``B + 1`` bucket edges (equi-width rows come from
+    one 2-D ``np.linspace``, explicit equi-depth edges are copied), its
+    float bucket counts, and the densities at both of its edges.  Segments
+    with fewer than ``B`` buckets (mixed resolutions) are padded with
+    zero-width, zero-count buckets that ``valid`` marks as absent.
+    ``owner`` and ``rank`` give each row's probe (its row in the batch)
+    and its position among that reply's segments.
 
     The sort is stable, so segments that share a ``value_low`` keep their
-    input order — the order the reconstruction's breakpoint sequence
+    batch order — the order the reconstruction's breakpoint sequence
     depends on.
     """
 
@@ -475,43 +453,22 @@ class SegmentTable:
         return int(self.low.size)
 
     @classmethod
-    def from_summaries(cls, summaries: Sequence[PeerSummary]) -> "SegmentTable":
-        """Tabulate every segment of ``summaries`` (duplicates included)."""
-        segments = [seg for summary in summaries for seg in summary.segments]
-        if not segments:
+    def from_replies(cls, replies: ProbeReplies) -> "SegmentTable":
+        """Tabulate every segment of ``replies`` (duplicates included)."""
+        low, high = replies.seg_low, replies.seg_high
+        if not low.size:
             raise ValueError("no probe evidence to reconstruct from")
-        per_summary = [len(summary.segments) for summary in summaries]
-        owner = np.repeat(np.arange(len(summaries), dtype=np.int64), per_summary)
-        rank = np.arange(len(segments)) - np.repeat(
-            np.cumsum(per_summary) - per_summary, per_summary
-        )
-        low = np.asarray([seg.value_low for seg in segments], dtype=float)
-        high = np.asarray([seg.value_high for seg in segments], dtype=float)
-        count_rows = [seg.counts for seg in segments]
-        edge_rows = [seg.edges for seg in segments]
-        buckets = np.fromiter(map(len, count_rows), dtype=np.int64, count=len(segments))
-        implicit = np.fromiter(
-            (edge is None for edge in edge_rows), dtype=bool, count=len(segments)
-        )
-        width = int(buckets.max())
-        edges = np.empty((len(segments), width + 1))
-        counts = np.zeros((len(segments), width))
-        valid = np.ones(counts.shape, dtype=bool)
-        for b in np.unique(buckets).tolist():
-            rows = buckets == b
-            if (rows & implicit).any():
-                edges[rows & implicit, : b + 1] = _linspace_rows(
-                    low[rows & implicit], high[rows & implicit], b + 1
-                )
-            explicit = [edge_rows[k] for k in np.flatnonzero(rows & ~implicit).tolist()]
-            if explicit:
-                edges[rows & ~implicit, : b + 1] = np.stack(
-                    [edge for edge in explicit if edge is not None]
-                )
-            counts[rows, :b] = np.stack([count_rows[k] for k in np.flatnonzero(rows).tolist()])
-            if b < width:
-                edges[rows, b + 1 :] = edges[rows, b : b + 1]
-                valid[rows, b:] = False
+        counts = replies.seg_counts.astype(float)
+        width = counts.shape[1]
+        if replies.seg_edges is None:
+            edges = _linspace_rows(low, high, width + 1)
+        else:
+            edges = replies.seg_edges
+        valid = None
+        if replies.seg_buckets is not None:
+            valid = np.arange(width) < replies.seg_buckets[:, None]
+        segment = np.arange(low.size)
+        rank = segment - np.searchsorted(replies.seg_probe, replies.seg_probe)
 
         # Edge densities: each side uses its outermost bucket with positive
         # width (equi-depth synopses can carry zero-width point-mass
@@ -521,7 +478,6 @@ class SegmentTable:
         positive = widths > 0
         has_positive = positive.any(axis=1)
         span = high - low
-        index = np.arange(len(segments))
         first = positive.argmax(axis=1)
         last = width - 1 - positive[:, ::-1].argmax(axis=1)
         safe = np.where(positive, widths, 1.0)
@@ -529,8 +485,8 @@ class SegmentTable:
             fallback = np.where(
                 span > 0, counts.sum(axis=1) / np.where(span > 0, span, 1.0), 0.0
             )
-            d_left = np.where(has_positive, counts[index, first] / safe[index, first], fallback)
-            d_right = np.where(has_positive, counts[index, last] / safe[index, last], fallback)
+            d_left = np.where(has_positive, counts[segment, first] / safe[segment, first], fallback)
+            d_right = np.where(has_positive, counts[segment, last] / safe[segment, last], fallback)
 
         order = np.argsort(low, kind="stable")
         return cls(
@@ -538,10 +494,10 @@ class SegmentTable:
             high=high[order],
             edges=edges[order],
             counts=counts[order],
-            valid=valid[order] if int(buckets.min()) < width else None,
+            valid=None if valid is None else valid[order],
             d_left=d_left[order],
             d_right=d_right[order],
-            owner=owner[order],
+            owner=replies.seg_probe[order],
             rank=rank[order],
         )
 
@@ -717,7 +673,7 @@ def assemble_rows(
 
 
 def assemble_cdf_interpolated(
-    summaries: Sequence[PeerSummary],
+    evidence: Evidence,
     domain: tuple[float, float],
     gap_interpolation: Literal["linear", "log"] = "linear",
 ) -> InterpolatedReconstruction:
@@ -733,17 +689,14 @@ def assemble_cdf_interpolated(
     is assumed anywhere, and the reconstruction converges to the exact
     global CDF as probes cover the ring.
 
-    Duplicate summaries of the same peer are collapsed (repeat probes add
-    no evidence to a reconstruction); the last summary of a peer wins.
-    The work is one :class:`SegmentTable` and one row of
-    :func:`assemble_rows`.
+    Repeat replies of the same peer are collapsed (repeat probes add no
+    evidence to a reconstruction); the last reply of a peer wins, in the
+    position of its first.  The work is one :class:`SegmentTable` and one
+    row of :func:`assemble_rows`.
     """
     if gap_interpolation not in ("linear", "log"):
         raise ValueError(f"unknown gap interpolation mode {gap_interpolation!r}")
-    unique: dict[int, PeerSummary] = {}
-    for summary in summaries:
-        unique[summary.peer_id] = summary
-    table = SegmentTable.from_summaries(list(unique.values()))
+    table = SegmentTable.from_replies(as_replies(evidence).latest())
     rows = assemble_rows(
         table, np.ones((1, table.size), dtype=bool), domain, gap_interpolation
     )

@@ -13,7 +13,7 @@ cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal, Optional, Sequence
+from typing import Callable, Literal, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -26,7 +26,7 @@ from repro.core.cdf_sampling import (
     estimate_peer_count,
 )
 from repro.core.estimate import DensityEstimate
-from repro.core.synopsis import PeerSummary
+from repro.core.replies import Evidence, ProbeReplies, as_replies
 from repro.ring.network import RingNetwork
 
 __all__ = ["ConfidenceBand", "bootstrap_confidence_band", "estimate_with_confidence"]
@@ -71,7 +71,7 @@ class ConfidenceBand:
 
 
 def bootstrap_confidence_band(
-    summaries: Sequence[PeerSummary],
+    evidence: Evidence,
     domain: tuple[float, float],
     level: float = 0.9,
     replicates: int = 200,
@@ -81,22 +81,22 @@ def bootstrap_confidence_band(
 ) -> ConfidenceBand:
     """Pointwise bootstrap band from probe evidence.
 
-    ``summaries`` must be the raw probe replies *with* repetitions — the
+    ``evidence`` must be the raw probe replies *with* repetitions — the
     bootstrap resamples the probe design, so collapsing duplicates first
     would understate the variance.
 
-    Each replicate draws ``len(summaries)`` replies with replacement and is
+    Each replicate draws ``len(evidence)`` replies with replacement and is
     reconstructed exactly as :func:`assemble_cdf_interpolated` would
     reconstruct that resample.  A replicate that cannot be reconstructed
     (every drawn peer was empty) is not redrawn: it copies the previous
     replicate's curve, or is all zeros when it is the first replicate.
 
     All replicates run through the columnar kernel at once: the segment
-    table is built once from the distinct replies, each replicate is one
-    row of a chosen-segment mask, and only the final grid interpolation
-    runs per replicate.
+    table is built once from the reply batch, each replicate is one row of
+    a chosen-segment mask, and only the final grid interpolation runs per
+    replicate.
     """
-    if not summaries:
+    if not len(evidence):
         raise ValueError("need at least one probe summary")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
@@ -108,11 +108,12 @@ def bootstrap_confidence_band(
     low, high = domain
     grid = np.linspace(low, high, grid_points)
 
-    count = len(summaries)
+    replies = as_replies(evidence)
+    count = len(replies)
     # One (replicates, count) draw: the same stream as one size-``count``
     # draw per replicate.
     picks = generator.integers(0, count, size=(replicates, count))
-    table, chosen, order = _replicate_rows(summaries, picks)
+    table, chosen, order = _replicate_rows(replies, picks)
 
     curves = np.zeros((replicates, grid_points))
     failed = np.zeros(replicates, dtype=bool)
@@ -160,48 +161,38 @@ def bootstrap_confidence_band(
 
 
 def _replicate_rows(
-    summaries: Sequence[PeerSummary], picks: NDArray[np.int64]
+    replies: ProbeReplies, picks: NDArray[np.int64]
 ) -> tuple[SegmentTable, NDArray[np.bool_], Optional[NDArray[np.intp]]]:
     """Segment table, chosen-segment mask and tie order of every replicate.
 
-    The table covers each distinct reply object once.  Replicate ``r``
-    reconstructs the resample ``summaries[picks[r]]``, which keeps each
-    peer's *last* drawn reply and orders segments that share a
-    ``value_low`` by the peer's *first* draw — the dict-then-stable-sort
-    semantics of :func:`assemble_cdf_interpolated`.  The per-row ``order``
-    is only needed (and only returned) when segments of different peers
-    tie on ``value_low``.
+    The table covers every probe's segments.  Replicate ``r`` reconstructs
+    the resample ``replies[picks[r]]``, which keeps each peer's reply from
+    its *last* draw and orders segments that share a ``value_low`` by the
+    peer's *first* draw — the semantics of :func:`assemble_cdf_interpolated`.
+    The per-row ``order`` is only needed (and only returned) when segments
+    of different peers tie on ``value_low``.
     """
-    variant_of: dict[int, int] = {}
-    variants: list[PeerSummary] = []
-    for summary in summaries:
-        if variant_of.setdefault(id(summary), len(variants)) == len(variants):
-            variants.append(summary)
-    peer_of: dict[int, int] = {}
-    variant_peer = np.asarray(
-        [peer_of.setdefault(v.peer_id, len(peer_of)) for v in variants], dtype=np.int64
-    )
-    pick_variant = np.asarray([variant_of[id(s)] for s in summaries], dtype=np.int64)
-    table = SegmentTable.from_summaries(variants)
+    _, probe_peer = np.unique(replies.owner, return_inverse=True)
+    n_peers = int(probe_peer.max()) + 1
+    table = SegmentTable.from_replies(replies)
 
     n_rows, count = picks.shape
     row = np.arange(n_rows)[:, None]
     position = np.broadcast_to(np.arange(count), picks.shape)
-    drawn = pick_variant[picks]
-    drawn_peer = variant_peer[drawn]
+    drawn_peer = probe_peer[picks]
     # A peer's last draw in a replicate is the reply its reconstruction keeps.
-    last = np.full((n_rows, len(peer_of)), -1)
+    last = np.full((n_rows, n_peers), -1)
     np.maximum.at(last, (row, drawn_peer), position)
     hit_row, hit_peer = np.nonzero(last >= 0)
-    chosen_variant = np.zeros((n_rows, len(variants)), dtype=bool)
-    chosen_variant[hit_row, drawn[hit_row, last[hit_row, hit_peer]]] = True
-    chosen = chosen_variant[:, table.owner]
+    chosen_probe = np.zeros((n_rows, count), dtype=bool)
+    chosen_probe[hit_row, picks[hit_row, last[hit_row, hit_peer]]] = True
+    chosen = chosen_probe[:, table.owner]
 
-    segment_peer = variant_peer[table.owner]
+    segment_peer = probe_peer[table.owner]
     lows = table.low.tolist()
     if len(set(zip(lows, segment_peer.tolist()))) == len(set(lows)):
         return table, chosen, None
-    first = np.full((n_rows, len(peer_of)), count)
+    first = np.full((n_rows, n_peers), count)
     np.minimum.at(first, (row, drawn_peer), position)
     shape = chosen.shape
     order = np.lexsort(
@@ -230,21 +221,20 @@ def estimate_with_confidence(
     """
     generator = rng if rng is not None else network.rng
     before = network.stats.snapshot()
-    results = collect_probes(network, probes, synopsis_buckets, rng=generator)
-    summaries = [r.summary for r in results]
-    reconstruction = assemble_cdf_interpolated(summaries, network.domain)
+    replies = collect_probes(network, probes, synopsis_buckets, rng=generator)
+    reconstruction = assemble_cdf_interpolated(replies, network.domain)
     cost = before.delta(network.stats.snapshot())
     estimate = DensityEstimate(
         cdf=reconstruction.cdf,
         domain=network.domain,
         n_items=reconstruction.total_items,
-        n_peers=estimate_peer_count(summaries, network.space.size),
-        probes=len(summaries),
+        n_peers=estimate_peer_count(replies, network.space.size),
+        probes=len(replies),
         cost=cost,
         method="distribution-free+band",
     )
     band = bootstrap_confidence_band(
-        summaries,
+        replies,
         network.domain,
         level=level,
         replicates=replicates,

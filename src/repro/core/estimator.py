@@ -10,7 +10,7 @@ cost comparisons are apples-to-apples by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal, Optional, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Literal, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from repro.core.cdf_sampling import (
     probe_positions,
 )
 from repro.core.estimate import DegradedEstimate, DensityEstimate, zero_evidence_estimate
+from repro.core.replies import Evidence, as_summaries
 from repro.core.robust import (
     RobustMethod,
     robust_assemble,
@@ -39,7 +40,6 @@ from repro.ring.faults import RetryPolicy
 if TYPE_CHECKING:  # runtime imports stay local to avoid module cycles
     from repro.core.cdf import PiecewiseCDF
     from repro.core.confidence import ConfidenceBand
-    from repro.core.synopsis import PeerSummary
 
 __all__ = ["DensityEstimator", "DistributionFreeEstimator"]
 
@@ -188,7 +188,7 @@ class DistributionFreeEstimator:
         ):
             return self._estimate_degraded(network, rng)
         before = network.stats.snapshot()
-        results = collect_probes(
+        replies = collect_probes(
             network,
             self.probes,
             self.synopsis_buckets,
@@ -196,13 +196,13 @@ class DistributionFreeEstimator:
             placement=self.placement,
             synopsis_kind=self.synopsis_kind,
         )
-        summaries = [r.summary for r in results]
+        evidence: Evidence = replies
         if self.trim_density_ratio is not None:
             from repro.core.byzantine import trim_outlier_summaries
 
-            summaries = trim_outlier_summaries(summaries, self.trim_density_ratio)
+            evidence = trim_outlier_summaries(replies.summaries(), self.trim_density_ratio)
         try:
-            cdf, n_items = self._assemble(summaries, network)
+            cdf, n_items = self._assemble(evidence, network)
         except ValueError:
             # Every probed peer was empty: no distribution to reconstruct.
             # Degrade to the explicit zero-evidence prior instead of
@@ -217,20 +217,20 @@ class DistributionFreeEstimator:
         cost = before.delta(network.stats.snapshot())
         # Probes are independent lookups a client issues concurrently:
         # the critical path is the slowest probe plus its request/reply.
-        latency = max(r.hops for r in results) + 2
+        latency = int(replies.hops.max()) + 2
         return DensityEstimate(
             cdf=cdf,
             domain=network.domain,
             n_items=n_items,
-            n_peers=estimate_peer_count(summaries, network.space.size),
-            probes=len(summaries),
+            n_peers=estimate_peer_count(evidence, network.space.size),
+            probes=len(evidence),
             cost=cost,
             method=self.name,
             latency_rounds=float(latency),
         )
 
     def _assemble(
-        self, summaries: Sequence[PeerSummary], network: RingBackend
+        self, evidence: Evidence, network: RingBackend
     ) -> tuple["PiecewiseCDF", float]:
         """Assemble ``(F̂, n̂)`` from probe replies per the configured policy.
 
@@ -238,16 +238,18 @@ class DistributionFreeEstimator:
         operation order exactly — both estimation paths share this body, so
         the factoring is byte-neutral.  A configured robust method routes
         to :func:`repro.core.robust.robust_assemble` instead.  Raises
-        ``ValueError`` on zero usable evidence in every mode.
+        ``ValueError`` on zero usable evidence in every mode.  Only the
+        robust combiners and the mixture read :class:`PeerSummary` views;
+        the default reconstruction reads the reply columns.
         """
         if self.robust == "winsorized":
             # Winsorization transforms the evidence, not the weights, so
             # it hardens whichever assembly is configured — including the
             # interpolated reconstruction the other combiners cannot use.
-            summaries = winsorize_summaries(summaries, self.trim_fraction)
+            evidence = winsorize_summaries(as_summaries(evidence), self.trim_fraction)
         elif self.robust is not None:
             return robust_assemble(
-                summaries,
+                as_summaries(evidence),
                 network.domain,
                 network.space.size,
                 self.robust,
@@ -257,12 +259,12 @@ class DistributionFreeEstimator:
             )
         if self.combine == "interpolate":
             reconstruction = assemble_cdf_interpolated(
-                summaries, network.domain, self.gap_interpolation
+                evidence, network.domain, self.gap_interpolation
             )
             return reconstruction.cdf, reconstruction.total_items
-        weights = ht_weights(summaries)
-        cdf = assemble_cdf(summaries, weights, network.domain, self.interpolation)
-        return cdf, estimate_total_items(summaries, network.space.size)
+        weights = ht_weights(evidence)
+        cdf = assemble_cdf(evidence, weights, network.domain, self.interpolation)
+        return cdf, estimate_total_items(evidence, network.space.size)
 
     def _estimate_degraded(
         self, network: RingBackend, rng: Optional[np.random.Generator]
@@ -294,17 +296,17 @@ class DistributionFreeEstimator:
         targets = probe_positions(
             requested, network.space.size, generator, self.placement
         )
-        results, probe_failures = collect_probes_resilient(
+        replies, probe_failures = collect_probes_resilient(
             network, targets, self.synopsis_buckets, self.synopsis_kind, policy
         )
-        summaries = [r.summary for r in results]
-        if self.trim_density_ratio is not None and summaries:
+        evidence: Evidence = replies
+        if self.trim_density_ratio is not None and len(replies):
             from repro.core.byzantine import trim_outlier_summaries
 
-            summaries = trim_outlier_summaries(summaries, self.trim_density_ratio)
+            evidence = trim_outlier_summaries(replies.summaries(), self.trim_density_ratio)
         reasons = tuple(sorted({f.reason for f in probe_failures}))
-        coverage = len(results) / requested if requested else 0.0
-        if not summaries:
+        coverage = len(replies) / requested if requested else 0.0
+        if not len(evidence):
             return zero_evidence_estimate(
                 network.domain,
                 before.delta(network.stats.snapshot()),
@@ -313,7 +315,7 @@ class DistributionFreeEstimator:
                 reasons or ("no_evidence",),
             )
         try:
-            cdf, n_items = self._assemble(summaries, network)
+            cdf, n_items = self._assemble(evidence, network)
         except ValueError:
             return zero_evidence_estimate(
                 network.domain,
@@ -322,8 +324,8 @@ class DistributionFreeEstimator:
                 requested,
                 reasons + ("no_evidence",),
             )
-        n_peers = estimate_peer_count(summaries, network.space.size)
-        latency = float(max(r.hops for r in results) + 2)
+        n_peers = estimate_peer_count(evidence, network.space.size)
+        latency = float(int(replies.hops.max()) + 2)
         if not probe_failures:
             # Full coverage: the fault plane was active but every probe got
             # through — a plain (non-degraded) estimate.
@@ -332,19 +334,19 @@ class DistributionFreeEstimator:
                 domain=network.domain,
                 n_items=n_items,
                 n_peers=n_peers,
-                probes=len(summaries),
+                probes=len(evidence),
                 cost=before.delta(network.stats.snapshot()),
                 method=self.name,
                 latency_rounds=latency,
             )
         inflation = float(1.0 / np.sqrt(max(coverage, 1.0 / requested)))
-        confidence = self._widened_band(summaries, network.domain, generator, inflation)
+        confidence = self._widened_band(evidence, network.domain, generator, inflation)
         return DegradedEstimate(
             cdf=cdf,
             domain=network.domain,
             n_items=n_items,
             n_peers=n_peers,
-            probes=len(summaries),
+            probes=len(evidence),
             cost=before.delta(network.stats.snapshot()),
             method=self.name,
             latency_rounds=latency,
@@ -357,7 +359,7 @@ class DistributionFreeEstimator:
 
     def _widened_band(
         self,
-        summaries: Sequence[PeerSummary],
+        evidence: Evidence,
         domain: tuple[float, float],
         rng: np.random.Generator,
         inflation: float,
@@ -370,11 +372,11 @@ class DistributionFreeEstimator:
         """
         from repro.core.confidence import ConfidenceBand, bootstrap_confidence_band
 
-        if len(summaries) < 2:
+        if len(evidence) < 2:
             return None
         try:
             band = bootstrap_confidence_band(
-                summaries,
+                evidence,
                 domain,
                 rng=rng,
                 gap_interpolation=self.gap_interpolation,

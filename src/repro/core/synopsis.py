@@ -1,10 +1,11 @@
 """Per-peer summaries: what one probe reply carries.
 
-A probe that lands on a peer gets back a :class:`PeerSummary` — the peer's
-segment length, its item count, and a constant-size histogram synopsis of
-its local data.  This is the unit of evidence every estimator (ours and the
-baselines) consumes; its size bounds per-probe bandwidth, which is why the
-synopsis bucket count ``B`` is an explicit, ablatable parameter.
+A probe that lands on a peer gets back the peer's segment length, its item
+count, and a constant-size histogram synopsis of its local data — one
+:class:`PeerSummary` as an object, one row of a
+:class:`~repro.core.replies.ProbeReplies` batch as columns.  Its size
+bounds per-probe bandwidth, which is why the synopsis bucket count ``B`` is
+an explicit, ablatable parameter.
 
 A peer whose ownership arc wraps the ring origin holds items from two
 disjoint value ranges; its summary then carries two :class:`SegmentSummary`
@@ -14,12 +15,13 @@ pieces.  All other peers carry exactly one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.core.cdf import PiecewiseCDF
+from repro.core.replies import ProbeReplies
 from repro.ring.compact import CompactRing
 from repro.ring.network import RingNetwork
 from repro.ring.node import PeerNode
@@ -328,18 +330,18 @@ def summarize_compact(
     peer_indices: Union[Sequence[int], NDArray[np.int64]],
     buckets: int,
     kind: str = "equi-width",
-) -> list[PeerSummary]:
-    """Materialize probe replies from the compact ring's synopsis plane.
+    *,
+    targets: Optional[NDArray[np.uint64]] = None,
+    hops: Optional[NDArray[np.int64]] = None,
+) -> ProbeReplies:
+    """Probe replies of the peers at ``peer_indices``, from the synopsis plane.
 
-    The fast path behind batched probing on :class:`CompactRing`: each
-    requested peer's :class:`PeerSummary` is a row slice of the plane —
-    primary-segment bounds from the ``seg_low``/``seg_high`` columns,
-    bucket counts from the ``(n, B)`` histogram matrix, and (for the one
-    peer whose ownership wraps the ring origin) the high-end wrap segment
-    in the same object-backend order.  Rows for uncached peers are gathered
-    in one vectorized slice; summaries are memoized on the ring until the
-    next :meth:`~repro.ring.compact.CompactRing.load_counts` invalidates
-    them, exactly as :func:`summarize_peer` memoizes per store version.
+    One gather per column: primary-segment bounds from ``seg_low`` and
+    ``seg_high``, bucket counts from the ``(n, B)`` histogram matrix, and,
+    for every reply of peer 0 when its arc wraps the ring origin, the wrap
+    row placed before its primary segment (the object backend's order).
+    ``targets`` and ``hops`` are the routed probes' columns (zeros when the
+    peers were addressed directly).  Nothing is kept on the ring.
 
     The plane is built at a fixed resolution, so ``buckets`` must equal
     ``ring.synopsis_buckets`` and only ``kind="equi-width"`` is available
@@ -363,42 +365,27 @@ def summarize_compact(
         )
     indices = np.asarray(peer_indices, dtype=np.int64)
     hist, wrap_hist = ring.synopsis_plane()
-    summaries: dict[int, PeerSummary] = {}
-    fresh = []
-    for raw in indices:
-        index = int(raw)
-        if index in summaries:
-            continue
-        cached = ring.cached_summary(index)
-        if cached is not None:
-            summaries[index] = cached
-        else:
-            fresh.append(index)
-    if fresh:
-        fresh_arr = np.asarray(fresh, dtype=np.int64)
-        rows = hist[fresh_arr]  # one gather for every uncached reply
-        lows = ring.seg_low[fresh_arr]
-        highs = ring.seg_high[fresh_arr]
-        counts = ring.counts[fresh_arr]
-        for offset, index in enumerate(fresh):
-            primary = SegmentSummary.equi_width(
-                float(lows[offset]), float(highs[offset]), rows[offset].copy()
-            )
-            if index == 0 and ring.wrap_bounds is not None:
-                w_low, w_high = ring.wrap_bounds
-                wrap_seg = SegmentSummary.equi_width(w_low, w_high, wrap_hist.copy())
-                segments: tuple[SegmentSummary, ...] = (wrap_seg, primary)
-            else:
-                segments = (primary,)
-            summary = PeerSummary(
-                peer_id=int(ring.ids[index]),
-                segment_length=ring.segment_length(index),
-                local_count=int(counts[offset]),
-                segments=segments,
-            )
-            ring.cache_summary(index, summary)
-            summaries[index] = summary
-    return [summaries[int(index)] for index in indices]
+    count = indices.size
+    per_probe = np.ones(count, dtype=np.int64)
+    if ring.wrap_bounds is not None:
+        per_probe[indices == 0] = 2
+    rows = np.repeat(indices, per_probe)  # the plane row behind each segment
+    seg_low, seg_high, seg_counts = ring.seg_low[rows], ring.seg_high[rows], hist[rows]
+    if ring.wrap_bounds is not None:
+        wrap = (np.cumsum(per_probe) - per_probe)[indices == 0]
+        seg_low[wrap], seg_high[wrap] = ring.wrap_bounds
+        seg_counts[wrap] = wrap_hist
+    return ProbeReplies(
+        target=np.zeros(count, dtype=np.uint64) if targets is None else targets,
+        hops=np.zeros(count, dtype=np.int64) if hops is None else hops,
+        owner=ring.ids[indices],
+        segment_length=ring.segment_lengths(indices),
+        local_count=ring.counts[indices],
+        seg_probe=np.repeat(np.arange(count, dtype=np.int64), per_probe),
+        seg_low=seg_low,
+        seg_high=seg_high,
+        seg_counts=seg_counts,
+    )
 
 
 def _repair_segments(

@@ -46,10 +46,8 @@ def drift_score_between(
     """
     if check_probes < 1:
         raise ValueError(f"check_probes must be >= 1, got {check_probes}")
-    results = collect_probes(network, check_probes, synopsis_buckets, rng=rng)
-    reconstruction = assemble_cdf_interpolated(
-        [r.summary for r in results], network.domain
-    )
+    replies = collect_probes(network, check_probes, synopsis_buckets, rng=rng)
+    reconstruction = assemble_cdf_interpolated(replies, network.domain)
     grid = reconstruction.cdf.xs
     fresh = np.asarray(reconstruction.cdf(grid), dtype=float)
     model = np.asarray(model_cdf(grid), dtype=float)

@@ -27,7 +27,7 @@ backend stays the default and is untouched.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Any, Optional
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -35,9 +35,6 @@ from numpy.typing import ArrayLike, NDArray
 from repro.ring.hashing import OrderPreservingHash
 from repro.ring.identifier import IdentifierSpace
 from repro.ring.messages import MessageStats, MessageType
-
-if TYPE_CHECKING:  # summary objects are built by repro.core.synopsis
-    from repro.core.synopsis import PeerSummary
 
 __all__ = ["CompactRing"]
 
@@ -118,7 +115,6 @@ class CompactRing:
         self._build_segment_bounds()
         self.hist: Optional[NDArray[np.int64]] = None
         self._wrap_hist: Optional[NDArray[np.int64]] = None
-        self._summary_cache: dict[int, "PeerSummary"] = {}
         # Push-sum state (created on first gossip round): estimating the
         # network-wide mean load needs one value and one weight column.
         self._gossip_value: Optional[NDArray[np.float64]] = None
@@ -267,16 +263,17 @@ class CompactRing:
         """``(topology_version, data_version)`` — the serving-layer cache key."""
         return (self.topology_version, self.data_version)
 
-    def segment_length(self, index: int) -> int:
-        """Ownership arc length ``ℓ_p`` of the peer at ``index``.
+    def segment_lengths(self, indices: NDArray[np.int64]) -> NDArray[Any]:
+        """Ownership arc lengths ``ℓ_p`` of the peers at ``indices``.
 
-        Masked subtraction makes ``ids[0] - ids[-1]`` the correct clockwise
-        distance for the origin-wrapping peer; the single-peer ring owns
-        all ``2^m`` identifiers.
+        Wrapping ``uint64`` subtraction makes ``ids[0] - ids[-1]`` the
+        clockwise distance for the origin-wrapping peer.  The single peer
+        of a one-peer ring owns all ``2^m`` identifiers, which for m = 64
+        does not fit ``uint64``: those lengths come back as Python ints.
         """
         if self.ids.size == 1:
-            return int(self.space.size)
-        return (int(self.ids[index]) - int(self.ids[index - 1])) & self.space.mask
+            return np.full(indices.size, self.space.size, dtype=object)
+        return (self.ids[indices] - self.ids[indices - 1]) & np.uint64(self.space.mask)
 
     def synopsis_plane(self) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
         """The bucket-count matrix and the wrap segment's row, allocated lazily.
@@ -296,13 +293,15 @@ class CompactRing:
         """Value bounds of peer 0's high-end wrap segment (None if it has none)."""
         return self._wrap_bounds
 
-    def cached_summary(self, index: int) -> Optional["PeerSummary"]:
-        """The memoized probe reply for peer ``index`` (invalidated per load)."""
-        return self._summary_cache.get(index)
+    def cached_summary(self, index: int) -> None:
+        """Always ``None``: probe replies are never stored on the ring.
 
-    def cache_summary(self, index: int, summary: "PeerSummary") -> None:
-        """Memoize a built probe reply until the next :meth:`load_counts`."""
-        self._summary_cache[index] = summary
+        Exists only for the probe table of ``perfbench/tracing.py``.
+        """
+        return None
+
+    def cache_summary(self, index: int, summary: object) -> None:
+        """Does nothing; exists only for the probe table of ``perfbench/tracing.py``."""
 
     @property
     def total_count(self) -> int:
@@ -319,9 +318,6 @@ class CompactRing:
         Covers every persistent column (identifiers, loads, the scan
         matrix, gossip state when materialized); transient build slabs are
         excluded because they are freed before the ring is usable.
-        ``summary_memo_entries`` counts the memoized probe replies (Python
-        objects, not columns): it is reported beside the byte totals, not
-        in them, and grows until the next :meth:`load_counts`.
         """
         columns = {
             "ids": float(self.ids.nbytes),
@@ -351,7 +347,6 @@ class CompactRing:
         report["scan_width"] = float(self.scan.shape[1])
         report["synopsis_bytes"] = synopsis_bytes
         report["synopsis_buckets"] = float(self.synopsis_buckets)
-        report["summary_memo_entries"] = float(len(self._summary_cache))
         return report
 
     # ------------------------------------------------------------------
@@ -421,7 +416,6 @@ class CompactRing:
             for stray in np.flatnonzero(out):
                 self._bin_straggler(float(chunk[stray]), int(positions[stray]), hist, wrap_hist)
         self.data_version += 1
-        self._summary_cache.clear()
         # New load invalidates any in-progress push-sum estimate.
         self._gossip_value = None
         self._gossip_weight = None

@@ -190,3 +190,64 @@ def peer_summary(
         local_count=sum(seg.total for seg in segments),
         segments=segments,
     )
+
+
+def reference_segment_table(summaries: Sequence[PeerSummary]) -> dict[str, np.ndarray]:
+    """Every segment of ``summaries`` tabulated one object at a time.
+
+    The columns :class:`~repro.core.cdf_sampling.SegmentTable` holds, built
+    per segment with a 1-D ``np.linspace`` for implicit edges, rows padded
+    to the widest resolution, and stably sorted by ``value_low``.
+    """
+    rows = [
+        (index, rank, seg)
+        for index, summary in enumerate(summaries)
+        for rank, seg in enumerate(summary.segments)
+    ]
+    width = max(seg.buckets for _, _, seg in rows)
+    edges = np.empty((len(rows), width + 1))
+    counts = np.zeros((len(rows), width))
+    valid = np.zeros((len(rows), width), dtype=bool)
+    for k, (_, _, seg) in enumerate(rows):
+        row_edges = (
+            seg.edges
+            if seg.edges is not None
+            else np.linspace(seg.value_low, seg.value_high, seg.buckets + 1)
+        )
+        edges[k, : seg.buckets + 1] = row_edges
+        edges[k, seg.buckets + 1 :] = row_edges[-1]
+        counts[k, : seg.buckets] = seg.counts
+        valid[k, : seg.buckets] = True
+    densities = [edge_densities(seg) for _, _, seg in rows]
+    order = np.argsort([seg.value_low for _, _, seg in rows], kind="stable")
+    return {
+        "low": np.asarray([seg.value_low for _, _, seg in rows])[order],
+        "high": np.asarray([seg.value_high for _, _, seg in rows])[order],
+        "edges": edges[order],
+        "counts": counts[order],
+        "valid": valid[order],
+        "d_left": np.asarray([pair[0] for pair in densities])[order],
+        "d_right": np.asarray([pair[1] for pair in densities])[order],
+        "owner": np.asarray([index for index, _, _ in rows])[order],
+        "rank": np.asarray([rank for _, rank, _ in rows])[order],
+    }
+
+
+def reference_ht_weights(summaries: Sequence[PeerSummary]) -> np.ndarray:
+    """``w_i ∝ c_i / ℓ_i`` from each reply object's ``density``."""
+    raw = np.asarray([s.density for s in summaries], dtype=float)
+    total = raw.sum()
+    if total <= 0:
+        raise ValueError("all probed peers were empty; cannot estimate a distribution")
+    return raw / total
+
+
+def reference_total_items(summaries: Sequence[PeerSummary], ring_size: int) -> float:
+    """``n̂ = (2^m/s) Σ c/ℓ`` from the reply objects."""
+    return float(ring_size * np.asarray([s.density for s in summaries], dtype=float).mean())
+
+
+def reference_peer_count(summaries: Sequence[PeerSummary], ring_size: int) -> float:
+    """``N̂ = (2^m/s) Σ 1/ℓ`` from the reply objects."""
+    inverse = np.asarray([1.0 / s.segment_length for s in summaries], dtype=float)
+    return float(ring_size * inverse.mean())

@@ -20,6 +20,7 @@ from repro.core.cdf_sampling import collect_probes
 from repro.core.confidence import ConfidenceBand, bootstrap_confidence_band
 from repro.core.estimate import DegradedEstimate
 from repro.core.estimator import DistributionFreeEstimator
+from repro.core.replies import as_summaries
 from repro.ring.faults import RetryPolicy, plane_from_profile
 
 from tests.conftest import make_loaded_network
@@ -138,10 +139,12 @@ def test_degraded_estimate_band_matches_scalar_bootstrap(monkeypatch):
         estimator = DistributionFreeEstimator(probes=48, retry=RetryPolicy.DEFAULT)
         return estimator.estimate(network, rng=rng), rng
 
-    def scalar_bootstrap(summaries, domain, level=0.9, replicates=200,
+    def scalar_bootstrap(evidence, domain, level=0.9, replicates=200,
                          grid_points=128, rng=None, gap_interpolation="linear"):
+        # The estimator hands over its reply batch; the oracle reads views.
         lower, upper = reference_band(
-            summaries, domain, level, replicates, grid_points, rng, gap_interpolation
+            as_summaries(evidence), domain, level, replicates, grid_points, rng,
+            gap_interpolation,
         )
         return ConfidenceBand(
             grid=np.linspace(domain[0], domain[1], grid_points),

@@ -33,6 +33,30 @@ class TestProbePositions:
         strata = positions // (ring // 16)
         assert sorted(strata.tolist()) == list(range(16))
 
+    @pytest.mark.filterwarnings("error")
+    def test_stratified_top_draw_stays_in_last_stratum(self):
+        # (3 + nextafter(1, 0)) * 2^62 rounds up to 2^64, which does not
+        # fit uint64: the position must be clipped, not cast to 0.
+        class TopDraws:
+            def uniform(self, low, high, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        positions = probe_positions(4, 1 << 64, TopDraws(), "stratified")
+        assert np.all(np.diff(positions.astype(float)) > 0)
+        assert int(positions[-1]) == (1 << 64) - 2048  # the largest float below 2^64
+
+    @pytest.mark.parametrize("bits", [16, 32, 64])
+    def test_stratified_draws_unchanged_below_the_top(self, bits):
+        ring = 1 << bits
+        for seed in range(50):
+            count = int(np.random.default_rng(seed).integers(1, 300))
+            ours = probe_positions(count, ring, np.random.default_rng(seed), "stratified")
+            offsets = np.random.default_rng(seed).uniform(0.0, 1.0, size=count)
+            scaled = (np.arange(count) + offsets) * (ring / count)
+            assert (scaled < ring).all()
+            expected = np.minimum(scaled.astype(np.uint64), np.uint64(ring - 1))
+            assert ours.tobytes() == expected.tobytes()
+
     def test_validation(self, rng):
         with pytest.raises(ValueError):
             probe_positions(0, 100, rng)

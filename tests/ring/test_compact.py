@@ -6,9 +6,13 @@ for hop on the stabilized ring — and *compactness* — the per-peer byte
 footprint stays bounded (the CI memory budget) no matter the data volume.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core.estimator import DistributionFreeEstimator
 from repro.core.synopsis import summarize_compact
 from repro.ring.compact import CompactRing
 from repro.ring.messages import MessageType
@@ -192,12 +196,9 @@ class TestMemoryFootprint:
             report["synopsis_seg_low"] + report["synopsis_seg_high"]
         )
         assert "synopsis_hist" not in report
-        # The reply memo is counted, not sized, and stays out of the totals.
-        assert report["summary_memo_entries"] == 0.0
         compact.load_counts(np.random.default_rng(3).random(500))
         summarize_compact(compact, [0, 5, 5, 9], compact.synopsis_buckets)
         grown = compact.memory_report()
-        assert grown["summary_memo_entries"] == 3.0
         assert grown["total_bytes"] == sum(
             grown[column]
             for column in ("ids", "counts", "scan", "synopsis_seg_low", "synopsis_seg_high")
@@ -205,6 +206,29 @@ class TestMemoryFootprint:
             if column in grown
         )
         assert grown["bytes_per_peer"] == grown["total_bytes"] / 64.0
+
+    def test_repeated_estimates_keep_no_per_probe_state(self):
+        """Replies are columns of one batch: the ring keeps nothing per probe."""
+        ring = CompactRing.build(2000, seed=4)
+        ring.load_counts(np.random.default_rng(5).random(20_000))
+        estimator = DistributionFreeEstimator(probes=64)
+        rng = np.random.default_rng(6)
+        estimator.estimate(ring, rng=rng)  # first call: lazy imports and plane
+        report = ring.memory_report()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start, _peak = tracemalloc.get_traced_memory()
+            for _ in range(200):
+                estimator.estimate(ring, rng=rng)
+            gc.collect()
+            end, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ring.memory_report() == report
+        # 200 x 64 probes hit every one of the 2000 peers many times over;
+        # one kept reply per peer would be hundreds of KB.
+        assert end - start < 32 * 1024
 
     def test_bytes_per_peer_within_ci_budget_at_1e5(self):
         ring = CompactRing.build(100_000, seed=0)

@@ -84,7 +84,7 @@ class TestProbeBitIdentity:
         """Full census: all peers — including the wrap-around peer."""
         network, compact = _loaded_pair(n=300, seed=3, items=30_000)
         indices = np.arange(compact.n_peers, dtype=np.int64)
-        ours = summarize_compact(compact, indices, 8)
+        ours = summarize_compact(compact, indices, 8).summaries()
         for index, summary in zip(indices, ours):
             node = network.node(int(compact.ids[index]))
             assert_summaries_identical(summarize_peer(network, node, 8), summary)
@@ -92,7 +92,7 @@ class TestProbeBitIdentity:
     def test_wrap_around_peer_two_segments(self):
         """The origin-wrapping peer carries two segments, in object order."""
         network, compact = _loaded_pair(n=64, seed=1, items=50_000)
-        (wrap_summary,) = summarize_compact(compact, [0], 8)
+        (wrap_summary,) = summarize_compact(compact, [0], 8).summaries()
         node = network.node(int(compact.ids[0]))
         theirs = summarize_peer(network, node, 8)
         assert len(theirs.segments) == 2  # the seed places no peer at id 2^64-1
@@ -157,9 +157,9 @@ class TestEstimateBitIdentity:
 
     def test_load_invalidates_memoized_summaries(self):
         _network, compact = _loaded_pair(seed=2)
-        (before,) = summarize_compact(compact, [5], 8)
+        (before,) = summarize_compact(compact, [5], 8).summaries()
         compact.load_counts(np.full(1000, float(before.segments[-1].value_low)))
-        (after,) = summarize_compact(compact, [5], 8)
+        (after,) = summarize_compact(compact, [5], 8).summaries()
         assert after is not before
 
 
@@ -276,7 +276,7 @@ class TestSynopsisPlaneShape:
         )
         assert isinstance(compact, CompactRing)
         compact.load_counts(np.random.default_rng(0).uniform(*DOMAIN, 5000))
-        (summary,) = summarize_compact(compact, [3], 16)
+        (summary,) = summarize_compact(compact, [3], 16).summaries()
         assert summary.segments[-1].buckets == 16
         estimate = DistributionFreeEstimator(probes=16, synopsis_buckets=16).estimate(
             compact, rng=np.random.default_rng(0)
@@ -286,7 +286,7 @@ class TestSynopsisPlaneShape:
     def test_single_peer_ring_owns_whole_domain(self):
         compact = CompactRing.build(1, domain=DOMAIN, seed=0)
         compact.load_counts(np.random.default_rng(0).uniform(*DOMAIN, 100))
-        (summary,) = summarize_compact(compact, [0], 8)
+        (summary,) = summarize_compact(compact, [0], 8).summaries()
         assert summary.segment_length == compact.space.size
         assert summary.local_count == 100
         (segment,) = summary.segments
