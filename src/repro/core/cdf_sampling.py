@@ -42,7 +42,7 @@ from repro.core.replies import (
 from repro.core.synopsis import PeerSummary, summarize_compact, summarize_peer
 from repro.ring.compact import CompactRing
 from repro.ring.messages import MessageType
-from repro.ring.network import RingNetwork
+from repro.ring.network import NetworkError
 from repro.ring.routing import route_probes_batch, route_to_key
 
 if TYPE_CHECKING:  # runtime import stays local to avoid a module cycle
@@ -159,7 +159,7 @@ def collect_probes_at(
     the columnar batch path.
     """
     if isinstance(network, CompactRing):
-        return _collect_probes_compact(network, targets, buckets, synopsis_kind)
+        return _collect_probes_batch(network, targets, buckets, synopsis_kind)
     if network.loss_rate <= 0.0:
         return _collect_probes_batch(network, targets, buckets, synopsis_kind)
     summaries: list[PeerSummary] = []
@@ -210,7 +210,7 @@ def collect_probes_resilient(
     backends.
     """
     if isinstance(network, CompactRing):
-        return _collect_probes_compact(network, targets, buckets, synopsis_kind), []
+        return _collect_probes_batch(network, targets, buckets, synopsis_kind), []
     from repro.ring.faults import RetryPolicy
     from repro.ring.routing import route_with_policy
 
@@ -257,56 +257,42 @@ def collect_probes_resilient(
 
 
 def _collect_probes_batch(
-    network: RingNetwork,
+    network: RingBackend,
     targets: Sequence[int],
     buckets: int,
     synopsis_kind: str,
 ) -> ProbeReplies:
-    """Loss-free probe batch: lockstep routing, bulk ledger, memoized summaries."""
-    entries = [network.random_peer() for _ in range(len(targets))]
-    routes = route_probes_batch(network, entries, [int(target) for target in targets])
-    summaries = [
-        summarize_peer(network, route.owner, buckets, kind=synopsis_kind) for route in routes
-    ]
-    if routes:
-        network.record(MessageType.PROBE_REQUEST, count=len(routes))
-        network.record(
-            MessageType.PROBE_REPLY,
-            count=len(routes),
-            payload=(buckets + 2) * len(routes),
-        )
-    return ProbeReplies.from_summaries(summaries, targets, [route.hops for route in routes])
+    """Loss-free probe batch on either backend: lockstep routing, bulk ledger.
 
-
-def _collect_probes_compact(
-    ring: CompactRing,
-    targets: Sequence[int],
-    buckets: int,
-    synopsis_kind: str,
-) -> ProbeReplies:
-    """Columnar probe batch: vectorized routing, replies gathered as columns.
-
-    Entry peers come from one vectorized draw against the ring's generator
-    — NumPy's bounded-integer sampling produces the same stream as the
-    object path's per-probe scalar draws, so probe trajectories match the
-    object backend bit for bit at the same seed.  Routing runs in lockstep
-    through :meth:`CompactRing.route_batch` (which posts the bulk
-    ``LOOKUP_HOP`` record), replies are gathered from the synopsis plane by
-    :func:`summarize_compact`, and the request/reply traffic lands in the
-    ledger as the same two bulk records the object batch path posts.
+    Entry peers come from one vectorized draw, the same stream as
+    per-probe :meth:`RingNetwork.random_peer` draws, so both backends and
+    the sequential path agree bit for bit at a seed.  Only the reply
+    gather differs: synopsis-plane columns (:func:`summarize_compact`) or
+    one memoized summary per owner node (:func:`summarize_peer`).
     """
     count = len(targets)
-    if count == 0:
-        return summarize_compact(ring, np.empty(0, dtype=np.int64), buckets, synopsis_kind)
     keys = np.asarray(targets, dtype=np.uint64)
-    entries = ring.rng.integers(0, ring.n_peers, size=count).astype(np.int64)
-    owners, hops = ring.route_batch(entries, keys)
-    replies = summarize_compact(
-        ring, owners, buckets, kind=synopsis_kind, targets=keys, hops=hops
-    )
-    ring.record(MessageType.PROBE_REQUEST, count=count)
-    ring.record(MessageType.PROBE_REPLY, count=count, payload=(buckets + 2) * count)
-    return replies
+    owners = hops = np.empty(0, dtype=np.int64)
+    if count:
+        if network.n_peers == 0:
+            raise NetworkError("network has no peers")
+        entries = network.rng.integers(0, network.n_peers, size=count)
+        if isinstance(network, CompactRing):
+            owners, hops = network.route_batch(entries, keys)
+        else:
+            owners, hops = route_probes_batch(network, entries, keys)
+        network.record(MessageType.PROBE_REQUEST, count=count)
+        network.record(MessageType.PROBE_REPLY, count=count, payload=(buckets + 2) * count)
+    if isinstance(network, CompactRing):
+        return summarize_compact(
+            network, owners, buckets, kind=synopsis_kind, targets=keys, hops=hops
+        )
+    ids = network.sorted_ids_array()
+    summaries = [
+        summarize_peer(network, network.node(ident), buckets, kind=synopsis_kind)
+        for ident in ids[owners].tolist()
+    ]
+    return ProbeReplies.from_summaries(summaries, targets, hops)
 
 
 def ht_weights(evidence: Evidence) -> NDArray[np.float64]:

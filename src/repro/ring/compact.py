@@ -13,9 +13,10 @@ bounded memory (tens to a few hundred bytes per peer, reported by
 The compact backend models the *stabilized* ring: pointers are exact by
 construction (the state :meth:`RingNetwork.rebuild_overlay` produces), and
 rounds are batch operations — :meth:`route_batch` advances thousands of
-lookups in vectorized lockstep with the same per-hop arithmetic as
-:func:`repro.ring.routing.route_probes_batch`, and :meth:`gossip_round`
-runs one push-sum exchange for every peer at once.  Membership is
+lookups in vectorized lockstep through the routing kernel the object
+backend's :func:`repro.ring.routing.route_probes_batch` also runs
+(:mod:`repro.ring.lockstep`), and :meth:`gossip_round` runs one push-sum
+exchange for every peer at once.  Membership is
 seed-identical to the object backend: :meth:`build` consumes the identifier
 RNG draws in exactly the order :meth:`RingNetwork.create` consumes them, so
 ``RingNetwork.create(n, seed=s, compact=True)`` places peers on the same
@@ -34,6 +35,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from repro.ring.hashing import OrderPreservingHash
 from repro.ring.identifier import IdentifierSpace
+from repro.ring.lockstep import compress_scan, exact_fingers, route_lockstep
 from repro.ring.messages import MessageStats, MessageType
 
 __all__ = ["CompactRing"]
@@ -160,42 +162,18 @@ class CompactRing:
     ) -> NDArray[np.uint64]:
         """The compressed finger-scan matrix, built blockwise.
 
-        Per block of rows: compute the full ``block x bits`` finger slab
-        (owner of ``id + 2^k`` via one ``searchsorted``), collapse
-        duplicate runs to their highest column — every finger is valid on
-        the stabilized ring, so the keep mask is just the run-boundary
-        test — and stash the kept entries.  The final matrix pads each row
-        to the global maximum width with the row's own identifier.  Peak
-        transient memory is one block's finger slab, never ``n x bits``.
+        Each block of rows computes its full ``block x bits`` finger slab
+        (:func:`~repro.ring.lockstep.exact_fingers`; every finger is valid
+        on the stabilized ring) and hands it to
+        :func:`~repro.ring.lockstep.compress_scan`, which keeps only the
+        block's compressed entries.  Peak transient memory is one block's
+        finger slab, never ``n x bits``.
         """
-        n = ids.size
-        bits = space.bits
-        mask = np.uint64(space.size - 1)
-        powers = np.uint64(1) << np.arange(bits, dtype=np.uint64)
-        blocks: list[tuple[NDArray[np.uint64], NDArray[np.int64]]] = []
-        width = 1
-        for lo in range(0, n, _SCAN_BLOCK):
-            hi = min(lo + _SCAN_BLOCK, n)
-            targets = (ids[lo:hi, None] + powers[None, :]) & mask
-            indices = np.searchsorted(ids, targets, side="left")
-            indices[indices == n] = 0
-            fingers = ids[indices]
-            keep = np.ones(fingers.shape, dtype=bool)
-            if bits > 1:
-                keep[:, :-1] = fingers[:, :-1] != fingers[:, 1:]
-            widths = keep.sum(axis=1)
-            width = max(width, int(widths.max()))
-            blocks.append((fingers[keep], widths))
-        scan = np.repeat(ids[:, None], width, axis=1)
-        row = 0
-        for kept, widths in blocks:
-            starts = np.zeros(widths.size + 1, dtype=np.int64)
-            np.cumsum(widths, out=starts[1:])
-            rows = np.repeat(np.arange(widths.size, dtype=np.int64), widths)
-            cols = np.arange(kept.size, dtype=np.int64) - starts[rows]
-            scan[row + rows, cols] = kept
-            row += widths.size
-        return scan
+        blocks = (
+            (exact_fingers(ids, slice(lo, lo + _SCAN_BLOCK), space.bits), None)
+            for lo in range(0, ids.size, _SCAN_BLOCK)
+        )
+        return compress_scan(ids, blocks)
 
     def _build_segment_bounds(self) -> None:
         """Per-peer value-range bounds of the synopsis plane.
@@ -462,95 +440,28 @@ class CompactRing:
     ) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
         """Route many lookups in vectorized lockstep; returns (owners, hops).
 
-        ``entries`` are peer *indices*, ``keys`` ring positions; the result
-        arrays give each lookup's owner index and hop count.  The per-hop
-        arithmetic is the stabilized-ring core of
-        :func:`repro.ring.routing.route_probes_batch`: entry shortcuts
-        (self-key, live-predecessor half-open test), the highest-column
-        in-arc scan over the compressed finger matrix with successor
-        fallback, and one final delivery hop — minus the dead-pointer
-        handling, which cannot arise here.  Hops are posted to the ledger
-        in one bulk ``LOOKUP_HOP`` record.  When ``traffic`` (length
-        ``n_peers``) is given, every hop's destination increments it —
-        the per-peer message load the congestion metrics read.
+        ``entries`` and the returned owners are peer indices.  Routing is
+        :func:`~repro.ring.lockstep.route_lockstep` over the stabilized
+        view (index-roll neighbours, every pointer live), and the hops post
+        to the ledger as one ``LOOKUP_HOP`` record.  ``traffic`` (length
+        ``n_peers``), when given, counts every hop's destination — the
+        per-peer load the congestion metrics read.
         """
-        count = int(keys.size)
-        if count == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        ids = self.ids
-        n = ids.size
-        mask = np.uint64(self.space.mask)
-        zero = np.uint64(0)
-        scan = self.scan
-        max_hops = 2 * n + self.space.bits
-
-        cur = np.asarray(entries, dtype=np.int64).copy()
-        keys_arr = np.asarray(keys, dtype=np.uint64)
-        hops = np.zeros(count, dtype=np.int64)
-        owner_idx = np.full(count, -1, dtype=np.int64)
-
-        succ_of = lambda idx: (idx + 1) % n  # noqa: E731 - tiny index roll
-        entry_ids = ids[cur]
-        pred_idx = (cur - 1) % n
-        preds_here = ids[pred_idx]
-
-        # Entry shortcuts, exactly as in route_to_key: the entry itself, or
-        # a node whose (always live) predecessor precedes the key.
-        done = keys_arr == entry_ids
-        owner_idx[done] = cur[done]
-        dk = (keys_arr - preds_here) & mask
-        shortcut = (
-            ~done
-            & (
-                (preds_here == entry_ids)
-                | ((dk > zero) & (dk <= (entry_ids - preds_here) & mask))
-            )
+        max_hops = 2 * self.n_peers + self.space.bits
+        owner_idx, hops, fallback, _cur = route_lockstep(
+            self.ids,
+            self.scan,
+            self.space.mask,
+            np.asarray(entries, dtype=np.int64),
+            np.asarray(keys, dtype=np.uint64),
+            max_hops,
+            traffic=traffic,
         )
-        owner_idx[shortcut] = cur[shortcut]
-        done |= shortcut
-
-        active = np.flatnonzero(~done)
-        rounds = 0
-        while active.size:
-            rounds += 1
-            if rounds > max_hops:
-                raise RuntimeError(
-                    f"{active.size} lookups exceeded {max_hops} hops on a "
-                    "stabilized compact ring (corrupt scan matrix?)"
-                )
-            ci = cur[active]
-            ci_ids = ids[ci]
-            key_dist = (keys_arr[active] - ci_ids) & mask  # > 0 mid-route
-            si = succ_of(ci)
-            succ_ids = ids[si]
-            terminal = key_dist <= (succ_ids - ci_ids) & mask
-            finished = active[terminal]
-            if finished.size:
-                owner_idx[finished] = si[terminal]
-                hops[finished] += 1  # the final delivery hop
-                if traffic is not None:
-                    np.add.at(traffic, si[terminal], 1)
-            advancing = active[~terminal]
-            if not advancing.size:
-                break
-            ca = cur[advancing]
-            ca_ids = ids[ca]
-            finger_dist = (scan[ca] - ca_ids[:, None]) & mask
-            in_arc = (finger_dist > zero) & (
-                finger_dist < ((keys_arr[advancing] - ca_ids) & mask)[:, None]
+        if fallback.any():
+            raise RuntimeError(
+                f"{int(fallback.sum())} lookups exceeded {max_hops} hops on a "
+                "stabilized compact ring (corrupt scan matrix?)"
             )
-            hit = in_arc.any(axis=1)
-            first_rev = in_arc.shape[1] - 1 - np.argmax(in_arc[:, ::-1], axis=1)
-            cand_idx = np.searchsorted(ids, scan[ca, first_rev]).astype(np.int64)
-            # No finger inside the arc: fall to the successor, which always
-            # qualifies mid-route on a stabilized ring.
-            cand_idx = np.where(hit, cand_idx, succ_of(ca))
-            hops[advancing] += 1
-            if traffic is not None:
-                np.add.at(traffic, cand_idx, 1)
-            cur[advancing] = cand_idx
-            active = advancing
-
         total_hops = int(hops.sum())
         if total_hops:
             self.record(MessageType.LOOKUP_HOP, count=total_hops)

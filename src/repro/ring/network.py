@@ -20,16 +20,16 @@ from __future__ import annotations
 
 import bisect
 import os
-import warnings
 from collections import Counter
 from functools import partial
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.ring.faults import FAULT_PROFILE_ENV, FaultPlane, plane_from_profile, validate_probability
+from repro.ring.faults import FAULT_PROFILE_ENV, FaultPlane, plane_from_profile
 from repro.ring.hashing import OrderPreservingHash
 from repro.ring.identifier import IdentifierSpace
+from repro.ring.lockstep import exact_fingers
 from repro.ring.messages import MessageStats, MessageType
 from repro.ring.node import PeerNode
 from repro.ring.snapshot import RingSnapshot
@@ -63,7 +63,6 @@ class RingNetwork:
         space: IdentifierSpace,
         domain: tuple[float, float] = (0.0, 1.0),
         rng: Optional[np.random.Generator] = None,
-        loss_rate: float = 0.0,
     ) -> None:
         self.space = space
         self.data_hash = OrderPreservingHash(space, domain[0], domain[1])
@@ -71,11 +70,9 @@ class RingNetwork:
         # must still behave identically run to run.
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.stats = MessageStats()
-        #: Scalar per-message loss probability.  Owned by the attached
-        #: :class:`FaultPlane` — the ``loss_rate`` constructor argument is
-        #: a deprecated shim that installs an equivalent plane below.
+        #: Scalar per-message loss probability, owned by the attached
+        #: :class:`FaultPlane` (``install_faults(FaultPlane(loss_rate=p))``).
         self.loss_rate = 0.0
-        validate_probability("loss_rate", loss_rate)
         #: Optional unified fault plane (see :mod:`repro.ring.faults`).
         #: ``None`` — and an attached-but-inactive plane — leave every code
         #: path bit-identical to a fault-free network.
@@ -105,18 +102,6 @@ class RingNetwork:
         #: :meth:`note_overlay_change`), which invalidates this token.
         self._exact_ring_token: Optional[int] = None
         self._snapshot = RingSnapshot(self)
-        if loss_rate > 0.0:
-            # Deprecated path: fault behaviour has one owner, the plane.
-            # Installing an equivalent base-loss plane is bit-identical to
-            # the old scalar field — attach() sets self.loss_rate and the
-            # delivery draws stay on the network's own generator.
-            warnings.warn(
-                "the loss_rate constructor argument is deprecated; install "
-                "a FaultPlane(loss_rate=...) via install_faults() instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.install_faults(FaultPlane(loss_rate=loss_rate))
 
     def delivery_succeeds(self) -> bool:
         """Draw one message-delivery outcome under the loss model.
@@ -171,7 +156,6 @@ class RingNetwork:
         domain: tuple[float, float] = (0.0, 1.0),
         seed: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
-        loss_rate: float = 0.0,
         compact: bool = False,
         synopsis_buckets: int = 8,
     ):
@@ -180,16 +164,15 @@ class RingNetwork:
         Peer identifiers are drawn uniformly at random (the distribution a
         cryptographic peer-id hash induces).  Construction is an oracle
         operation: the returned network is fully stabilized with exact
-        finger tables and an empty ledger.  ``loss_rate`` turns on the
-        lossy-delivery model for all subsequent cost-counted operations
-        (deprecated — install a ``FaultPlane`` instead).
+        finger tables and an empty ledger.  Lossy delivery is opt-in
+        afterwards: ``install_faults(FaultPlane(loss_rate=p))``.
 
         ``compact=True`` returns a :class:`~repro.ring.compact.CompactRing`
         instead of an object-backed network: the same membership for the
         same seed (identifier draws are replayed exactly), held as columnar
         arrays so million-peer rings fit in memory.  The compact backend
-        models the stabilized loss-free ring only, so ``loss_rate`` must be
-        zero and no fault profile attaches.  ``synopsis_buckets`` sizes the
+        models the stabilized loss-free ring only, so no fault profile
+        attaches.  ``synopsis_buckets`` sizes the
         compact backend's columnar synopsis plane (its fixed probe-reply
         histogram resolution); the object backend builds synopses at probe
         time for any requested width and ignores it.
@@ -199,8 +182,6 @@ class RingNetwork:
         if compact:
             from repro.ring.compact import CompactRing  # local: compact -> messages only
 
-            if loss_rate > 0.0:
-                raise ValueError("the compact backend is loss-free; loss_rate must be 0")
             return CompactRing.build(
                 n_peers,
                 bits=bits,
@@ -212,7 +193,7 @@ class RingNetwork:
         if rng is None:
             rng = np.random.default_rng(seed)
         space = IdentifierSpace(bits)
-        network = cls(space, domain=domain, rng=rng, loss_rate=loss_rate)
+        network = cls(space, domain=domain, rng=rng)
         idents: set[int] = set()
         while len(idents) < n_peers:
             needed = n_peers - len(idents)
@@ -228,13 +209,10 @@ class RingNetwork:
         # default), this branch never runs and behaviour is unchanged.
         profile = os.environ.get(FAULT_PROFILE_ENV)
         if profile:
-            # replace=True: the suite profile deliberately overrides the
-            # deprecated loss_rate-shim plane when both are configured.
             network.install_faults(
                 plane_from_profile(
                     profile, seed=seed if seed is not None else 0, ring_size=space.size
-                ),
-                replace=True,
+                )
             )
         return network
 
@@ -415,17 +393,8 @@ class RingNetwork:
         if n == 0:
             return
         list_length = min(self.SUCCESSOR_LIST_LENGTH, max(n - 1, 1))
-        # All N x bits finger targets at once: (ident + 2^k) mod 2^bits is
-        # uint64 wraparound plus a mask, and each target's owner is one
-        # searchsorted into the sorted id array — the same bisect_left the
-        # scalar _oracle_successor performs.
-        ids_arr = self.sorted_ids_array()
-        powers = np.uint64(1) << np.arange(self.space.bits, dtype=np.uint64)
-        mask = np.uint64(self.space.size - 1)
-        targets = (ids_arr[:, None] + powers[None, :]) & mask
-        indices = np.searchsorted(ids_arr, targets, side="left")
-        indices[indices == n] = 0
-        finger_rows = ids_arr[indices].tolist()
+        # All N x bits finger targets at once, each owner one searchsorted.
+        finger_rows = exact_fingers(self.sorted_ids_array(), slice(None), self.space.bits).tolist()
         for index, ident in enumerate(ids):
             node = self._nodes[ident]
             node.predecessor_id = ids[index - 1] if n > 1 else ident

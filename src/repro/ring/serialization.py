@@ -59,10 +59,10 @@ def clone_network(network: RingNetwork) -> RingNetwork:
     (exactly what F18 does).  Cloning a network with an *active* plane —
     structural faults configured or scheduled — is therefore refused
     rather than silently shared.  An inert plane carrying only a base
-    ``loss_rate`` (the deprecated constructor shim installs exactly this)
-    is pure configuration: the clone gets its own equivalent plane, built
-    from the same seed, and the scalar loss model keeps drawing from the
-    network generator whose state is copied below.
+    ``loss_rate`` (``install_faults(FaultPlane(loss_rate=p))``) is pure
+    configuration: the clone gets its own equivalent plane, built from the
+    same seed, and the scalar loss model keeps drawing from the network
+    generator whose state is copied below.
     """
     if network.faults is not None and network.faults.active:
         raise ValueError(
@@ -108,7 +108,7 @@ def clone_network(network: RingNetwork) -> RingNetwork:
     # read-only caches, and every refresh path rebinds new arrays rather
     # than mutating these, so sharing across networks is safe.
     source_snapshot = network.snapshot()
-    source_snapshot.successor_array()  # warm the overlay views too
+    source_snapshot._ensure_overlay()  # warm the overlay views too
     snap = clone._snapshot
     snap._token = (clone.topology_version, clone.data_version)
     snap._ids = source_snapshot._ids
@@ -126,9 +126,7 @@ def clone_network(network: RingNetwork) -> RingNetwork:
         snap._finger_valid = source_snapshot._finger_valid
         snap._adjacency = source_snapshot._adjacency
         snap._overlay_ids = source_snapshot._overlay_ids
-        if source_snapshot._scan_token == source_snapshot._overlay_token:
-            snap._scan_token = snap._overlay_token
-            snap._scan_matrix = source_snapshot._scan_matrix
+        snap._routing = source_snapshot._routing
     return clone
 
 

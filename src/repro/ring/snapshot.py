@@ -16,8 +16,9 @@ of the network:
   order (peer ``i`` owns ``values[offsets[i]:offsets[i+1]]``),
 * ``sorted_values`` — the same multiset globally sorted (the ground truth
   dataset),
-* successor/predecessor arrays and the finger table as an ``(n, bits)``
-  integer matrix (lazy; keyed on the overlay token).
+* the routing view — compressed finger-scan matrix plus successor and
+  predecessor rows with liveness — derived from the overlay pointers
+  (lazy; keyed on the overlay token).
 
 The snapshot is keyed on ``(topology_version, data_version)`` and is
 **updated incrementally**: the network records which stores mutated
@@ -35,6 +36,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 from numpy.typing import NDArray
+
+from repro.ring.lockstep import RingPointers, compress_scan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network imports us)
     from repro.ring.network import RingNetwork
@@ -82,10 +85,8 @@ class RingSnapshot:
         self._finger_valid: NDArray[np.bool_] = np.empty((0, 0), dtype=bool)
         self._adjacency: Optional[dict[int, list[int]]] = None
         self._overlay_ids: NDArray[np.uint64] = _EMPTY_U
-        # Compressed finger-scan view, derived lazily from the finger
-        # matrix (its own token: callers may never ask for it).
-        self._scan_token: Optional[int] = None
-        self._scan_matrix: NDArray[np.uint64] = _EMPTY_U.reshape(0, 0)
+        # Routing view (scan matrix, resolved pointers), derived lazily.
+        self._routing: Optional[tuple[NDArray[np.uint64], RingPointers]] = None
 
     # ------------------------------------------------------------------
     # Data-plane views
@@ -306,63 +307,39 @@ class RingSnapshot:
             finger_valid[index] = [f is not None for f in row]
         self._finger_valid = finger_valid
         self._adjacency = None
+        self._routing = None
         self._overlay_token = token
         # The overlay views diff membership through sorted_ids_array, so
         # they can serve callers that never touch the data plane; ids may
         # therefore be newer than self._ids until the next data refresh.
         self._overlay_ids = ids
 
-    def successor_array(self) -> NDArray[np.uint64]:
-        """Per-peer primary successor pointers in ring order (``uint64``)."""
-        self._ensure_overlay()
-        return self._successors
-
-    def predecessor_array(self) -> tuple[NDArray[np.uint64], NDArray[np.bool_]]:
-        """Per-peer predecessor pointers and their validity mask."""
-        self._ensure_overlay()
-        return self._predecessors, self._predecessor_valid
-
-    def finger_tables(self) -> tuple[NDArray[np.uint64], NDArray[np.bool_]]:
-        """The ``(n, bits)`` finger matrix and its validity mask."""
-        self._ensure_overlay()
-        return self._finger_matrix, self._finger_valid
-
     def finger_scan_tables(self) -> NDArray[np.uint64]:
-        """The finger matrix with consecutive duplicate runs collapsed.
+        """The finger matrix compressed for routing (see :func:`compress_scan`)."""
+        return self.routing_view()[0]
 
-        Finger targets are successors of exponentially spaced points, so
-        the ``bits``-wide table usually holds only ~log2(n) distinct
-        values, in consecutive runs.  Routing only ever asks "highest
-        column inside an arc", and equal values at lower columns can
-        never change that answer, so each run compresses to its
-        highest-column entry — cutting the per-hop matrix work by the
-        run factor.  A valid entry is dropped only when the *next*
-        column is valid and equal: stale, non-monotone tables under
-        churn at worst keep redundant duplicates, never lose a value.
-        Invalid (``None``) fingers are dropped outright, and rows are
-        padded to the common width with the peer's own identifier, which
-        fails every strict in-arc test by construction — so no validity
-        mask is needed.
+    def routing_view(self) -> tuple[NDArray[np.uint64], RingPointers]:
+        """The scan matrix and resolved pointers :func:`route_lockstep` reads.
+
+        A pointer is live iff it appears in the sorted live-id array
+        (departed peers are unregistered), and its row index doubles as the
+        hop destination.  Derived lazily; the next overlay rebuild drops it.
         """
         self._ensure_overlay()
-        if self._scan_token == self._overlay_token:
-            return self._scan_matrix
-        fingers = self._finger_matrix
-        valid = self._finger_valid
-        n, bits = fingers.shape
-        keep = valid.copy()
-        if bits > 1:
-            keep[:, :-1] &= (fingers[:, :-1] != fingers[:, 1:]) | ~valid[:, 1:]
-        widths = keep.sum(axis=1)
-        width = int(widths.max()) if n else 0
-        scan = np.repeat(self._overlay_ids[:, None], max(width, 1), axis=1)
-        rows, cols = np.nonzero(keep)
-        starts = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(widths, out=starts[1:])
-        scan[rows, np.arange(rows.size) - starts[rows]] = fingers[rows, cols]
-        self._scan_matrix = scan
-        self._scan_token = self._overlay_token
-        return scan
+        if self._routing is None:
+            ids = self._overlay_ids
+            last = max(ids.size - 1, 0)
+            succ_idx = np.minimum(np.searchsorted(ids, self._successors), last)
+            pred_idx = np.minimum(np.searchsorted(ids, self._predecessors), last)
+            pointers = RingPointers(
+                succ_idx=succ_idx.astype(np.int64, copy=False),
+                succ_plain=(ids[succ_idx] == self._successors) & (self._successors != ids),
+                pred_ids=self._predecessors,
+                pred_live=self._predecessor_valid & (ids[pred_idx] == self._predecessors),
+            )
+            scan = compress_scan(ids, [(self._finger_matrix, self._finger_valid)])
+            self._routing = (scan, pointers)
+        return self._routing
 
     def adjacency(self) -> dict[int, list[int]]:
         """Symmetrized overlay graph (fingers ∪ ring links ∪ reverses).

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.estimator import DistributionFreeEstimator
 from repro.core.synopsis import summarize_compact
+from repro.ring import compact as compact_module
 from repro.ring.compact import CompactRing
 from repro.ring.messages import MessageType
 from repro.ring.network import RingNetwork
@@ -44,19 +45,25 @@ class TestConstruction:
             compact.ids, np.asarray(sorted(network.peer_ids()), dtype=np.uint64)
         )
 
-    def test_compact_refuses_loss_rate(self):
-        with pytest.raises(ValueError):
-            RingNetwork.create(16, loss_rate=0.1, compact=True)
-
     def test_build_rejects_empty_ring(self):
         with pytest.raises(ValueError):
             CompactRing.build(0)
 
-    def test_scan_matches_snapshot_finger_tables(self):
-        network, compact = _pair(n=64, seed=3)
-        expected = network.snapshot().finger_scan_tables()
-        assert compact.scan.shape == expected.shape
-        assert np.array_equal(compact.scan, expected)
+    def test_scan_matches_snapshot_finger_tables(self, monkeypatch):
+        # A 16-row block spreads a 203-peer ring over 13 blocks (the last
+        # one partial) whose compressed rows differ in width, so the
+        # blockwise assembly must align every block to the global width.
+        for seed in (3, 5, 8, 13):
+            network, single = _pair(n=203, seed=seed)
+            expected = network.snapshot().finger_scan_tables()
+            monkeypatch.setattr(compact_module, "_SCAN_BLOCK", 16)
+            blocked = RingNetwork.create(203, seed=seed, compact=True)
+            monkeypatch.undo()
+            widths = (blocked.scan != blocked.ids[:, None]).sum(axis=1)
+            assert len(set(widths.tolist())) > 1
+            assert single.scan.shape == blocked.scan.shape == expected.shape
+            assert np.array_equal(single.scan, expected)
+            assert np.array_equal(blocked.scan, expected)
 
 
 class TestDataPlane:

@@ -32,10 +32,13 @@ class TestValidation:
             validate_probability("f", 1.01, upper_inclusive=True)
 
     def test_network_loss_rate_validated(self):
+        # The rate is validated where it is configured: on the plane.
         with pytest.raises(ValueError, match="loss_rate"):
-            RingNetwork(IdentifierSpace(16), loss_rate=1.0)
-        with pytest.raises(ValueError, match="loss_rate"):
-            RingNetwork.create(4, seed=0, loss_rate=-0.5)
+            FaultPlane(loss_rate=-0.5)
+        with pytest.raises(TypeError):
+            RingNetwork(IdentifierSpace(16), loss_rate=0.1)
+        with pytest.raises(TypeError):
+            RingNetwork.create(4, seed=0, loss_rate=0.1)
 
     def test_plane_construction_validated(self):
         with pytest.raises(ValueError, match="loss_rate"):

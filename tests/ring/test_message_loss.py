@@ -5,15 +5,16 @@ import pytest
 
 from repro.core.estimator import DistributionFreeEstimator
 from repro.data.workload import build_dataset
+from repro.ring.faults import FaultPlane
 from repro.ring.network import RingNetwork
 from repro.ring.routing import route_to_key
 
 
 def make_lossy_network(loss_rate, n_peers=64, n_items=2_000, seed=5):
     data = build_dataset("normal", n_items, seed=seed)
-    network = RingNetwork.create(
-        n_peers, domain=(0.0, 1.0), seed=seed, loss_rate=loss_rate
-    )
+    network = RingNetwork.create(n_peers, domain=(0.0, 1.0), seed=seed)
+    if loss_rate > 0.0:
+        network.install_faults(FaultPlane(loss_rate=loss_rate))
     network.load_data(data.values)
     network.reset_stats()
     return network
@@ -22,16 +23,17 @@ def make_lossy_network(loss_rate, n_peers=64, n_items=2_000, seed=5):
 class TestLossModel:
     def test_loss_rate_validated(self):
         with pytest.raises(ValueError):
-            RingNetwork.create(4, loss_rate=1.0)
+            FaultPlane(loss_rate=1.0)
         with pytest.raises(ValueError):
-            RingNetwork.create(4, loss_rate=-0.1)
+            FaultPlane(loss_rate=-0.1)
 
     def test_zero_loss_always_delivers(self):
         network = RingNetwork.create(4, seed=1)
         assert all(network.delivery_succeeds() for _ in range(100))
 
     def test_loss_frequency_matches_rate(self):
-        network = RingNetwork.create(4, seed=2, loss_rate=0.3)
+        network = RingNetwork.create(4, seed=2)
+        network.install_faults(FaultPlane(loss_rate=0.3))
         outcomes = [network.delivery_succeeds() for _ in range(5_000)]
         assert np.mean(outcomes) == pytest.approx(0.7, abs=0.03)
 

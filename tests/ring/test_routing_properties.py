@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.ring import chord
+from repro.ring.faults import FaultPlane
 from repro.ring.network import RingNetwork
 from repro.ring.routing import route_to_key
 
@@ -27,9 +28,9 @@ world = st.fixed_dictionaries(
 @given(params=world, key_unit=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 def test_routing_always_finds_true_owner(params, key_unit):
     """From any start, any key routes to the oracle owner — even lossy."""
-    network = RingNetwork.create(
-        params["n_peers"], seed=params["seed"], loss_rate=params["loss_rate"]
-    )
+    network = RingNetwork.create(params["n_peers"], seed=params["seed"])
+    if params["loss_rate"] > 0.0:
+        network.install_faults(FaultPlane(loss_rate=params["loss_rate"]))
     key = min(int(key_unit * network.space.size), network.space.size - 1)
     result = route_to_key(network, network.random_peer(), key)
     assert result.owner.ident == network.owner_of(key).ident
