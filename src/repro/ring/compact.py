@@ -448,7 +448,7 @@ class CompactRing:
         per-peer load the congestion metrics read.
         """
         max_hops = 2 * self.n_peers + self.space.bits
-        owner_idx, hops, fallback, _cur = route_lockstep(
+        routes = route_lockstep(
             self.ids,
             self.scan,
             self.space.mask,
@@ -457,9 +457,10 @@ class CompactRing:
             max_hops,
             traffic=traffic,
         )
-        if fallback.any():
+        owner_idx, hops = routes.owner_idx, routes.hops
+        if routes.fallback.any():
             raise RuntimeError(
-                f"{int(fallback.sum())} lookups exceeded {max_hops} hops on a "
+                f"{int(routes.fallback.sum())} lookups exceeded {max_hops} hops on a "
                 "stabilized compact ring (corrupt scan matrix?)"
             )
         total_hops = int(hops.sum())

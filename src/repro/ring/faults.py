@@ -30,6 +30,8 @@ from typing import TYPE_CHECKING, ClassVar, Optional, Sequence
 
 import numpy as np
 
+from repro.ring.lockstep import FaultRows
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network -> faults)
     from repro.ring.events import EventEngine
     from repro.ring.network import RingNetwork
@@ -195,6 +197,10 @@ class FaultPlane:
         self.round = 0
         #: Fraction of peers stalled at attach time (profile convenience).
         self._attach_stall_fraction = 0.0
+        #: Bumped by every change to stalls or cuts; keys the per-row view
+        #: :meth:`row_view` caches.
+        self._version = 0
+        self._rows: Optional[tuple[int, np.ndarray, FaultRows]] = None
 
     # ------------------------------------------------------------------
     # Configuration / scripting
@@ -231,6 +237,7 @@ class FaultPlane:
         expiry = None if rounds is None else self.round + rounds
         for ident in idents:
             self._stalled[int(ident)] = expiry
+        self._version += 1
 
     def partition(self, cuts: Sequence[int], rounds: Optional[int] = None) -> None:
         """Split the ring into arcs at the given cut identifiers.
@@ -247,12 +254,14 @@ class FaultPlane:
             raise ValueError(f"partition rounds must be >= 1, got {rounds}")
         self._cuts = cut_list
         self._partition_expiry = None if rounds is None else self.round + rounds
+        self._version += 1
 
     def heal(self) -> None:
         """Clear all stalls and partitions immediately."""
         self._stalled.clear()
         self._cuts = []
         self._partition_expiry = None
+        self._version += 1
 
     def at(
         self,
@@ -361,6 +370,7 @@ class FaultPlane:
             self._cuts = []
             self._partition_expiry = None
         report.partitioned = bool(self._cuts)
+        self._version += 1
         return report
 
     def _pending_rounds(self) -> bool:
@@ -428,6 +438,7 @@ class FaultPlane:
                 break
             lost += chord.crash(network, ident)
             self._stalled.pop(ident, None)
+            self._version += 1
             crashed += 1
         return crashed, lost
 
@@ -494,6 +505,37 @@ class FaultPlane:
         if probability is None or probability <= 0.0:
             return True
         return bool(self.rng.random() >= probability)
+
+    def row_view(self, ids: np.ndarray) -> FaultRows:
+        """Stalls and partition arcs per row of ``ids``.
+
+        ``ids`` is a ring's sorted live identifiers
+        (:meth:`~repro.ring.network.RingNetwork.sorted_ids_array`).  The
+        view is what the policy mode of
+        :func:`~repro.ring.lockstep.route_lockstep` reads instead of
+        :meth:`is_stalled` and :meth:`reachable`; it is cached until the
+        plane changes or another ``ids`` array is passed.
+        """
+        cached = self._rows
+        if cached is not None and cached[0] == self._version and cached[1] is ids:
+            return cached[2]
+        stalled = np.zeros(ids.size, dtype=bool)
+        if self._stalled and ids.size:
+            wanted = np.fromiter(self._stalled, dtype=np.uint64, count=len(self._stalled))
+            at = np.minimum(np.searchsorted(ids, wanted), ids.size - 1)
+            stalled[at[ids[at] == wanted]] = True
+        arc = None
+        if self._cuts:
+            cuts = np.asarray(self._cuts, dtype=np.uint64)
+            arc = np.searchsorted(cuts, ids, side="right").astype(np.int64) % cuts.size
+        view = FaultRows(stalled, arc)
+        self._rows = (self._version, ids, view)
+        return view
+
+    @property
+    def overrides_links(self) -> bool:
+        """Does any directed link carry a loss rate of its own?"""
+        return any(probability > 0.0 for probability in self._link_loss.values())
 
     @property
     def stalled_ids(self) -> frozenset[int]:

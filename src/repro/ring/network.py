@@ -29,7 +29,7 @@ import numpy as np
 from repro.ring.faults import FAULT_PROFILE_ENV, FaultPlane, plane_from_profile
 from repro.ring.hashing import OrderPreservingHash
 from repro.ring.identifier import IdentifierSpace
-from repro.ring.lockstep import exact_fingers
+from repro.ring.lockstep import RingPointers, exact_fingers
 from repro.ring.messages import MessageStats, MessageType
 from repro.ring.node import PeerNode
 from repro.ring.snapshot import RingSnapshot
@@ -92,6 +92,9 @@ class RingNetwork:
         self.data_version: int = 0
         #: Peers whose stores mutated since the last snapshot refresh.
         self._dirty_stores: set[int] = set()
+        #: Peers whose one-shot store listener fired since
+        #: :attr:`version_token` was last read (it re-arms them).
+        self._fired_stores: set[int] = set()
         #: :attr:`topology_version` as of the last whole-ring matrix
         #: maintenance round (:func:`repro.ring.mutation.matrix_maintenance_round`).
         #: While it still equals the live version, nothing has touched the
@@ -331,9 +334,11 @@ class RingNetwork:
         The mutated peer is remembered in :attr:`_dirty_stores` so the next
         snapshot refresh rebuilds only that peer's chunk.  Store listeners
         are one-shot (see :class:`LocalStore`), so this fires once per
-        store per refresh interval; the snapshot refresh re-arms them.
+        store per refresh interval; the snapshot refresh re-arms them, and
+        so does reading :attr:`version_token`.
         """
         self._dirty_stores.add(ident)
+        self._fired_stores.add(ident)
         self.data_version += 1
 
     def _arm_store(self, node: PeerNode) -> None:
@@ -355,7 +360,18 @@ class RingNetwork:
         (:mod:`repro.serve`) keys its result cache on it, and cached
         derived state (models, prefix indexes) is valid exactly as long as
         the token it was built under still equals the live one.
+
+        Reading the token re-arms the one-shot listeners that fired since
+        the last read, so the next mutation of any store moves it again
+        even when no snapshot refresh came in between.
         """
+        if self._fired_stores:
+            nodes = self._nodes
+            for ident in self._fired_stores:
+                node = nodes.get(ident)
+                if node is not None:
+                    self._arm_store(node)
+            self._fired_stores.clear()
         return (self.topology_version, self.data_version)
 
     def note_overlay_change(self) -> None:
@@ -539,6 +555,15 @@ class RingNetwork:
         """
         self._snapshot.refresh()
         return self._snapshot
+
+    def routing_view(self) -> tuple[np.ndarray, np.ndarray, RingPointers]:
+        """Live ids, finger-scan matrix and resolved pointers for batch routing.
+
+        The overlay half of the snapshot plane: routing reads no stored
+        data, so it never pays for a data-plane refresh.
+        """
+        scan, pointers = self._snapshot.routing_view()
+        return self.sorted_ids_array(), scan, pointers
 
     @property
     def total_count(self) -> int:

@@ -32,7 +32,7 @@ is a pure view and never a second source of truth.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -52,6 +52,11 @@ _EMPTY_I = np.empty(0, dtype=np.int64)
 # delete-and-merge stops paying off and one full sort of the packed pool
 # is cheaper (and trivially equal, since both produce the sorted multiset).
 _FULL_REBUILD_FRACTION = 0.5
+
+# Peers per block when finger tables are read off the nodes: the routing
+# view compresses them block by block, so no full ``(n, bits)`` matrix (nor
+# the Python list behind it) is held to build it.
+_FINGER_BLOCK = 2048
 
 
 class RingSnapshot:
@@ -81,8 +86,10 @@ class RingSnapshot:
         self._successors: NDArray[np.uint64] = _EMPTY_U
         self._predecessors: NDArray[np.uint64] = _EMPTY_U
         self._predecessor_valid: NDArray[np.bool_] = np.empty(0, dtype=bool)
-        self._finger_matrix: NDArray[np.uint64] = _EMPTY_U.reshape(0, 0)
-        self._finger_valid: NDArray[np.bool_] = np.empty((0, 0), dtype=bool)
+        # The full finger matrix, built on first use (only the overlay
+        # graph needs it; routing compresses the tables block by block).
+        self._finger_matrix: Optional[NDArray[np.uint64]] = None
+        self._finger_valid: Optional[NDArray[np.bool_]] = None
         self._adjacency: Optional[dict[int, list[int]]] = None
         self._overlay_ids: NDArray[np.uint64] = _EMPTY_U
         # Routing view (scan matrix, resolved pointers), derived lazily.
@@ -276,15 +283,9 @@ class RingSnapshot:
         nodes = network._nodes
         ids = network.sorted_ids_array()
         n = ids.size
-        bits = network.space.bits
         successor_list: list[int] = []
         predecessors = np.zeros(n, dtype=np.uint64)
         predecessor_valid = np.zeros(n, dtype=bool)
-        finger_flat: list[int] = []
-        # Rows containing a broken (None) finger are rare outside heavy
-        # churn, so the common row extends the flat list at C speed and the
-        # validity matrix starts all-True with per-row patches.
-        none_rows: list[tuple[int, list] ] = []
         for index, ident in enumerate(ids.tolist()):
             node = nodes[ident]
             successor_list.append(node.successor_id)
@@ -292,20 +293,11 @@ class RingSnapshot:
             if pred is not None:
                 predecessors[index] = pred
                 predecessor_valid[index] = True
-            row = node._fingers
-            if None in row:
-                none_rows.append((index, row))
-                finger_flat.extend((0 if f is None else f) for f in row)
-            else:
-                finger_flat.extend(row)
         self._successors = np.asarray(successor_list, dtype=np.uint64)
         self._predecessors = predecessors
         self._predecessor_valid = predecessor_valid
-        self._finger_matrix = np.asarray(finger_flat, dtype=np.uint64).reshape(n, bits)
-        finger_valid = np.ones((n, bits), dtype=bool)
-        for index, row in none_rows:
-            finger_valid[index] = [f is not None for f in row]
-        self._finger_valid = finger_valid
+        self._finger_matrix = None
+        self._finger_valid = None
         self._adjacency = None
         self._routing = None
         self._overlay_token = token
@@ -313,6 +305,42 @@ class RingSnapshot:
         # they can serve callers that never touch the data plane; ids may
         # therefore be newer than self._ids until the next data refresh.
         self._overlay_ids = ids
+
+    def _finger_blocks(self) -> Iterator[tuple[NDArray[np.uint64], NDArray[np.bool_]]]:
+        """The overlay's finger tables in row blocks, with validity masks."""
+        nodes = self._network._nodes
+        bits = self._network.space.bits
+        ids = self._overlay_ids.tolist()
+        for start in range(0, len(ids), _FINGER_BLOCK):
+            rows = [nodes[ident]._fingers for ident in ids[start : start + _FINGER_BLOCK]]
+            # Rows containing a broken (None) finger are rare outside heavy
+            # churn, so the common row extends the flat list at C speed and
+            # the validity mask starts all-True with per-row patches.
+            flat: list[int] = []
+            none_rows: list[int] = []
+            for index, row in enumerate(rows):
+                if None in row:
+                    none_rows.append(index)
+                    flat.extend(0 if f is None else f for f in row)
+                else:
+                    flat.extend(row)
+            fingers = np.asarray(flat, dtype=np.uint64).reshape(len(rows), bits)
+            valid = np.ones(fingers.shape, dtype=bool)
+            for index in none_rows:
+                valid[index] = [f is not None for f in rows[index]]
+            yield fingers, valid
+
+    def _finger_tables(self) -> tuple[NDArray[np.uint64], NDArray[np.bool_]]:
+        """The full ``(n, bits)`` finger matrix and its validity mask."""
+        self._ensure_overlay()
+        fingers, valid = self._finger_matrix, self._finger_valid
+        if fingers is None or valid is None:
+            bits = self._network.space.bits
+            blocks = list(self._finger_blocks())
+            fingers = np.concatenate([f for f, _ in blocks] or [_EMPTY_U.reshape(0, bits)])
+            valid = np.concatenate([v for _, v in blocks] or [np.empty((0, bits), dtype=bool)])
+            self._finger_matrix, self._finger_valid = fingers, valid
+        return fingers, valid
 
     def finger_scan_tables(self) -> NDArray[np.uint64]:
         """The finger matrix compressed for routing (see :func:`compress_scan`)."""
@@ -337,7 +365,7 @@ class RingSnapshot:
                 pred_ids=self._predecessors,
                 pred_live=self._predecessor_valid & (ids[pred_idx] == self._predecessors),
             )
-            scan = compress_scan(ids, [(self._finger_matrix, self._finger_valid)])
+            scan = compress_scan(ids, self._finger_blocks())
             self._routing = (scan, pointers)
         return self._routing
 
@@ -357,9 +385,10 @@ class RingSnapshot:
         if n == 0:
             self._adjacency = {}
             return self._adjacency
-        valid = self._finger_valid.ravel()
-        finger_src = np.repeat(np.arange(n, dtype=np.int64), self._finger_matrix.shape[1])[valid]
-        finger_dst = self._finger_matrix.ravel()[valid]
+        fingers, valid_rows = self._finger_tables()
+        valid = valid_rows.ravel()
+        finger_src = np.repeat(np.arange(n, dtype=np.int64), fingers.shape[1])[valid]
+        finger_dst = fingers.ravel()[valid]
         succ_src = np.arange(n, dtype=np.int64)
         pred_src = succ_src[self._predecessor_valid]
         src_idx = np.concatenate((finger_src, succ_src, pred_src))

@@ -201,3 +201,29 @@ class TestRegistryViewCaching:
         chord.crash(network, victim)
         assert victim not in network.peer_ids()
         assert victim not in set(int(i) for i in network.sorted_ids_array())
+
+
+class TestVersionToken:
+    """The token is a staleness key: it must move with every mutation."""
+
+    def test_each_mutation_after_a_read_moves_the_token(self):
+        network, _ = make_loaded_network(n_peers=16, n_items=400, seed=5)
+        network.snapshot()  # arms every store listener
+        store = network.node(network.peer_ids()[3]).store
+        tokens = [network.version_token]
+        # Repeated writes to one store, with no snapshot refresh between
+        # them: a cache keyed on the token read after the first write must
+        # still see the second.
+        for value in (0.25, 0.5, 0.75):
+            store.insert(value)
+            tokens.append(network.version_token)
+        assert len(set(tokens)) == len(tokens)
+
+    def test_routing_does_not_refresh_the_data_plane(self):
+        network, _ = make_loaded_network(n_peers=16, n_items=400, seed=5)
+        snap = network.snapshot()
+        token = snap.version_token
+        network.node(network.peer_ids()[2]).store.insert(0.5)
+        network.routing_view()
+        assert snap.version_token == token  # overlay only; data untouched
+        assert network.snapshot().version_token == network.version_token

@@ -67,8 +67,8 @@ def _reference(network, entries, keys):
 
 
 def _batch(network, entries, keys):
-    owners, hops = route_probes_batch(network, entries, keys)
-    return owners.tolist(), hops.tolist()
+    routes = route_probes_batch(network, entries, keys)
+    return routes.owner_idx.tolist(), routes.hops.tolist()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -126,7 +126,7 @@ def test_kernel_hands_off_exhausted_budgets():
     entries, keys = _probes(network, 200, 9)
     owners, hops, fallback, cur = route_lockstep(
         ring.ids, ring.scan, ring.space.mask, entries, keys, 2
-    )
+    )[:4]
     ids = network.sorted_ids_array()
     for index, (e, k) in enumerate(zip(entries.tolist(), keys.tolist())):
         start = network.node(int(ids[e]))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.ring.messages import MessageType
 from repro.ring.network import RingNetwork
 from repro.ring.routing import RoutingError, route_to_key, route_to_value, successor_walk
 
@@ -77,14 +78,21 @@ class TestRouteToKey:
         net = RingNetwork.create(64, seed=14)
         start = net.node(net.peer_ids()[0])
         victim_id = start.fingers[-1]
-        net._unregister(victim_id)
-        # Target just past the dead finger forces the failed hop.
+        # Target just past the farthest finger: while that peer lives the
+        # lookup is one forward to it plus the delivery to its successor.
         target = net.space.add(victim_id, 1)
-        total = sum(
-            route_to_key(net, start, net.space.add(target, offset)).timeouts
-            for offset in range(5)
-        )
-        assert total >= 0  # timeouts may or may not occur depending on topology
+        assert route_to_key(net, start, target).hops == 2
+        net._unregister(victim_id)
+        net.reset_stats()
+        result = route_to_key(net, start, target)
+        # Unmaintained, three peers on the greedy path (the start and the
+        # two it falls back to) still hold the departed peer as their
+        # farthest in-arc finger: each tries it once (a timed-out hop),
+        # then forwards over its next finger.
+        assert result.timeouts == 3
+        assert result.hops == 3 + 3 + 1  # timeouts, forwards, delivery
+        assert net.stats.count_of(MessageType.LOOKUP_HOP) == result.hops
+        assert result.owner.ident == net.owner_of(target).ident
 
 
 class TestRouteToValue:
