@@ -24,7 +24,10 @@ honest fault timing all need a simulated clock.  This module provides it:
   call order exactly: driving lookups through :func:`schedule_lookup` in
   immediate mode yields the same owners and the same
   :class:`~repro.ring.messages.MessageStats` ledger as calling
-  :func:`~repro.ring.routing.route_to_key` directly.
+  :func:`~repro.ring.routing.route_to_key` directly — both consume the
+  one step generator :func:`~repro.ring.routing.iter_route_steps`.
+  Lookups on a lossy network are refused at scheduling time: their steps
+  draw from the network RNG, which interleaved events would reorder.
 
 Determinism contract: the engine draws latency jitter from its *own*
 seeded generator, never from the network's, and nothing in this module
@@ -35,14 +38,14 @@ time is ``float`` arithmetic on scheduled offsets only.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, ClassVar, Optional
 
 import numpy as np
 
 from repro.ring.messages import MessageType
-from repro.ring.routing import RoutingError, iter_route_steps
+from repro.ring.routing import iter_route_steps
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ring.churn import ChurnProcess
@@ -371,16 +374,25 @@ def schedule_lookup(
 ) -> LookupTask:
     """Drive one loss-free lookup hop by hop on the engine's clock.
 
-    Routing decisions come from :func:`~repro.ring.routing.iter_route_steps`
-    (the reference semantics of ``route_to_key``); each counted step
+    Routing decisions come from :func:`~repro.ring.routing.iter_route_steps`,
+    the one implementation of ``route_to_key``'s rule; each counted step
     becomes one ``MESSAGE`` delivery, recorded as a ``LOOKUP_HOP`` at send
     time.  A timed-out probe towards a departed peer costs one delivery's
     wait before the sender rescans, mirroring the reference's counted
     timeout.  In immediate mode the completed task and the ledger delta
     are exactly the reference's result; with latency/service models the
     same hops spread over simulated time and queue at busy peers.
+
+    A lossy network raises :class:`ValueError` before anything is queued:
+    its steps draw delivery outcomes from the network RNG, and consuming
+    them across interleaved events would reorder those draws.
     """
     network = engine.network
+    if network.loss_rate > 0.0:
+        raise ValueError(
+            "schedule_lookup models loss-free routing only; lossy lookups "
+            "must go through route_to_key (RNG stream order)"
+        )
     task = LookupTask(key=int(key), start_ident=start.ident, start_time=engine.now)
     steps = iter_route_steps(network, start, int(key))
 
@@ -392,40 +404,31 @@ def schedule_lookup(
             on_complete(task)
 
     def pump(at_ident: int) -> None:
-        try:
-            step = next(steps)
-        except StopIteration:  # pragma: no cover - generator always ends with a step
-            finish(None, "exhausted")
-            return
-        except RoutingError as exc:
-            finish(None, str(exc))
-            return
-        if step.kind == "done":
-            finish(step.ident)
+        kind, ident, task.hops, task.timeouts, _, message = next(steps)
+        if kind == "done":
+            finish(ident)
             return
         # Every remaining kind is one counted hop, recorded at send time —
         # totals over the run equal the reference's one bulk record.
         network.record(MessageType.LOOKUP_HOP)
-        task.hops += 1
-        if step.kind == "deliver":
+        if kind == "deliver":
             engine.deliver(
-                at_ident, step.ident, EventKind.MESSAGE,
-                lambda: finish(step.ident), tag=tag,
+                at_ident, ident, EventKind.MESSAGE,
+                lambda: finish(ident), tag=tag,
             )
-        elif step.kind == "timeout":
-            task.timeouts += 1
+        elif kind == "timeout":
             # The probe is sent and never answered: the sender waits one
             # delivery's worth of simulated time, then rescans in place.
             engine.deliver(
-                at_ident, step.ident, EventKind.MESSAGE,
+                at_ident, ident, EventKind.MESSAGE,
                 lambda: pump(at_ident), tag=tag,
             )
-        elif step.kind == "fail":
-            finish(None, step.detail)
+        elif kind == "fail":
+            finish(None, message)
         else:  # forward
             engine.deliver(
-                at_ident, step.ident, EventKind.MESSAGE,
-                lambda: pump(step.ident), tag=tag,
+                at_ident, ident, EventKind.MESSAGE,
+                lambda: pump(ident), tag=tag,
             )
 
     # Kick off through the queue (not inline) so concurrent lookups

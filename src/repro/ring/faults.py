@@ -12,9 +12,8 @@ composable, seed-deterministic API:
   faults configured the plane is inert and every code path is bit-identical
   to a plane-less network.
 * :class:`RetryPolicy` — an explicit retry model replacing the historical
-  retry-forever assumption: bounded per-link transmission attempts, an
-  exponential-backoff cost model, successor-list failover, and budget-aware
-  abort.  The legacy behaviour is exactly :data:`RetryPolicy.UNBOUNDED`.
+  retry-forever assumption: bounded per-link transmission attempts,
+  successor-list failover, and budget-aware abort.  The legacy behaviour is exactly :data:`RetryPolicy.UNBOUNDED`.
 
 Determinism contract: the plane draws all of its randomness from its *own*
 generator (``np.random.default_rng(seed)``), never from the network's.
@@ -69,7 +68,7 @@ def validate_probability(name: str, value: float, upper_inclusive: bool = False)
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How a sender handles non-delivery: attempts, backoff, and budgets.
+    """How a sender handles non-delivery: attempt and hop budgets.
 
     Attributes
     ----------
@@ -79,19 +78,12 @@ class RetryPolicy:
         finger).  ``None`` retries forever — the historical model, under
         which delivery is eventually reliable and cost inflates by
         ``1/(1-p)`` per link (see F15).
-    backoff_base / backoff_factor:
-        Exponential-backoff *cost model*: retry ``k`` (1-based) waits
-        ``backoff_base * backoff_factor**(k-1)`` abstract time units.  The
-        accumulated wait is reported on route outcomes as ``backoff_cost``
-        (latency accounting); it does not add messages.
     max_hops:
         Overall hop budget per lookup (budget-aware abort).  ``None`` uses
         the router's generous default of ``2N + bits``.
     """
 
     max_attempts: Optional[int] = None
-    backoff_base: float = 1.0
-    backoff_factor: float = 2.0
     max_hops: Optional[int] = None
 
     #: Shared instances, assigned after the class body.
@@ -101,26 +93,8 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts is not None and self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base < 0:
-            raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base}")
-        if self.backoff_factor < 1.0:
-            raise ValueError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
         if self.max_hops is not None and self.max_hops < 0:
             raise ValueError(f"max_hops must be >= 0, got {self.max_hops}")
-
-    @property
-    def unbounded(self) -> bool:
-        """True when this policy retransmits forever (the legacy model)."""
-        return self.max_attempts is None
-
-    def backoff_cost(self, retries: int) -> float:
-        """Total backoff wait after ``retries`` retransmissions of one send."""
-        if retries <= 0:
-            return 0.0
-        factor = self.backoff_factor
-        if factor == 1.0:
-            return self.backoff_base * retries
-        return self.backoff_base * (factor**retries - 1.0) / (factor - 1.0)
 
     def with_hop_budget(self, max_hops: int) -> "RetryPolicy":
         """This policy with an explicit per-lookup hop budget."""

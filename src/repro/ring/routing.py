@@ -5,11 +5,17 @@ successor walks using only node-local pointers, recording every hop in the
 network's message ledger.  They tolerate the stale pointers churn leaves
 behind: a hop to a departed peer costs a (counted) timeout and the router
 retries from the same node with that peer excluded.
+
+:func:`iter_route_steps` is the one scalar implementation of the lookup
+rule.  :func:`route_to_key`, the fault-free branch of
+:func:`route_with_policy` and the event engine consume its steps; the
+fault-plane loop of :func:`route_with_policy` and the lockstep batch
+kernel follow their own rules.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -74,9 +80,6 @@ class RouteOutcome(NamedTuple):
     timeouts: int
     #: Retransmissions performed (lost sends that were retried).
     retries: int
-    #: Accumulated exponential-backoff wait, in abstract time units (a
-    #: latency cost model; backoff sends no messages).
-    backoff_cost: float
     #: Why the lookup gave up, or ``None`` on success.  One of
     #: ``"empty_ring"``, ``"entry_stalled"``, ``"hop_budget"``,
     #: ``"retry_exhausted"``, ``"owner_unresponsive"``, ``"partitioned"``,
@@ -87,6 +90,218 @@ class RouteOutcome(NamedTuple):
     def ok(self) -> bool:
         """Did the lookup reach the owner?"""
         return self.failure is None
+
+
+#: One routing decision of :func:`iter_route_steps`: ``(kind, ident, hops,
+#: timeouts, reason, message)``, a plain tuple because a lookup yields one
+#: per hop.  ``hops`` and ``timeouts`` are the route's running totals
+#: including this step, so the last step carries the lookup's cost.
+#: ``kind`` is one of
+#:
+#: * ``"forward"`` — one counted hop to the live peer ``ident``;
+#: * ``"lost"`` — one counted send to ``ident`` lost in transit (the
+#:   sender retransmits);
+#: * ``"timeout"`` — one counted hop towards ``ident`` that never answers:
+#:   the peer has departed, or a bounded policy ran out of attempts on the
+#:   link.  The sender rescans at the same node with ``ident`` excluded;
+#: * ``"deliver"`` — the final counted delivery hop to the owner ``ident``;
+#: * ``"done"`` — termination without a message: ``ident`` is the owner
+#:   (the entry shortcuts, or the current node owns the key itself);
+#: * ``"fail"`` — one counted hop that ends the lookup: ``reason`` is
+#:   ``"hop_budget"``, ``"retry_exhausted"`` or ``"stuck"`` and ``message``
+#:   the :class:`RoutingError` text.  Both are empty on every other kind.
+RouteStep = tuple[str, int, int, int, str, str]
+
+
+def iter_route_steps(
+    network: RingNetwork,
+    start: PeerNode,
+    key: int,
+    max_hops: int | None = None,
+    *,
+    policy: RetryPolicy | None = None,
+    _initial_hops: int = 0,
+    _excluded: Iterable[int] = (),
+) -> Iterator[RouteStep]:
+    """Chord's iterative lookup from ``start`` to ``key`` as a lazy step sequence.
+
+    This is the lookup rule itself: :func:`route_to_key` and the fault-free
+    branch of :func:`route_with_policy` run it to its last step, and the
+    event engine (:mod:`repro.ring.events`) lays each hop out on the
+    simulated clock.  The generator writes nothing to the ledger; every step
+    but ``"done"`` is one counted ``LOOKUP_HOP``.  Parameters are those of
+    :func:`route_to_key`.  Under loss each send draws
+    :meth:`RingNetwork.delivery_succeeds` before its step is produced, so
+    the network RNG advances in step order.
+    """
+    network.space.validate(key)
+    attempt_cap = policy.max_attempts if policy is not None else None
+    if max_hops is None and policy is not None:
+        max_hops = policy.max_hops
+    if max_hops is None:
+        # Generous default: stabilized Chord needs O(log N); churned rings
+        # may degenerate towards successor walking, so allow up to N + slack.
+        max_hops = 2 * network.n_peers + network.space.bits
+    current = start
+    hops = _initial_hops
+    timeouts = 0
+    seeded: set[int] | None = set(_excluded) or None
+    if _initial_hops == 0:
+        if key == current.ident:
+            yield ("done", current.ident, 0, 0, "", "")
+            return
+        # Local shortcut: a node whose *live* predecessor precedes the key
+        # can answer immediately.  (If the predecessor has departed,
+        # ownership is uncertain until stabilization, so fall through to
+        # standard routing.)
+        if current.predecessor_id is not None and network.try_node(current.predecessor_id):
+            if network.space.in_half_open(key, current.predecessor_id, current.ident):
+                yield ("done", current.ident, 0, 0, "", "")
+                return
+    # Ring membership tests are inlined modular arithmetic on the hot loop
+    # (key ∈ (current, successor] ⇔ 0 < (key−current) < ∞ mod-distance at
+    # or under the successor's; mod 2**m is a mask AND), and the loss model
+    # is hoisted: at loss_rate 0 every delivery succeeds, so the
+    # retransmission loops collapse to single counted hops.
+    mask = network.space.mask
+    size = network.space.size
+    loss_free = network.loss_rate <= 0.0
+    nodes_get = network._nodes.get
+    while True:
+        # Standard Chord termination: once key ∈ (current, successor],
+        # the successor is the owner.  Predecessor pointers are never
+        # consulted — they may be stale after a crash, but successor
+        # pointers define ownership and are what stabilization keeps
+        # correct.
+        excluded, seeded = seeded, None
+        ident = current.ident
+        # Inlined `_live_successor` fast path: the primary successor
+        # pointer is almost always live; only fall back to the full
+        # successor-list consult when it is not.
+        successor_id = current.successor_id
+        if successor_id == ident:
+            successor_id = _live_successor(network, current, _EMPTY_EXCLUSIONS)
+        else:
+            succ = nodes_get(successor_id)
+            if succ is None or not succ.alive:
+                successor_id = _live_successor(network, current, _EMPTY_EXCLUSIONS)
+        if successor_id == ident:
+            yield ("done", ident, hops, timeouts, "", "")
+            return
+        if 0 < (key - ident) & mask <= (successor_id - ident) & mask:
+            # Final delivery hop, retransmitted until it arrives (or a
+            # bounded policy runs out of attempts).
+            attempts = 1
+            hops += 1
+            while not (loss_free or network.delivery_succeeds()):
+                if attempt_cap is not None and attempts >= attempt_cap:
+                    yield (
+                        "fail",
+                        successor_id,
+                        hops,
+                        timeouts,
+                        "retry_exhausted",
+                        f"delivery of key {key} to owner {successor_id} "
+                        f"failed after {attempts} attempts",
+                    )
+                    return
+                yield ("lost", successor_id, hops, timeouts, "", "")
+                attempts += 1
+                hops += 1
+            yield ("deliver", successor_id, hops, timeouts, "", "")
+            return
+        send_attempts = 0
+        last_sent = -1
+        while True:
+            if excluded is None:
+                # Inlined timeout-free fast path of
+                # PeerNode.closest_preceding_finger (the reference
+                # implementation, kept there for the excluded case):
+                # scan the memoized finger order for the farthest
+                # finger inside (ident, key), then successor, then self.
+                scan = current._finger_scan
+                if scan is None:
+                    scan = current._finger_scan_order()
+                reach = (key - ident) & mask or size
+                candidate = ident
+                for finger_id in scan:
+                    if 0 < (finger_id - ident) & mask < reach:
+                        candidate = finger_id
+                        break
+                if candidate == ident:
+                    successor_id = current.successor_id
+                    if successor_id != ident and 0 < (successor_id - ident) & mask < reach:
+                        candidate = successor_id
+            else:
+                # A plain set works for the membership tests; building
+                # a frozenset per hop was measurable on churned rings.
+                candidate = current.closest_preceding_finger(key, excluded)
+            if candidate == ident:
+                # No live finger precedes the key: fall to successor.
+                candidate = _live_successor(
+                    network, current, _EMPTY_EXCLUSIONS if excluded is None else excluded
+                )
+            resolved = nodes_get(candidate)
+            hops += 1
+            if hops > max_hops:
+                yield (
+                    "fail",
+                    candidate,
+                    hops,
+                    timeouts,
+                    "hop_budget",
+                    f"lookup for key {key} exceeded {max_hops} hops from {start.ident}",
+                )
+                return
+            if not loss_free and not network.delivery_succeeds():
+                if attempt_cap is not None:
+                    # Bounded policy: after max_attempts lost sends to one
+                    # candidate, declare the link down and fail over to the
+                    # next route (successor-list / alternate finger).
+                    send_attempts = send_attempts + 1 if candidate == last_sent else 1
+                    last_sent = candidate
+                    if send_attempts >= attempt_cap:
+                        timeouts += 1
+                        yield ("timeout", candidate, hops, timeouts, "", "")
+                        if excluded is None:
+                            excluded = set()
+                        excluded.add(candidate)
+                        send_attempts = 0
+                        last_sent = -1
+                        continue
+                yield ("lost", candidate, hops, timeouts, "", "")
+                continue  # lost in transit: retransmit to same candidate
+            if resolved is not None and resolved.alive:
+                if candidate == ident:
+                    message = f"lookup for key {key} stuck at peer {ident}"
+                    yield ("fail", ident, hops, timeouts, "stuck", message)
+                    return
+                yield ("forward", candidate, hops, timeouts, "", "")
+                current = resolved
+                break
+            timeouts += 1
+            yield ("timeout", candidate, hops, timeouts, "", "")
+            if excluded is None:
+                excluded = set()
+            excluded.add(candidate)
+
+
+def _last_step(network: RingNetwork, steps: Iterator[RouteStep]) -> RouteStep:
+    """Run a lookup to its last step, which carries its cost and outcome.
+
+    The hops are posted to the ledger in one bulk ``LOOKUP_HOP`` record per
+    lookup (including the error paths): final totals are identical to
+    per-hop recording at a fraction of the ledger calls.
+    """
+    step: Optional[RouteStep] = None
+    try:
+        for step in steps:
+            pass
+    finally:
+        if step is not None and step[2]:
+            network.record(MessageType.LOOKUP_HOP, count=step[2])
+    assert step is not None  # every lookup ends with a done, deliver or fail step
+    return step
 
 
 def route_to_key(
@@ -120,265 +335,17 @@ def route_to_key(
     node answers through the standard termination test only, exactly as the
     sequential loop would have.  ``_excluded`` seeds the peers that already
     timed out at the node it resumes from.
+
+    The rule itself is :func:`iter_route_steps`; this runs it to its last step.
     """
-    network.space.validate(key)
-    attempt_cap = policy.max_attempts if policy is not None else None
-    if max_hops is None and policy is not None:
-        max_hops = policy.max_hops
-    if max_hops is None:
-        # Generous default: stabilized Chord needs O(log N); churned rings
-        # may degenerate towards successor walking, so allow up to N + slack.
-        max_hops = 2 * network.n_peers + network.space.bits
-    current = start
-    # Hops are accumulated locally and posted to the ledger in one bulk
-    # record per lookup (including the error paths): final totals are
-    # identical to per-hop recording at a fraction of the ledger calls.
-    hops = _initial_hops
-    timeouts = 0
-    seeded: set[int] | None = set(_excluded) or None
-    if _initial_hops == 0:
-        if key == current.ident:
-            return RouteResult(owner=current, hops=0, timeouts=0)
-        # Local shortcut: a node whose *live* predecessor precedes the key
-        # can answer immediately.  (If the predecessor has departed,
-        # ownership is uncertain until stabilization, so fall through to
-        # standard routing.)
-        if current.predecessor_id is not None and network.try_node(current.predecessor_id):
-            if network.space.in_half_open(key, current.predecessor_id, current.ident):
-                return RouteResult(owner=current, hops=0, timeouts=0)
-    # Ring membership tests are inlined modular arithmetic on the hot loop
-    # (key ∈ (current, successor] ⇔ 0 < (key−current) < ∞ mod-distance at
-    # or under the successor's; mod 2**m is a mask AND), and the loss model
-    # is hoisted: at loss_rate 0 every delivery succeeds, so the
-    # retransmission loops collapse to single counted hops.
-    mask = network.space.mask
-    size = network.space.size
-    loss_free = network.loss_rate <= 0.0
-    nodes_get = network._nodes.get
-    try:
-        while True:
-            # Standard Chord termination: once key ∈ (current, successor],
-            # the successor is the owner.  Predecessor pointers are never
-            # consulted — they may be stale after a crash, but successor
-            # pointers define ownership and are what stabilization keeps
-            # correct.
-            excluded, seeded = seeded, None
-            ident = current.ident
-            # Inlined `_live_successor` fast path: the primary successor
-            # pointer is almost always live; only fall back to the full
-            # successor-list consult when it is not.
-            successor_id = current.successor_id
-            if successor_id == ident:
-                successor_id = _live_successor(network, current, _EMPTY_EXCLUSIONS)
-            else:
-                succ = nodes_get(successor_id)
-                if succ is None or not succ.alive:
-                    successor_id = _live_successor(network, current, _EMPTY_EXCLUSIONS)
-            if successor_id == ident or 0 < (key - ident) & mask <= (successor_id - ident) & mask:
-                owner = network.node(successor_id)
-                if owner.ident != ident:
-                    # Final delivery hop, retransmitted until it arrives
-                    # (or a bounded policy runs out of attempts).
-                    attempts = 0
-                    while True:
-                        hops += 1
-                        attempts += 1
-                        if loss_free or network.delivery_succeeds():
-                            break
-                        if attempt_cap is not None and attempts >= attempt_cap:
-                            raise RoutingError(
-                                f"delivery of key {key} to owner {owner.ident} "
-                                f"failed after {attempts} attempts"
-                            )
-                return RouteResult(owner=owner, hops=hops, timeouts=timeouts)
-            next_node = None
-            send_attempts = 0
-            last_sent = -1
-            while next_node is None:
-                if excluded is None:
-                    # Inlined timeout-free fast path of
-                    # PeerNode.closest_preceding_finger (the reference
-                    # implementation, kept there for the excluded case):
-                    # scan the memoized finger order for the farthest
-                    # finger inside (ident, key), then successor, then self.
-                    scan = current._finger_scan
-                    if scan is None:
-                        scan = current._finger_scan_order()
-                    reach = (key - ident) & mask or size
-                    candidate = ident
-                    for finger_id in scan:
-                        if 0 < (finger_id - ident) & mask < reach:
-                            candidate = finger_id
-                            break
-                    if candidate == ident:
-                        successor_id = current.successor_id
-                        if successor_id != ident and 0 < (successor_id - ident) & mask < reach:
-                            candidate = successor_id
-                else:
-                    # A plain set works for the membership tests; building
-                    # a frozenset per hop was measurable on churned rings.
-                    candidate = current.closest_preceding_finger(key, excluded)
-                if candidate == ident:
-                    # No live finger precedes the key: fall to successor.
-                    candidate = _live_successor(
-                        network, current, _EMPTY_EXCLUSIONS if excluded is None else excluded
-                    )
-                resolved = nodes_get(candidate)
-                hops += 1
-                if hops > max_hops:
-                    raise RoutingError(
-                        f"lookup for key {key} exceeded {max_hops} hops from {start.ident}"
-                    )
-                if not loss_free and not network.delivery_succeeds():
-                    if attempt_cap is not None:
-                        # Bounded policy: after max_attempts lost sends to one
-                        # candidate, declare the link down and fail over to the
-                        # next route (successor-list / alternate finger).
-                        send_attempts = send_attempts + 1 if candidate == last_sent else 1
-                        last_sent = candidate
-                        if send_attempts >= attempt_cap:
-                            timeouts += 1
-                            if excluded is None:
-                                excluded = set()
-                            excluded.add(candidate)
-                            send_attempts = 0
-                            last_sent = -1
-                    continue  # lost in transit: retransmit to same candidate
-                if resolved is not None and resolved.alive:
-                    next_node = resolved
-                else:
-                    timeouts += 1
-                    if excluded is None:
-                        excluded = set()
-                    excluded.add(candidate)
-            if next_node.ident == ident:
-                raise RoutingError(f"lookup for key {key} stuck at peer {current.ident}")
-            current = next_node
-    finally:
-        if hops:
-            network.record(MessageType.LOOKUP_HOP, count=hops)
-
-
-class RouteStep(NamedTuple):
-    """One routing decision of :func:`iter_route_steps`.
-
-    ``kind`` is one of:
-
-    * ``"forward"`` — one counted hop to the live peer ``ident``;
-    * ``"timeout"`` — one counted hop towards the departed peer ``ident``
-      (the sender times out and rescans at the same node with it excluded);
-    * ``"deliver"`` — the final counted delivery hop to the owner ``ident``;
-    * ``"done"`` — termination without a message: ``ident`` is the owner
-      (the entry shortcuts, or the current node owns the key itself);
-    * ``"fail"`` — one counted hop that exhausted the hop budget; ``detail``
-      carries the :class:`RoutingError` message the reference would raise.
-    """
-
-    kind: str
-    ident: int
-    detail: str = ""
-
-
-def iter_route_steps(
-    network: RingNetwork,
-    start: PeerNode,
-    key: int,
-    max_hops: int | None = None,
-):
-    """Loss-free routing decisions as a lazy step sequence (no ledger writes).
-
-    This is :func:`route_to_key` factored into per-hop decisions so the
-    event engine (:mod:`repro.ring.events`) can lay each hop out on the
-    simulated clock: same entry shortcuts, same inlined finger scan, same
-    timeout-and-exclude retries, same termination test, raised
-    :class:`RoutingError` for the same stuck/budget states.  Consuming the
-    whole sequence and recording one ``LOOKUP_HOP`` per ``forward`` /
-    ``timeout`` / ``deliver`` / ``fail`` step reproduces the reference's
-    owner, hop count, timeout count, and ledger totals exactly — the
-    replay property the event-engine tests pin.
-
-    Loss-free only: lossy delivery draws from the network RNG *during* the
-    route, which only the synchronous reference may do (stream order).
-    """
-    network.space.validate(key)
-    if network.loss_rate > 0.0:
-        raise ValueError(
-            "iter_route_steps models loss-free routing only; lossy delivery "
-            "must go through route_to_key (RNG stream order)"
-        )
-    if max_hops is None:
-        max_hops = 2 * network.n_peers + network.space.bits
-    current = start
-    if key == current.ident:
-        yield RouteStep("done", current.ident)
-        return
-    if current.predecessor_id is not None and network.try_node(current.predecessor_id):
-        if network.space.in_half_open(key, current.predecessor_id, current.ident):
-            yield RouteStep("done", current.ident)
-            return
-    mask = network.space.mask
-    size = network.space.size
-    nodes_get = network._nodes.get
-    hops = 0
-    while True:
-        excluded: set[int] | None = None
-        ident = current.ident
-        successor_id = current.successor_id
-        if successor_id == ident:
-            successor_id = _live_successor(network, current, _EMPTY_EXCLUSIONS)
-        else:
-            succ = nodes_get(successor_id)
-            if succ is None or not succ.alive:
-                successor_id = _live_successor(network, current, _EMPTY_EXCLUSIONS)
-        if successor_id == ident or 0 < (key - ident) & mask <= (successor_id - ident) & mask:
-            owner = network.node(successor_id)
-            if owner.ident != ident:
-                yield RouteStep("deliver", owner.ident)
-            else:
-                yield RouteStep("done", owner.ident)
-            return
-        next_node = None
-        while next_node is None:
-            if excluded is None:
-                scan = current._finger_scan
-                if scan is None:
-                    scan = current._finger_scan_order()
-                reach = (key - ident) & mask or size
-                candidate = ident
-                for finger_id in scan:
-                    if 0 < (finger_id - ident) & mask < reach:
-                        candidate = finger_id
-                        break
-                if candidate == ident:
-                    successor_id = current.successor_id
-                    if successor_id != ident and 0 < (successor_id - ident) & mask < reach:
-                        candidate = successor_id
-            else:
-                candidate = current.closest_preceding_finger(key, excluded)
-            if candidate == ident:
-                candidate = _live_successor(
-                    network, current, _EMPTY_EXCLUSIONS if excluded is None else excluded
-                )
-            resolved = nodes_get(candidate)
-            hops += 1
-            if hops > max_hops:
-                yield RouteStep(
-                    "fail",
-                    candidate,
-                    f"lookup for key {key} exceeded {max_hops} hops from {start.ident}",
-                )
-                return
-            if resolved is not None and resolved.alive:
-                next_node = resolved
-                yield RouteStep("forward", candidate)
-            else:
-                yield RouteStep("timeout", candidate)
-                if excluded is None:
-                    excluded = set()
-                excluded.add(candidate)
-        if next_node.ident == ident:
-            raise RoutingError(f"lookup for key {key} stuck at peer {current.ident}")
-        current = next_node
+    steps = iter_route_steps(
+        network, start, key, max_hops, policy=policy,
+        _initial_hops=_initial_hops, _excluded=_excluded,
+    )
+    kind, owner_id, hops, timeouts, _, message = _last_step(network, steps)
+    if kind == "fail":
+        raise RoutingError(message)
+    return RouteResult(network.node(owner_id), hops, timeouts)
 
 
 class BatchRoutes(NamedTuple):
@@ -528,48 +495,34 @@ def route_with_policy(
 
     ``policy=None`` selects :data:`RetryPolicy.DEFAULT` when structural
     faults are active and :data:`RetryPolicy.UNBOUNDED` otherwise.  With no
-    active fault plane and an unbounded policy this delegates to
-    :func:`route_to_key` — identical cost and RNG stream — and merely wraps
-    any :class:`RoutingError` in a failed outcome.
+    active fault plane the lookup follows :func:`iter_route_steps` — the
+    cost and RNG stream of :func:`route_to_key` — and a failing step's
+    reason becomes the outcome's.
 
     ``_resume`` continues a lookup :func:`route_probes_batch` handed over at
     ``start``: its hops, exclusions and partition flag so far seed the
-    route (its timeouts, retries and backoff are not carried over), and the
+    route (its timeouts and retries are not carried over), and the
     entry checks (and, when ``settled``, the node's termination test) are
     not repeated.
     """
     faults: FaultPlane | None = network.faults
-    plane_active = faults is not None and faults.active
+    if faults is not None and not faults.active:
+        faults = None
     if policy is None:
-        policy = RetryPolicy.DEFAULT if plane_active else RetryPolicy.UNBOUNDED
+        policy = RetryPolicy.UNBOUNDED if faults is None else RetryPolicy.DEFAULT
     if network.n_peers == 0:
-        return RouteOutcome(None, 0, 0, 0, 0.0, "empty_ring")
-    if not plane_active:
-        # Fault-free ring: the legacy router is the reference; translate
-        # its exceptions into failure outcomes (hops read back from the
-        # ledger, where the router posts them even on the error paths).
-        before = network.stats.count_of(MessageType.LOOKUP_HOP)
-        try:
-            result = route_to_key(
-                network,
-                start,
-                key,
-                max_hops=max_hops,
-                policy=policy,
-                _initial_hops=0 if _resume is None else _resume.hops,
-                _excluded=() if _resume is None else _resume.excluded,
-            )
-        except RoutingError as exc:
-            hops = network.stats.count_of(MessageType.LOOKUP_HOP) - before
-            message = str(exc)
-            if "attempts" in message:
-                reason = "retry_exhausted"
-            elif "stuck" in message:
-                reason = "stuck"
-            else:
-                reason = "hop_budget"
-            return RouteOutcome(None, hops, 0, 0, 0.0, reason)
-        return RouteOutcome(result.owner, result.hops, result.timeouts, 0, 0.0, None)
+        return RouteOutcome(None, 0, 0, 0, "empty_ring")
+    if faults is None:
+        # Fault-free ring: the scalar lookup rule is the reference.
+        steps = iter_route_steps(
+            network, start, key, max_hops, policy=policy,
+            _initial_hops=0 if _resume is None else _resume.hops,
+            _excluded=() if _resume is None else _resume.excluded,
+        )
+        kind, owner_id, hops, timeouts, reason, _ = _last_step(network, steps)
+        if kind == "fail":
+            return RouteOutcome(None, hops, 0, 0, reason)
+        return RouteOutcome(network.node(owner_id), hops, timeouts, 0, None)
 
     space = network.space
     space.validate(key)
@@ -578,7 +531,7 @@ def route_with_policy(
     if max_hops is None:
         max_hops = 2 * network.n_peers + space.bits
     if _resume is None and faults.is_stalled(start.ident):
-        return RouteOutcome(None, 0, 0, 0, 0.0, "entry_stalled")
+        return RouteOutcome(None, 0, 0, 0, "entry_stalled")
     mask = space.mask
     loss_free = network.loss_rate <= 0.0
     attempt_cap = policy.max_attempts
@@ -586,7 +539,6 @@ def route_with_policy(
     hops = 0
     timeouts = 0
     retries = 0
-    backoff = 0.0
     partition_blocked = False
     excluded: set[int] = set()
     settled = False
@@ -599,11 +551,10 @@ def route_with_policy(
         """One message send with retransmission; None means delivered.
 
         A cross-partition send is one deterministic timed-out probe; a
-        lossy link is retried up to the policy's attempt budget, each retry
-        waiting out one exponential-backoff step.  Every attempt costs a
-        counted hop.
+        lossy link is retried up to the policy's attempt budget.  Every
+        attempt costs a counted hop.
         """
-        nonlocal hops, timeouts, retries, backoff, partition_blocked
+        nonlocal hops, timeouts, retries, partition_blocked
         if not faults.reachable(src_id, dst_id):
             hops += 1
             timeouts += 1
@@ -624,16 +575,15 @@ def route_with_policy(
                 timeouts += 1
                 return "hop_budget"
             retries += 1
-            backoff += policy.backoff_base * policy.backoff_factor ** (attempts - 1)
 
     current = start
     try:
         if _resume is None:
             if key == current.ident:
-                return RouteOutcome(current, 0, 0, 0, 0.0, None)
+                return RouteOutcome(current, 0, 0, 0, None)
             if current.predecessor_id is not None and network.try_node(current.predecessor_id):
                 if space.in_half_open(key, current.predecessor_id, current.ident):
-                    return RouteOutcome(current, 0, 0, 0, 0.0, None)
+                    return RouteOutcome(current, 0, 0, 0, None)
         while True:
             ident = current.ident
             if settled:
@@ -651,27 +601,25 @@ def route_with_policy(
                             hops += 1
                             timeouts += 1
                             return RouteOutcome(
-                                None, hops, timeouts, retries, backoff, "owner_unresponsive"
+                                None, hops, timeouts, retries, "owner_unresponsive"
                             )
                         verdict = transmit(ident, owner.ident)
                         if verdict == "unreachable":
-                            return RouteOutcome(
-                                None, hops, timeouts, retries, backoff, "partitioned"
-                            )
+                            return RouteOutcome(None, hops, timeouts, retries, "partitioned")
                         if verdict is not None:
-                            return RouteOutcome(None, hops, timeouts, retries, backoff, verdict)
-                    return RouteOutcome(owner, hops, timeouts, retries, backoff, None)
+                            return RouteOutcome(None, hops, timeouts, retries, verdict)
+                    return RouteOutcome(owner, hops, timeouts, retries, None)
             next_node = None
             while next_node is None:
                 if hops > max_hops:
-                    return RouteOutcome(None, hops, timeouts, retries, backoff, "hop_budget")
+                    return RouteOutcome(None, hops, timeouts, retries, "hop_budget")
                 candidate = current.closest_preceding_finger(key, excluded)
                 if candidate == ident:
                     # No usable finger: fall to the successor-list failover.
                     candidate = _live_successor(network, current, excluded)
                 if candidate == ident or candidate in excluded:
                     reason = "partitioned" if partition_blocked or faults.partitioned else "stuck"
-                    return RouteOutcome(None, hops, timeouts, retries, backoff, reason)
+                    return RouteOutcome(None, hops, timeouts, retries, reason)
                 resolved = nodes_get(candidate)
                 if resolved is None or not resolved.alive or faults.is_stalled(candidate):
                     # Departed or unresponsive: one timed-out probe, then
@@ -682,13 +630,13 @@ def route_with_policy(
                     continue
                 verdict = transmit(ident, candidate)
                 if verdict == "hop_budget":
-                    return RouteOutcome(None, hops, timeouts, retries, backoff, "hop_budget")
+                    return RouteOutcome(None, hops, timeouts, retries, "hop_budget")
                 if verdict is not None:
                     excluded.add(candidate)
                     continue
                 next_node = resolved
             if next_node.ident == ident:
-                return RouteOutcome(None, hops, timeouts, retries, backoff, "stuck")
+                return RouteOutcome(None, hops, timeouts, retries, "stuck")
             current = next_node
     finally:
         if hops:

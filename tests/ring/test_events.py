@@ -211,6 +211,19 @@ class TestImmediateReplay:
         assert [t.owner_ident for t in tasks] == [r.owner.ident for r in expected]
         assert replayed.stats.as_dict() == reference.stats.as_dict()
 
+    def test_lossy_network_refused_before_anything_is_queued(self):
+        from repro.ring.faults import FaultPlane
+
+        network = _fresh_network(seed=4, n_peers=50)
+        network.install_faults(FaultPlane(loss_rate=0.2))
+        engine = EventEngine(network)
+        state = network.rng.bit_generator.state
+        with pytest.raises(ValueError, match="loss-free"):
+            schedule_lookup(engine, network.node(network.peer_ids()[0]), 12345)
+        assert engine.pending == 0
+        assert network.stats.hops == 0
+        assert network.rng.bit_generator.state == state
+
     def test_gossip_and_probe_match_synchronous_ledger(self):
         network = _fresh_network(seed=2, n_peers=16)
         a, b = list(network.peer_ids())[:2]

@@ -62,30 +62,14 @@ class TestValidation:
     def test_retry_policy_validated(self):
         with pytest.raises(ValueError, match="max_attempts"):
             RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError, match="backoff_base"):
-            RetryPolicy(backoff_base=-1.0)
-        with pytest.raises(ValueError, match="backoff_factor"):
-            RetryPolicy(backoff_factor=0.5)
         with pytest.raises(ValueError, match="max_hops"):
             RetryPolicy(max_hops=-1)
 
 
 class TestRetryPolicy:
     def test_presets(self):
-        assert RetryPolicy.UNBOUNDED.unbounded
         assert RetryPolicy.UNBOUNDED.max_attempts is None
-        assert not RetryPolicy.DEFAULT.unbounded
         assert RetryPolicy.DEFAULT.max_attempts == 4
-
-    def test_backoff_cost_geometric(self):
-        policy = RetryPolicy(backoff_base=1.0, backoff_factor=2.0)
-        assert policy.backoff_cost(0) == 0.0
-        assert policy.backoff_cost(1) == 1.0
-        assert policy.backoff_cost(3) == 1.0 + 2.0 + 4.0
-
-    def test_backoff_cost_linear_factor_one(self):
-        policy = RetryPolicy(backoff_base=0.5, backoff_factor=1.0)
-        assert policy.backoff_cost(4) == pytest.approx(2.0)
 
     def test_with_hop_budget(self):
         policy = RetryPolicy(max_attempts=3).with_hop_budget(10)
