@@ -60,10 +60,10 @@ def run(scale: float = 1.0, seed: int = 0) -> ResultTable:
 
     for service_time in SERVICE_TIMES:
         for concurrency in storms:
-            # Fresh fixture per cell: queue state and engine jitter must
-            # not leak between cells, and the network RNG stays untouched
-            # by routing (loss-free lookups draw nothing), so each cell is
-            # a pure function of its seeds.
+            # Fresh fixture per cell: queue state, engine jitter and (under
+            # a lossy fault profile) the lookups' delivery draws from the
+            # network RNG must not leak between cells, so each cell is a
+            # pure function of its seeds.
             network = RingNetwork.create(n_peers, seed=seed + 1)
             engine = EventEngine(
                 network,

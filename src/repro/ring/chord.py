@@ -4,9 +4,16 @@ The construction path (:meth:`RingNetwork.create` + ``rebuild_overlay``)
 gives a perfectly stabilized ring for static experiments.  This module
 provides the *incremental* protocol the churn experiments exercise: peers
 join through a routed lookup, take over part of their successor's interval
-(with data handoff), depart gracefully or by crashing, and the background
-``stabilize`` / ``fix_fingers`` maintenance repairs the pointer state — all
-with honest message accounting.
+(with data handoff), depart gracefully or by crashing, and background
+maintenance rounds repair the pointer state — all with honest message
+accounting.
+
+Each operation is written once.  :func:`_splice` links a joiner in before
+its successor, whether the successor was routed (:func:`join`) or resolved
+by rank (:func:`repro.ring.mutation.apply_joins`).  :func:`_maintenance_sweep`
+is the one scalar maintenance round, for lossy and loss-free rings alike;
+the matrix kernel in :mod:`repro.ring.mutation` computes the same round
+over the whole ring when the state allows it.
 """
 
 from __future__ import annotations
@@ -15,10 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.ring.identifier import RingInterval
 from repro.ring.messages import MessageType
 from repro.ring.network import NetworkError, RingNetwork
 from repro.ring.node import PeerNode
+from repro.ring.storage import LocalStore
 from repro.ring.routing import _EMPTY_EXCLUSIONS, _live_successor, route_to_key
 
 __all__ = [
@@ -26,7 +33,6 @@ __all__ = [
     "leave_gracefully",
     "crash",
     "stabilize",
-    "fix_one_finger",
     "maintenance_round",
     "random_unused_identifier",
 ]
@@ -123,11 +129,12 @@ def _draw_unused_identifier(
 def join(network: RingNetwork, new_ident: int, via: Optional[PeerNode] = None) -> PeerNode:
     """A new peer with identifier ``new_ident`` joins through peer ``via``.
 
-    The join routes a lookup for its own identifier to find its successor,
-    splits the successor's ownership interval, receives the data items that
-    now belong to it, and links itself between predecessor and successor.
-    Its finger table starts as a copy of the successor's (the standard
-    practical bootstrap) and is repaired incrementally by ``fix_fingers``.
+    The join routes a lookup for its own identifier to find its successor
+    and then splices itself in before it (:func:`_splice`): it takes the
+    data items of the interval it now owns and links itself between
+    predecessor and successor.  Its finger table starts as a copy of the
+    successor's (the standard practical bootstrap) and is repaired
+    incrementally by maintenance rounds.
     """
     network.space.validate(new_ident)
     if new_ident in network:
@@ -138,59 +145,68 @@ def join(network: RingNetwork, new_ident: int, via: Optional[PeerNode] = None) -
 
     network.record(MessageType.JOIN)
     successor = route_to_key(network, entry, new_ident).owner
+    new_node, relinked = _splice(network, new_ident, successor)
+    network.record(MessageType.DATA_TRANSFER, payload=new_node.store.count)
+    if relinked:
+        network.record(MessageType.NOTIFY)
+    return new_node
 
-    new_node = PeerNode(new_ident, network.space)
+
+def _splice(network: RingNetwork, new_ident: int, successor: PeerNode) -> tuple[PeerNode, bool]:
+    """Link a new peer in just before ``successor``; the one join splice.
+
+    The new peer bootstraps its predecessor pointer, fingers (finger 0 is
+    the successor) and successor list from ``successor``, takes over the
+    interval ``(pred, new]`` of the successor's store — ``pred`` being the
+    successor's predecessor pointer, or the successor itself while that is
+    unknown — and is linked in as the successor's predecessor and its
+    predecessor's successor.  Both :func:`join` (routed successor) and
+    :func:`repro.ring.mutation.apply_joins` (rank-resolved successor) run
+    it; the caller posts the ledger records.  Returns the registered peer
+    and whether a live predecessor was relinked (one ``NOTIFY``).
+    """
+    succ_ident = successor.ident
     predecessor_id = successor.predecessor_id
+    new_node = PeerNode(new_ident, network.space)
     new_node.predecessor_id = predecessor_id
-    new_node.successor_id = successor.ident
-    # Bootstrap fingers and successor list from the successor; fix_fingers
-    # and stabilize refine them incrementally.
-    new_node.fingers = list(successor.fingers)
-    new_node.set_finger(0, successor.ident)
-    new_node.successor_list = [successor.ident, *successor.successor_list][
+    new_node.successor_id = succ_ident
+    fingers = list(successor.fingers)
+    fingers[0] = succ_ident
+    new_node.fingers = fingers
+    new_node.successor_list = [succ_ident, *successor.successor_list][
         : network.SUCCESSOR_LIST_LENGTH
     ]
+    start = predecessor_id if predecessor_id is not None else succ_ident
+    new_node.store.adopt_sorted(_take_interval(network, successor.store, start, new_ident))
 
-    # Hand off the data the new node now owns: ring interval (pred, new].
-    if predecessor_id is not None:
-        taken_interval = RingInterval(network.space, predecessor_id, new_ident)
-    else:
-        taken_interval = RingInterval(network.space, successor.ident, new_ident)
-    moved = _pop_interval(network, successor, taken_interval)
-    new_node.store.insert_many(moved)
-    network.record(MessageType.DATA_TRANSFER, payload=len(moved))
-
-    # Link in: successor's predecessor, predecessor's successor.
     successor.predecessor_id = new_ident
+    relinked = False
     if predecessor_id is not None:
         predecessor = network.try_node(predecessor_id)
         if predecessor is not None:
             predecessor.successor_id = new_ident
-            network.record(MessageType.NOTIFY)
-
+            relinked = True
     network._register(new_node)
-    return new_node
+    return new_node, relinked
 
 
-def _pop_interval(network: RingNetwork, node: PeerNode, interval: RingInterval) -> list[float]:
-    """Extract ``node``'s items whose ring positions fall in ``interval``.
+def _take_interval(network: RingNetwork, store: LocalStore, start: int, end: int) -> list[float]:
+    """Pop the values of ``store`` whose ring position lies in ``(start, end]``.
 
-    Vectorized twin of ``store.pop_where(lambda v: interval.contains(
-    data_hash(v)))``: all values are hashed in one pass (byte-identical to
-    the scalar hash by the ``map_values`` contract) and the ``(start, end]``
-    membership test is the usual two-complement distance comparison, so the
-    extracted set matches the predicate exactly.
+    The data hash is order-preserving, so these values form one contiguous
+    slab of the sorted store — or, when the interval wraps the origin, a
+    low head plus a high tail, which concatenate head-first in value order
+    (``start == end`` is the full ring).  One ``searchsorted`` of each
+    boundary into the hashed keys finds the slabs, and the result is
+    exactly ``store.pop_where(lambda v: interval.contains(data_hash(v)))``.
     """
-    arr = node.store.as_array()
-    if not arr.size:
-        return []
-    if interval.start == interval.end:  # full ring: the node cedes everything
-        return node.store.pop_all()
-    keys = network.data_hash.map_values(arr)
-    mask = np.uint64(network.space.mask)
-    distance = (keys - np.uint64(interval.start)) & mask
-    reach = np.uint64(network.space.distance(interval.start, interval.end))
-    return node.store.pop_mask((distance > np.uint64(0)) & (distance <= reach))
+    keys = network.data_hash.map_values(store.as_array())
+    lo = int(np.searchsorted(keys, np.uint64(start), side="right"))
+    hi = int(np.searchsorted(keys, np.uint64(end), side="right"))
+    if start < end:
+        return store.pop_slice(lo, hi)
+    tail = store.pop_slice(lo, int(keys.size))
+    return store.pop_slice(0, hi) + tail
 
 
 def leave_gracefully(network: RingNetwork, ident: int) -> None:
@@ -224,7 +240,7 @@ def crash(network: RingNetwork, ident: int) -> int:
     """Peer fails abruptly; its data is lost (no replication in this model).
 
     Returns the number of items lost.  Neighbour pointers are left stale on
-    purpose — only subsequent :func:`stabilize` rounds repair the ring,
+    purpose — only subsequent :func:`maintenance_round` calls repair the ring,
     which is what makes churn genuinely stress the estimators.
     """
     node = network.node(ident)
@@ -238,221 +254,176 @@ def crash(network: RingNetwork, ident: int) -> int:
 
 
 def stabilize(network: RingNetwork, node: PeerNode) -> None:
-    """One Chord stabilization step for ``node``.
+    """One recorded Chord stabilization step for ``node`` on its own.
 
-    Ask the successor for its predecessor; adopt it if it sits between;
-    then notify the successor so it can adopt us as predecessor.  A dead
-    successor pointer is repaired through the successor-list fallback
-    (modelled by one oracle repair at the cost of the timed-out probe).
+    The step a maintenance round runs for every peer
+    (:func:`_stabilize_step`), plus its ``STABILIZE`` and ``NOTIFY``
+    records and one overlay-version bump.
     """
+    _stabilize_step(network, node)
     network.record(MessageType.STABILIZE)
-    successor = network.try_node(node.successor_id)
+    network.record(MessageType.NOTIFY)
+    network.note_overlay_change()
+
+
+def _stabilize_step(network: RingNetwork, node: PeerNode) -> None:
+    """Chord ``stabilize`` plus ``notify`` for ``node``: pointer writes only.
+
+    Ask the successor for its predecessor and adopt it if it sits between;
+    refresh the successor list from the (now live) successor; then notify
+    the successor, which adopts ``node`` as predecessor if its own is gone
+    or ``node`` is closer.  A dead successor pointer is repaired through the
+    successor-list fallback (modelled by one oracle repair at the cost of
+    the timed-out probe).  Nothing is sent that can be lost, so the step
+    draws no randomness; the caller posts the records and bumps the
+    overlay version.
+    """
+    nodes_get = network._nodes.get
+    mask = network.space.mask
+    size = network.space.size
+    self_id = node.ident
+    successor = nodes_get(node.successor_id)
     if successor is None or not successor.alive:
-        # Timed-out probe, then fall back to the successor list.
-        repaired = network._oracle_successor(network.space.add(node.ident, 1))
-        node.successor_id = repaired
+        repaired = network._oracle_successor((self_id + 1) & mask)
+        node.successor_id = repaired  # repro-lint: disable=VER001 (callers bump once via note_overlay_change: stabilize() per step, _maintenance_sweep per round)
         successor = network.node(repaired)
+    succ_id = successor.ident
+    # Modular membership tests are inlined (in_open(x, a, b) ⇔
+    # 0 < (x−a)&mask < reach with reach = (b−a)&mask or size): this runs
+    # once per peer per round, where method calls would dominate.
     candidate_id = successor.predecessor_id
-    if candidate_id is not None and candidate_id != node.ident:
-        candidate = network.try_node(candidate_id)
-        if candidate is not None and network.space.in_open(
-            candidate_id, node.ident, successor.ident
+    if candidate_id is not None and candidate_id != self_id:
+        candidate = nodes_get(candidate_id)
+        if candidate is not None and 0 < (candidate_id - self_id) & mask < (
+            (succ_id - self_id) & mask or size
         ):
             node.successor_id = candidate_id
             successor = candidate
-    # Refresh the successor list from the (now live) successor: its
-    # identity followed by the head of its own list.
-    length = network.SUCCESSOR_LIST_LENGTH
-    refreshed = [successor.ident]
-    for entry in successor.successor_list:
+            succ_id = candidate_id
+    node.successor_list = _refreshed_list(
+        self_id, succ_id, successor.successor_list, network.SUCCESSOR_LIST_LENGTH
+    )
+    current = successor.predecessor_id
+    if (
+        current is None
+        or nodes_get(current) is None
+        or 0 < (self_id - current) & mask < ((succ_id - current) & mask or size)
+    ):
+        successor.predecessor_id = self_id
+
+
+def _refreshed_list(self_id: int, succ_id: int, source: list[int], length: int) -> list[int]:
+    """Peer ``self_id``'s successor list refreshed from its successor's.
+
+    The successor's identity followed by the head of ``source`` (the
+    successor's list), skipping ``self_id`` and repeats, up to ``length``
+    entries.  When neither ``self_id`` nor ``succ_id`` occurs in
+    ``source`` — the common case — the refresh is a plain
+    prepend-and-truncate, the row the matrix kernel's recurrence computes;
+    the two agree because stabilize, join and rebuild keep lists free of
+    repeats.  The scalar sweep and the matrix kernel's irregular and wrap rows
+    all refresh through here.
+    """
+    if self_id not in source and succ_id not in source:
+        return [succ_id, *source[: length - 1]]
+    refreshed = [succ_id]
+    for entry in source:
         if len(refreshed) >= length:
             break
-        if entry != node.ident and entry not in refreshed:
+        if entry != self_id and entry not in refreshed:
             refreshed.append(entry)
-    node.successor_list = refreshed
-    network.record(MessageType.NOTIFY)
-    _notify(network, successor, node)
-    network.note_overlay_change()
-
-
-def _notify(network: RingNetwork, successor: PeerNode, node: PeerNode) -> None:
-    """Chord ``notify``: successor adopts ``node`` as predecessor if better."""
-    current = successor.predecessor_id
-    if current is None or network.try_node(current) is None:
-        successor.predecessor_id = node.ident  # repro-lint: disable=VER001 (sole caller stabilize() bumps via note_overlay_change after notifying)
-        return
-    if network.space.in_open(node.ident, current, successor.ident):
-        successor.predecessor_id = node.ident
-
-
-def fix_one_finger(network: RingNetwork, node: PeerNode) -> None:
-    """Repair the next finger (round-robin) with one routed lookup."""
-    k = node.next_finger_index
-    node.next_finger_index = (k + 1) % network.space.bits
-    network.record(MessageType.FIX_FINGER)
-    try:
-        result = route_to_key(network, node, node.finger_target(k))
-    except NetworkError:
-        node.set_finger(k, None)
-        network.note_overlay_change()
-        return
-    node.set_finger(k, result.owner.ident)
-    network.note_overlay_change()
+    return refreshed
 
 
 def maintenance_round(network: RingNetwork, fingers_per_peer: int = 1) -> None:
     """One background maintenance round across all live peers.
 
     Every peer runs one stabilize step and repairs ``fingers_per_peer``
-    fingers.  Iteration order is ring order over the peers alive at the
-    start of the round.
+    fingers, in ring order over the peers alive at the start of the round.
 
-    At ``loss_rate == 0`` the round first tries the whole-ring matrix path
-    in :mod:`repro.ring.mutation` — vectorized pointer repair and finger
-    classification over the sorted-id vector — which applies when the ring
-    is in the "true-or-dead" pointer state churn rounds leave behind and
-    every finger fix terminates within one hop of its owner.  States the
-    matrix cannot batch (mid-join pointers, finger fixes needing multi-hop
-    routing) fall back to the bulk scalar fast path; pointer mutations,
-    finger contents, and message totals are identical on every path (the
-    scalar loop remains the reference, and the only path once deliveries
-    can fail and consume RNG draws).
+    At ``loss_rate == 0`` the round first tries the whole-ring matrix
+    kernel (:func:`repro.ring.mutation.matrix_maintenance_round`), which
+    applies when the ring is in the "true-or-dead" pointer state churn
+    rounds leave behind and every finger fix terminates within one hop of
+    its owner.  Every other round — lossy rings, mid-join pointers, finger
+    fixes needing multi-hop routing — runs the scalar sweep
+    (:func:`_maintenance_sweep`).  Pointers, finger contents and message
+    totals are identical on both paths, and either advances
+    :attr:`~repro.ring.network.RingNetwork.topology_version` by at most one.
     """
-    if network.loss_rate > 0.0:
-        for ident in list(network.peer_ids()):
-            node = network.try_node(ident)
-            if node is None:
-                continue
-            stabilize(network, node)
-            for _ in range(fingers_per_peer):
-                fix_one_finger(network, node)
-        return
-    from repro.ring.mutation import matrix_maintenance_round
+    if network.loss_rate <= 0.0:
+        from repro.ring import mutation  # local: mutation imports this module
 
-    if matrix_maintenance_round(network, fingers_per_peer):
-        return
-    _maintenance_round_fast(network, fingers_per_peer)
+        if mutation.matrix_maintenance_round(network, fingers_per_peer):
+            return
+    _maintenance_sweep(network, fingers_per_peer)
 
 
-def _maintenance_round_fast(network: RingNetwork, fingers_per_peer: int) -> None:
-    """Loss-free maintenance round: same protocol, bulk accounting.
+def _maintenance_sweep(network: RingNetwork, fingers_per_peer: int) -> None:
+    """The scalar maintenance round: one sweep in ring order, bulk records.
 
-    Mirrors :func:`stabilize` + :func:`fix_one_finger` per peer in the same
-    ring order with the same pointer updates, but accumulates STABILIZE /
-    NOTIFY / FIX_FINGER / LOOKUP_HOP counts locally and posts them in one
-    bulk record each at round end — Counter totals are exactly those of the
-    per-call records.  Finger lookups resolve through an inlined
-    ``route_to_key`` fast path for the (overwhelmingly common) case where
-    the target terminates at the node itself or its direct successor; any
-    multi-hop lookup falls back to the full router, which does its own hop
-    accounting.
+    Per peer: :func:`_stabilize_step`, then ``fingers_per_peer`` finger
+    fixes, each advancing the node's round-robin cursor and installing the
+    owner of the finger's target (``None`` when the lookup fails).  A fix
+    the node owns itself — the entry shortcuts of
+    :func:`~repro.ring.routing.route_to_key` — is answered locally: nothing
+    is sent and nothing is drawn.  On a loss-free ring a fix its successor
+    owns is answered locally too, at the one delivery hop the router would
+    count.  Every other fix, and under loss every fix that leaves the node,
+    runs the full router, which records its own hops and draws delivery
+    outcomes from the network RNG in sweep order.
+
+    STABILIZE and NOTIFY (once per peer), FIX_FINGER (per fix) and the
+    local delivery hops are posted in one bulk record each — the totals of
+    per-step records — and the overlay version is bumped once.
     """
-    space = network.space
-    mask = space.mask
-    size = space.size
-    bits = space.bits
-    list_length = network.SUCCESSOR_LIST_LENGTH
-    nodes_get = network._nodes.get
-    stabilizes = 0
-    fixes = 0
+    mask = network.space.mask
+    bits = network.space.bits
+    nodes = network._nodes
+    nodes_get = nodes.get
+    lossy = network.loss_rate > 0.0
+    ids = network.peer_ids()
     bulk_hops = 0
-    # Modular membership tests are inlined throughout (in_open(x, a, b) ⇔
-    # 0 < (x−a)&mask < reach with reach = (b−a)&mask or size): they run a
-    # handful of times per peer per round, and the method-call overhead
-    # would dominate the integer work.
-    for ident in list(network.peer_ids()):
-        node = nodes_get(ident)
-        if node is None:
-            continue
-        # --- stabilize (inlined; ledger deferred) ---
-        stabilizes += 1
-        self_id = node.ident
-        successor = nodes_get(node.successor_id)
-        if successor is None or not successor.alive:
-            repaired = network._oracle_successor((self_id + 1) & mask)
-            node.successor_id = repaired
-            successor = network.node(repaired)
-        candidate_id = successor.predecessor_id
-        if candidate_id is not None and candidate_id != self_id:
-            candidate = nodes_get(candidate_id)
-            if candidate is not None and 0 < (candidate_id - self_id) & mask < (
-                (successor.ident - self_id) & mask or size
-            ):
-                node.successor_id = candidate_id
-                successor = candidate
-        sl = successor.successor_list
-        if self_id not in sl and successor.ident not in sl:
-            # Common case: every stabilize/join/rebuild path produces
-            # duplicate-free lists excluding their owner, so the reference
-            # dedup loop below reduces to prepend-and-truncate.
-            node.successor_list = [successor.ident, *sl[: list_length - 1]]
-        else:
-            refreshed = [successor.ident]
-            for entry in sl:
-                if len(refreshed) >= list_length:
-                    break
-                if entry != self_id and entry not in refreshed:
-                    refreshed.append(entry)
-            node.successor_list = refreshed
-        # --- notify (inlined _notify) ---
-        current = successor.predecessor_id
-        if current is None or nodes_get(current) is None:
-            successor.predecessor_id = self_id
-        elif 0 < (self_id - current) & mask < ((successor.ident - current) & mask or size):
-            successor.predecessor_id = self_id
-        # --- fix fingers (inlined; ledger deferred) ---
+    for ident in ids:
+        node = nodes[ident]
+        _stabilize_step(network, node)
         for _ in range(fingers_per_peer):
             k = node.next_finger_index
             node.next_finger_index = (k + 1) % bits
-            fixes += 1
-            target = (self_id + (1 << k)) & mask
-            owner_id = -1
-            if target == self_id:
-                owner_id = self_id
-            else:
-                pred = node.predecessor_id
+            target = (ident + (1 << k)) & mask
+            pred = node.predecessor_id
+            if target == ident or (
+                pred is not None
+                and nodes_get(pred) is not None
+                # in_half_open(target, pred, self): (pred, pred] is the
+                # full ring, else 0 < (t−p)&mask ≤ (s−p)&mask.
+                and (pred == ident or 0 < (target - pred) & mask <= (ident - pred) & mask)
+            ):
+                node.set_finger(k, ident)
+                continue
+            if not lossy:
+                # The stabilize step just made the successor pointer live;
+                # a self-pointer falls back to the list, as the router's does.
+                successor_id = node.successor_id
+                if successor_id == ident:
+                    successor_id = _live_successor(network, node, _EMPTY_EXCLUSIONS)
                 if (
-                    pred is not None
-                    and nodes_get(pred) is not None
-                    # in_half_open(target, pred, self): (pred, pred] is the
-                    # full ring, else 0 < (t−p)&mask ≤ (s−p)&mask.
-                    and (
-                        pred == self_id
-                        or 0 < (target - pred) & mask <= (self_id - pred) & mask
-                    )
+                    successor_id == ident
+                    or 0 < (target - ident) & mask <= (successor_id - ident) & mask
                 ):
-                    owner_id = self_id
-                else:
-                    successor_id = node.successor_id
-                    if successor_id == self_id:
-                        successor_id = _live_successor(network, node, _EMPTY_EXCLUSIONS)
-                    else:
-                        succ = nodes_get(successor_id)
-                        if succ is None or not succ.alive:
-                            successor_id = _live_successor(network, node, _EMPTY_EXCLUSIONS)
-                    if (
-                        successor_id == self_id
-                        or 0 < (target - self_id) & mask <= (successor_id - self_id) & mask
-                    ):
-                        owner_id = successor_id
-                        if owner_id != self_id:
-                            bulk_hops += 1  # the final delivery hop
-            if owner_id >= 0:
-                node.set_finger(k, owner_id)
-                continue
-            # Multi-hop lookup: the full router replays the identical scan
-            # from scratch and bulk-records its own hops.
+                    if successor_id != ident:
+                        bulk_hops += 1  # the final delivery hop
+                    node.set_finger(k, successor_id)
+                    continue
             try:
-                result = route_to_key(network, node, target)
+                owner: Optional[int] = route_to_key(network, node, target).owner.ident
             except NetworkError:
-                node.set_finger(k, None)
-                continue
-            node.set_finger(k, result.owner.ident)
-    if stabilizes:
-        network.record(MessageType.STABILIZE, count=stabilizes)
-        network.record(MessageType.NOTIFY, count=stabilizes)
-    if fixes:
-        network.record(MessageType.FIX_FINGER, count=fixes)
+                owner = None
+            node.set_finger(k, owner)
+    if ids:
+        network.record(MessageType.STABILIZE, count=len(ids))
+        network.record(MessageType.NOTIFY, count=len(ids))
+        network.record(MessageType.FIX_FINGER, count=len(ids) * fingers_per_peer)
     if bulk_hops:
         network.record(MessageType.LOOKUP_HOP, count=bulk_hops)
     network.note_overlay_change()

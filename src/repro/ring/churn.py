@@ -118,11 +118,6 @@ class ChurnProcess:
     #: same round clock as churn.  ``None`` (the default) leaves the round
     #: loop exactly as before.
     faults: Optional[FaultPlane] = None
-    #: Disable the batched mutation kernel and run the scalar reference
-    #: loop unconditionally.  The kernel is state-equivalent by contract
-    #: (the property tests compare both paths on cloned networks); this
-    #: switch exists for those tests and as an operational escape hatch.
-    force_sequential: bool = False
 
     def __post_init__(self) -> None:
         if self.rng is None:
@@ -159,11 +154,13 @@ class ChurnProcess:
         On a clean loss-free ring the round runs through the batched
         mutation kernel (:mod:`repro.ring.mutation`): all joins and
         departures are drawn up front — consuming both RNG streams exactly
-        as the sequential loop would — and the joins land as slab-handoff
-        splices instead of routed scalar protocol actions.  Lossy delivery,
-        fault-perturbed pointer state, or :attr:`force_sequential` select
-        the scalar reference loop; both paths produce the same ring state,
-        stores, and (LOOKUP_HOP aside) the same message ledger.
+        as the sequential loop would — and each join is spliced in at its
+        rank-resolved successor instead of a routed one.  Lossy delivery or
+        fault-perturbed pointer state select the sequential loop of routed
+        joins; both paths share the join splice and produce the same ring
+        state, stores, and (LOOKUP_HOP aside) the same message ledger.
+        Maintenance then runs :func:`~repro.ring.chord.maintenance_round`
+        ``maintenance_rounds`` times.
         """
         started = time.perf_counter()  # repro-lint: disable=RNG002 (wall_s instrumentation; timing is reported, never fed into results)
         report = ChurnRoundReport()
@@ -174,11 +171,7 @@ class ChurnProcess:
         stats = self.network.stats
         moved_before = stats.payload_of(MessageType.DATA_TRANSFER)
 
-        if (
-            not self.force_sequential
-            and self.network.loss_rate <= 0.0
-            and mutation.ring_is_clean(self.network)
-        ):
+        if self.network.loss_rate <= 0.0 and mutation.ring_is_clean(self.network):
             plan = mutation.plan_round(self.network, self.config, self.rng)
             mutation.apply_joins(self.network, plan.joins)
             report.joins += len(plan.joins)

@@ -26,8 +26,12 @@ honest fault timing all need a simulated clock.  This module provides it:
   :class:`~repro.ring.messages.MessageStats` ledger as calling
   :func:`~repro.ring.routing.route_to_key` directly — both consume the
   one step generator :func:`~repro.ring.routing.iter_route_steps`.
-  Lookups on a lossy network are refused at scheduling time: their steps
-  draw from the network RNG, which interleaved events would reorder.
+  On a lossy network each lost send is delivered like a timed-out probe:
+  the sender waits one delivery, then retransmits.  The steps draw
+  delivery outcomes from the network RNG as they are consumed, so one
+  lookup in immediate mode draws exactly as the synchronous router does,
+  and concurrent lookups interleave their draws in (deterministic)
+  event order.
 
 Determinism contract: the engine draws latency jitter from its *own*
 seeded generator, never from the network's, and nothing in this module
@@ -372,27 +376,20 @@ def schedule_lookup(
     tag: int = 0,
     on_complete: Optional[Callable[[LookupTask], None]] = None,
 ) -> LookupTask:
-    """Drive one loss-free lookup hop by hop on the engine's clock.
+    """Drive one lookup hop by hop on the engine's clock.
 
     Routing decisions come from :func:`~repro.ring.routing.iter_route_steps`,
     the one implementation of ``route_to_key``'s rule; each counted step
     becomes one ``MESSAGE`` delivery, recorded as a ``LOOKUP_HOP`` at send
-    time.  A timed-out probe towards a departed peer costs one delivery's
-    wait before the sender rescans, mirroring the reference's counted
-    timeout.  In immediate mode the completed task and the ledger delta
-    are exactly the reference's result; with latency/service models the
-    same hops spread over simulated time and queue at busy peers.
-
-    A lossy network raises :class:`ValueError` before anything is queued:
-    its steps draw delivery outcomes from the network RNG, and consuming
-    them across interleaved events would reorder those draws.
+    time.  A timed-out probe towards a departed peer, and a send lost in
+    transit, cost one delivery's wait before the sender rescans or
+    retransmits, mirroring the reference's counted hop.  In immediate mode
+    the completed task, the ledger delta and (under loss) the network RNG
+    draws are exactly the reference's; with latency/service models the
+    same hops spread over simulated time and queue at busy peers, and
+    concurrent lossy lookups draw in event order.
     """
     network = engine.network
-    if network.loss_rate > 0.0:
-        raise ValueError(
-            "schedule_lookup models loss-free routing only; lossy lookups "
-            "must go through route_to_key (RNG stream order)"
-        )
     task = LookupTask(key=int(key), start_ident=start.ident, start_time=engine.now)
     steps = iter_route_steps(network, start, int(key))
 
@@ -416,9 +413,10 @@ def schedule_lookup(
                 at_ident, ident, EventKind.MESSAGE,
                 lambda: finish(ident), tag=tag,
             )
-        elif kind == "timeout":
-            # The probe is sent and never answered: the sender waits one
-            # delivery's worth of simulated time, then rescans in place.
+        elif kind == "timeout" or kind == "lost":
+            # The probe is sent and never answered (its target is gone, or
+            # the message was lost): the sender waits one delivery's worth
+            # of simulated time, then rescans or retransmits in place.
             engine.deliver(
                 at_ident, ident, EventKind.MESSAGE,
                 lambda: pump(at_ident), tag=tag,

@@ -1,12 +1,12 @@
 """Batched churn-mutation kernel: whole-round joins and matrix maintenance.
 
 The sequential churn loop applies each join as an independent protocol
-action — a routed lookup, a per-value interval scan over the successor's
-store, and scalar pointer writes — and repairs the overlay one peer at a
-time.  On a loss-free ring both are deterministic functions of the round's
-random draws and the ring state, so an entire round can instead be *planned*
-up front (consuming the RNG streams in exactly the sequential per-stream
-order) and *applied* as array operations:
+action — a routed lookup and the join splice — and repairs the overlay with
+the scalar maintenance sweep, one peer at a time.  On a loss-free ring both
+are deterministic functions of the round's random draws and the ring state,
+so an entire round can instead be *planned* up front (consuming the RNG
+streams in exactly the sequential per-stream order) and *applied* with the
+routing and the per-peer sweep taken out:
 
 * :func:`plan_round` draws all joins, graceful leaves, and crashes for the
   round against a simulated membership list, so the churn RNG and the
@@ -14,19 +14,16 @@ order) and *applied* as array operations:
 * :func:`apply_joins` splices the planned identifiers into the ring.  The
   successor of each joiner is resolved by rank over the sorted membership
   (on a clean ring the routed lookup's owner is exactly the oracle
-  successor), and the data handoff moves the successor's owned values as
-  one or two *contiguous slab slices* of its sorted backing: the data hash
-  is monotone, so one ``searchsorted`` of the interval boundaries into the
-  hashed key array replaces the per-value membership scan of
-  ``_pop_interval``.
-* :func:`matrix_maintenance_round` replaces the per-peer ``stabilize`` /
-  ``fix_one_finger`` sweep with whole-ring vector computation: true
-  successors and predecessors come from one roll of the sorted-id vector,
-  successor lists from one matrix recurrence, and finger fixes from a
-  vectorized owner classification.  It applies only when the ring is in
-  the "true-or-dead" pointer state loss-free churn rounds leave behind and
-  every finger fix terminates at the node or its direct successor; anything
-  else falls back to the scalar reference.
+  successor); the splice itself is the scalar join's
+  (:func:`repro.ring.chord._splice`).
+* :func:`matrix_maintenance_round` replaces the scalar maintenance sweep
+  (:func:`repro.ring.chord._maintenance_sweep`) with whole-ring vector
+  computation: true successors and predecessors come from one roll of the
+  sorted-id vector, successor lists from one matrix recurrence, and finger
+  fixes from a vectorized owner classification.  It applies only when the
+  ring is in the "true-or-dead" pointer state loss-free churn rounds leave
+  behind and every finger fix terminates at the node or its direct
+  successor; anything else falls back to the sweep.
 
 Equivalence contract
 --------------------
@@ -53,9 +50,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.typing import NDArray
 
+from repro.ring.chord import _draw_unused_identifier, _refreshed_list, _splice
 from repro.ring.messages import MessageType
 from repro.ring.network import RingNetwork
-from repro.ring.node import PeerNode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (churn -> chord)
     from repro.ring.churn import ChurnConfig
@@ -70,9 +67,9 @@ __all__ = [
     "ring_is_clean",
 ]
 
-#: Below this size the scalar loop is already cheap and ring edge cases
+#: Below this size the scalar sweep is already cheap and ring edge cases
 #: (wrap-heavy successor lists, near-full finger arcs) start to matter;
-#: the kernel declines and the sequential reference runs.
+#: the kernel declines and the sweep runs.
 KERNEL_MIN_PEERS = 8
 
 
@@ -121,8 +118,6 @@ def plan_round(
     The entry-peer draws are consumed and discarded: they only select where
     a join's lookup *starts*, which the kernel does not route.
     """
-    from repro.ring.chord import _draw_unused_identifier
-
     n = network.n_peers
     net_rng = network.rng
     joins: list[int] = []
@@ -187,76 +182,26 @@ def spread_plan(
 def apply_joins(network: RingNetwork, idents: list[int]) -> int:
     """Splice the planned joiners into a clean ring; returns values moved.
 
-    Per joiner, in arrival order: resolve the true successor by rank,
-    bootstrap pointers/fingers/successor-list exactly as the scalar join
-    does, and hand off the successor's items in ``(pred, new]`` as
-    contiguous slab slices located by ``searchsorted`` over the hashed key
-    array (maintained incrementally across same-round joins, so nested
-    splits of one arc never re-hash).  Ledger totals — JOIN, DATA_TRANSFER
-    (count and payload), NOTIFY — are posted in bulk and equal the
-    sequential per-join records.
+    Per joiner, in arrival order: resolve the true successor by rank over
+    the sorted membership (on a clean ring the routed lookup's owner is
+    exactly that peer) and run the join splice
+    (:func:`repro.ring.chord._splice`), which bootstraps the peer, hands off
+    ``(pred, new]`` as slab slices and links it in.  Ledger totals — JOIN,
+    DATA_TRANSFER (count and payload), NOTIFY — are posted in bulk and
+    equal the sequential per-join records.
     """
     if not idents:
         return 0
-    space = network.space
     nodes = network._nodes
-    data_hash = network.data_hash
-    list_length = network.SUCCESSOR_LIST_LENGTH
-    sim_ids = list(network._sorted_ids)
-    # Hashed keys of each opened store, kept in lockstep with its contents.
-    keys_of: dict[int, NDArray[np.uint64]] = {}
+    sorted_ids = network._sorted_ids
     notifies = 0
     moved_total = 0
     for new_ident in idents:
-        pos = bisect.bisect_left(sim_ids, new_ident)
-        succ_ident = sim_ids[pos] if pos < len(sim_ids) else sim_ids[0]
-        successor = nodes[succ_ident]
-        predecessor_id = successor.predecessor_id
-
-        new_node = PeerNode(new_ident, space)
-        new_node.predecessor_id = predecessor_id
-        new_node.successor_id = succ_ident
-        fingers = list(successor.fingers)
-        fingers[0] = succ_ident
-        new_node.fingers = fingers
-        new_node.successor_list = [succ_ident, *successor.successor_list][:list_length]
-
-        store = successor.store
-        keys = keys_of.get(succ_ident)
-        if keys is None:
-            keys = data_hash.map_values(store.as_array())
-        start = predecessor_id if predecessor_id is not None else succ_ident
-        if start < new_ident:
-            lo = int(np.searchsorted(keys, np.uint64(start), side="right"))
-            hi = int(np.searchsorted(keys, np.uint64(new_ident), side="right"))
-            moved = store.pop_slice(lo, hi)
-            new_keys = keys[lo:hi]
-            if moved:
-                keys = np.concatenate((keys[:lo], keys[hi:]))
-        else:
-            # The interval wraps the origin: a low head plus a high tail,
-            # which in (value == key) sort order concatenate head-first.
-            tail_lo = int(np.searchsorted(keys, np.uint64(start), side="right"))
-            head_hi = int(np.searchsorted(keys, np.uint64(new_ident), side="right"))
-            tail = store.pop_slice(tail_lo, int(keys.size))
-            head = store.pop_slice(0, head_hi)
-            moved = head + tail
-            new_keys = np.concatenate((keys[:head_hi], keys[tail_lo:]))
-            keys = keys[head_hi:tail_lo]
-        keys_of[succ_ident] = keys
-        keys_of[new_ident] = new_keys
-        new_node.store.adopt_sorted(moved)
-        moved_total += len(moved)
-
-        successor.predecessor_id = new_ident
-        if predecessor_id is not None:
-            predecessor = nodes.get(predecessor_id)
-            if predecessor is not None:
-                predecessor.successor_id = new_ident
-                notifies += 1
-
-        network._register(new_node)
-        sim_ids.insert(pos, new_ident)
+        pos = bisect.bisect_left(sorted_ids, new_ident)
+        succ_ident = sorted_ids[pos] if pos < len(sorted_ids) else sorted_ids[0]
+        new_node, relinked = _splice(network, new_ident, nodes[succ_ident])
+        moved_total += new_node.store.count
+        notifies += relinked
 
     count = len(idents)
     network.record(MessageType.JOIN, count=count)
@@ -266,24 +211,11 @@ def apply_joins(network: RingNetwork, idents: list[int]) -> int:
     return moved_total
 
 
-def _dedup_refresh(
-    self_id: int, succ_id: int, source: list[int], length: int
-) -> list[int]:
-    """The reference successor-list refresh (dedup path of ``stabilize``)."""
-    refreshed = [succ_id]
-    for entry in source:
-        if len(refreshed) >= length:
-            break
-        if entry != self_id and entry not in refreshed:
-            refreshed.append(entry)
-    return refreshed
-
-
 def matrix_maintenance_round(network: RingNetwork, fingers_per_peer: int) -> bool:
     """One loss-free maintenance round as whole-ring vector operations.
 
     Returns ``False`` (having mutated nothing) when the state is not
-    batchable, in which case the caller runs the scalar reference.  The
+    batchable, in which case the caller runs the scalar sweep.  The
     batchable state is the one loss-free churn rounds produce: every
     successor pointer either names the true successor or a departed peer,
     successor lists are regular (full length), and — checked per finger
@@ -298,18 +230,22 @@ def matrix_maintenance_round(network: RingNetwork, fingers_per_peer: int) -> boo
     and the successor-list recurrence ``new[i] = [succ_i, *old[i+1][:L-1]]``
     (with the wrap row reading row 0's *new* list, exactly as ring-order
     iteration does) reproduces the per-peer refresh.  Ledger totals match
-    the scalar fast path: STABILIZE and NOTIFY once per peer, FIX_FINGER
-    per fix, LOOKUP_HOP once per owner-successor fix.
+    the sweep's: STABILIZE and NOTIFY once per peer, FIX_FINGER per fix,
+    LOOKUP_HOP once per owner-successor fix.
 
     Two token-based shortcuts keep quiet rounds cheap without weakening the
     contract (version counters are cache keys, not ring state):
 
-    * A successful round stores the post-round :attr:`topology_version` in
+    * A successful round whose successor-list refresh changed no list
+      stores the post-round :attr:`topology_version` in
       ``network._exact_ring_token``.  While the token still matches,
       nothing has touched the overlay since — every pointer-mutating path
-      bumps the version — so the ring is exactly true by this function's
-      own postcondition and the gates plus all stabilize writes (which
-      would be no-ops) are skipped wholesale.
+      bumps the version — so every pointer is exactly true by this
+      function's own postcondition, the lists are the recurrence's fixed
+      point (the true next ``L`` successors), and the gates plus all
+      stabilize writes (which would be no-ops) are skipped wholesale.  A
+      round that did change a list leaves no token: lists settle one ring
+      step per round, so the next round may still change them.
     * :meth:`~repro.ring.network.RingNetwork.note_overlay_change` is called
       only when some pointer actually changed value.  A round that writes
       nothing leaves every overlay-derived cache (snapshots, finger views)
@@ -392,6 +328,7 @@ def matrix_maintenance_round(network: RingNetwork, fingers_per_peer: int) -> boo
         succ_owned.append(succ_own)
 
     mutated = False
+    lists_settled = exact
     if not exact:
         # --- stabilize: successors, successor lists, predecessors -------
         stale_indices = np.flatnonzero(stale).tolist()
@@ -408,20 +345,18 @@ def matrix_maintenance_round(network: RingNetwork, fingers_per_peer: int) -> boo
             (matrix[1:] == ids[:-1, None]) | (matrix[1:] == true_succ[:-1, None])
         ).any(axis=1)
         for index in np.flatnonzero(irregular).tolist():
-            rows[index] = _dedup_refresh(
+            rows[index] = _refreshed_list(
                 id_list[index], id_list[index + 1], lists[index + 1], list_length
             )
         last_id = id_list[-1]
-        head_id = id_list[0]
-        head_row = rows[0]  # the wrap peer reads its successor's refreshed list
-        if last_id not in head_row and head_id not in head_row:
-            rows[-1] = [head_id, *head_row[: list_length - 1]]
-        else:
-            rows[-1] = _dedup_refresh(last_id, head_id, head_row, list_length)
+        # The wrap peer reads its successor's *refreshed* list.
+        rows[-1] = _refreshed_list(last_id, id_list[0], rows[0], list_length)
+        lists_settled = True
         for index, (node, row) in enumerate(zip(node_list, rows)):
             if row != lists[index]:
                 node.successor_list = row
                 mutated = True
+                lists_settled = False
         prev = last_id
         for node in node_list:
             if node.predecessor_id != prev:
@@ -456,5 +391,8 @@ def matrix_maintenance_round(network: RingNetwork, fingers_per_peer: int) -> boo
         network.record(MessageType.LOOKUP_HOP, count=bulk_hops)
     if mutated:
         network.note_overlay_change()
-    network._exact_ring_token = network.topology_version
+    # Successor lists take up to L rounds to settle after churn: only a
+    # round whose refresh changed no list leaves the fixed point that the
+    # next round would reproduce.
+    network._exact_ring_token = network.topology_version if lists_settled else None
     return True

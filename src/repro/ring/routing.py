@@ -286,22 +286,26 @@ def iter_route_steps(
             excluded.add(candidate)
 
 
-def _last_step(network: RingNetwork, steps: Iterator[RouteStep]) -> RouteStep:
+def _last_step(network: RingNetwork, steps: Iterator[RouteStep]) -> tuple[RouteStep, int]:
     """Run a lookup to its last step, which carries its cost and outcome.
 
-    The hops are posted to the ledger in one bulk ``LOOKUP_HOP`` record per
-    lookup (including the error paths): final totals are identical to
-    per-hop recording at a fraction of the ledger calls.
+    Also returns how many of its steps were ``lost`` sends, i.e. the
+    retransmissions the lookup performed.  The hops are posted to the
+    ledger in one bulk ``LOOKUP_HOP`` record per lookup (including the
+    error paths): final totals are identical to per-hop recording at a
+    fraction of the ledger calls.
     """
     step: Optional[RouteStep] = None
+    lost = 0
     try:
         for step in steps:
-            pass
+            if step[0] == "lost":
+                lost += 1
     finally:
         if step is not None and step[2]:
             network.record(MessageType.LOOKUP_HOP, count=step[2])
     assert step is not None  # every lookup ends with a done, deliver or fail step
-    return step
+    return step, lost
 
 
 def route_to_key(
@@ -342,7 +346,7 @@ def route_to_key(
         network, start, key, max_hops, policy=policy,
         _initial_hops=_initial_hops, _excluded=_excluded,
     )
-    kind, owner_id, hops, timeouts, _, message = _last_step(network, steps)
+    kind, owner_id, hops, timeouts, _, message = _last_step(network, steps)[0]
     if kind == "fail":
         raise RoutingError(message)
     return RouteResult(network.node(owner_id), hops, timeouts)
@@ -497,7 +501,9 @@ def route_with_policy(
     faults are active and :data:`RetryPolicy.UNBOUNDED` otherwise.  With no
     active fault plane the lookup follows :func:`iter_route_steps` — the
     cost and RNG stream of :func:`route_to_key` — and a failing step's
-    reason becomes the outcome's.
+    reason becomes the outcome's; the outcome's timeouts are the last
+    step's and every ``lost`` step counts as one retry, as in the
+    fault-plane loop.
 
     ``_resume`` continues a lookup :func:`route_probes_batch` handed over at
     ``start``: its hops, exclusions and partition flag so far seed the
@@ -519,10 +525,11 @@ def route_with_policy(
             _initial_hops=0 if _resume is None else _resume.hops,
             _excluded=() if _resume is None else _resume.excluded,
         )
-        kind, owner_id, hops, timeouts, reason, _ = _last_step(network, steps)
+        step, retries = _last_step(network, steps)
+        kind, owner_id, hops, timeouts, reason, _ = step
         if kind == "fail":
-            return RouteOutcome(None, hops, 0, 0, reason)
-        return RouteOutcome(network.node(owner_id), hops, timeouts, 0, None)
+            return RouteOutcome(None, hops, timeouts, retries, reason)
+        return RouteOutcome(network.node(owner_id), hops, timeouts, retries, None)
 
     space = network.space
     space.validate(key)

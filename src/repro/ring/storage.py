@@ -168,8 +168,8 @@ class LocalStore:
         """Remove and return the items at sorted positions ``[lo, hi)``.
 
         The index-based twin of :meth:`pop_range` for callers that already
-        know *where* the boundary sits (e.g. the churn-mutation kernel,
-        which locates handoff boundaries with one ``searchsorted`` over the
+        know *where* the boundary sits (e.g. the join splice, which
+        locates handoff boundaries with one ``searchsorted`` over the
         hashed key array).  Removing a contiguous slab is one O(n) memmove
         instead of a per-item predicate pass; the removed items come back
         sorted, exactly as :meth:`pop_range` would return them.
@@ -223,26 +223,6 @@ class LocalStore:
         if moved:
             self._list = kept
             self._mutated()
-        return moved
-
-    def pop_mask(self, mask: np.ndarray) -> list[float]:
-        """Remove and return the items selected by a boolean mask.
-
-        ``mask`` is aligned with :meth:`as_array` (i.e. sorted order).  This
-        is the vectorized twin of :meth:`pop_where`: callers that can
-        evaluate their predicate over the whole array at once (e.g. ring
-        interval membership of hashed values) skip the per-item Python
-        loop.  The removed items are returned sorted, exactly as
-        ``pop_where`` would return them.
-        """
-        arr = self.as_array()
-        if mask.shape != arr.shape:
-            raise ValueError(f"mask shape {mask.shape} does not match store size {arr.size}")
-        if not mask.any():
-            return []
-        moved = arr[mask].tolist()
-        self._list = arr[~mask].tolist()
-        self._mutated()
         return moved
 
     # ------------------------------------------------------------------

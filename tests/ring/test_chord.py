@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.ring import chord
+from repro.ring import chord, mutation
+from repro.ring.faults import FaultPlane
+from repro.ring.identifier import IdentifierSpace, RingInterval
 from repro.ring.network import NetworkError, RingNetwork
+from repro.ring.storage import LocalStore
 
 from tests.conftest import make_loaded_network
 
@@ -72,6 +77,31 @@ class TestJoin:
         network._unregister(network.peer_ids()[0])
         with pytest.raises(NetworkError):
             chord.join(network, 42)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bits=st.sampled_from([6, 16, 64]),
+        values=st.lists(st.floats(-0.25, 1.25), max_size=40),
+        start=st.floats(0.0, 1.0),
+        end=st.floats(0.0, 1.0),
+        equal=st.booleans(),
+    )
+    def test_handoff_matches_membership_predicate(self, bits, values, start, end, equal):
+        """The splice's slab handoff pops exactly the values whose hash lies
+        in ``(start, end]``: wrapping intervals, the full ring
+        (``start == end``), clamped out-of-domain values and ties included."""
+        network = RingNetwork(IdentifierSpace(bits))
+        size = network.space.size
+        start_id = min(int(start * size), size - 1)
+        end_id = start_id if equal else min(int(end * size), size - 1)
+        interval = RingInterval(network.space, start_id, end_id)
+        store = LocalStore()
+        store.insert_many(values)
+        expected = [v for v in store.values() if interval.contains(network.data_hash(v))]
+        kept = [v for v in store.values() if not interval.contains(network.data_hash(v))]
+        assert chord._take_interval(network, store, start_id, end_id) == expected
+        assert list(store.values()) == kept
 
 
 class TestLeave:
@@ -148,6 +178,35 @@ class TestMaintenance:
         chord.maintenance_round(network)
         assert list(network.peer_ids()) == before_ids
         assert ring_is_consistent(network)
+
+    @pytest.mark.parametrize("path", ["kernel", "sweep", "lossy"])
+    def test_round_advances_topology_version_at_most_once(self, path, monkeypatch):
+        """Whichever path runs it, one maintenance round is one overlay
+        change: the matrix kernel, the loss-free sweep the kernel declines
+        to, and the lossy sweep."""
+        network, _ = make_loaded_network(n_peers=40, n_items=400, seed=8)
+        for ident in list(network.peer_ids())[3:40:7]:
+            chord.crash(network, ident)
+        if path == "lossy":
+            network.install_faults(FaultPlane(loss_rate=0.2))
+        accepted = []
+        kernel = mutation.matrix_maintenance_round
+
+        def spy(*args):
+            accepted.append(kernel(*args))
+            return accepted[-1]
+
+        monkeypatch.setattr(mutation, "matrix_maintenance_round", spy)
+        for _ in range(3):
+            if path == "sweep":
+                # Far finger targets need multi-hop fixes, which the kernel
+                # declines.
+                for node in network.peers():
+                    node.next_finger_index = network.space.bits - 1
+            before = network.topology_version
+            chord.maintenance_round(network)
+            assert network.topology_version - before <= 1
+        assert accepted == {"kernel": [True] * 3, "sweep": [False] * 3, "lossy": []}[path]
 
     def test_random_unused_identifier_is_unused(self):
         network, _ = make_loaded_network(n_peers=8, n_items=10)

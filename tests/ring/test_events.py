@@ -27,7 +27,7 @@ from repro.ring.events import (
     schedule_probe_rpc,
 )
 from repro.ring.network import RingNetwork
-from repro.ring.routing import route_to_key
+from repro.ring.routing import iter_route_steps, route_to_key
 from repro.ring.serialization import clone_network
 
 N_PEERS = 96
@@ -211,18 +211,62 @@ class TestImmediateReplay:
         assert [t.owner_ident for t in tasks] == [r.owner.ident for r in expected]
         assert replayed.stats.as_dict() == reference.stats.as_dict()
 
-    def test_lossy_network_refused_before_anything_is_queued(self):
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_lossy_lookups_match_synchronous_draws(self, seed):
+        """Under loss each lost send waits one delivery and retransmits;
+        one lookup at a time in immediate mode consumes the network RNG
+        exactly as the synchronous router does."""
+        from repro.ring import chord
         from repro.ring.faults import FaultPlane
+        from repro.ring.messages import MessageType
 
-        network = _fresh_network(seed=4, n_peers=50)
-        network.install_faults(FaultPlane(loss_rate=0.2))
-        engine = EventEngine(network)
-        state = network.rng.bit_generator.state
-        with pytest.raises(ValueError, match="loss-free"):
-            schedule_lookup(engine, network.node(network.peer_ids()[0]), 12345)
-        assert engine.pending == 0
-        assert network.stats.hops == 0
-        assert network.rng.bit_generator.state == state
+        def lossy_ring():
+            network = RingNetwork.create(200, seed=seed)
+            for ident in list(network.peer_ids())[5:200:20]:
+                chord.crash(network, ident)
+            network.install_faults(FaultPlane(loss_rate=0.3))
+            network.reset_stats()
+            return network
+
+        reference, replayed, stepped = lossy_ring(), lossy_ring(), lossy_ring()
+        ids = list(reference.peer_ids())
+        rng = np.random.default_rng(seed + 50)
+        entries = rng.integers(0, len(ids), size=20)
+        keys = rng.integers(0, reference.space.size, size=20, dtype=np.uint64)
+        initial = reference.rng.bit_generator.state
+        expected = [
+            route_to_key(reference, reference.node(ids[int(e)]), int(k))
+            for e, k in zip(entries, keys)
+        ]
+        engine = EventEngine(replayed, record_trace=True)
+        tasks = []
+        for e, k in zip(entries, keys):
+            tasks.append(schedule_lookup(engine, replayed.node(ids[int(e)]), int(k)))
+            engine.run()
+        # Who sends each message: a lost send or a timed-out probe leaves
+        # the sender in place, a forward moves it to the receiver.
+        links, lost = [], 0
+        for e, k in zip(entries, keys):
+            sender = ids[int(e)]
+            for kind, ident, *_ in iter_route_steps(stepped, stepped.node(sender), int(k)):
+                if kind != "done":
+                    links.append((sender, ident))
+                lost += kind == "lost"
+                if kind == "forward":
+                    sender = ident
+
+        assert all(task.ok for task in tasks)
+        assert [t.owner_ident for t in tasks] == [r.owner.ident for r in expected]
+        assert [t.hops for t in tasks] == [r.hops for r in expected]
+        assert [t.timeouts for t in tasks] == [r.timeouts for r in expected]
+        assert replayed.stats.count_of(MessageType.LOOKUP_HOP) == reference.stats.count_of(
+            MessageType.LOOKUP_HOP
+        )
+        assert replayed.rng.bit_generator.state == reference.rng.bit_generator.state
+        assert reference.rng.bit_generator.state != initial
+        assert lost > 0
+        messages = [(ev.src, ev.dst) for ev in engine.trace if ev.kind is EventKind.MESSAGE]
+        assert messages == links
 
     def test_gossip_and_probe_match_synchronous_ledger(self):
         network = _fresh_network(seed=2, n_peers=16)

@@ -8,13 +8,18 @@ streams in the identical position, and record the same message ledger except
 for the accepted ``LOOKUP_HOP`` divergence (the kernel resolves join owners
 by rank instead of routed lookups).  These tests drive both paths from
 cloned (or identically rebuilt) networks across seeds, churn rates, crash
-fractions, and the named fault profiles, and compare everything.
+fractions, and the named fault profiles, and compare everything.  The
+sequential side is selected by patching the kernel's two gates to decline
+(:func:`scalar_reference`), so it runs routed joins and the scalar
+maintenance sweep throughout.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from repro.ring import mutation
+from repro.ring import chord, mutation
 from repro.ring.churn import ChurnConfig, ChurnProcess
 from repro.ring.faults import plane_from_profile
 from repro.ring.messages import MessageType
@@ -62,18 +67,29 @@ def ledger_totals(network: RingNetwork) -> dict:
     }
 
 
-def run_churn(network, *, seed, config, rounds, force_sequential):
-    process = ChurnProcess(
-        network,
-        config,
-        rng=np.random.default_rng(seed),
-        force_sequential=force_sequential,
-    )
+@contextmanager
+def scalar_reference():
+    """Decline the batched kernel: routed joins and the scalar sweep only."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mutation, "ring_is_clean", lambda network: False)
+        patch.setattr(
+            mutation, "matrix_maintenance_round", lambda network, fingers_per_peer: False
+        )
+        yield
+
+
+def run_churn(network, *, seed, config, rounds):
+    process = ChurnProcess(network, config, rng=np.random.default_rng(seed))
     reports = [process.run_round() for _ in range(rounds)]
     return [
         (r.joins, r.graceful_leaves, r.crashes, r.items_lost, r.values_moved)
         for r in reports
     ]
+
+
+def run_sequential(network, **kwargs):
+    with scalar_reference():
+        return run_churn(network, **kwargs)
 
 
 def assert_equivalent(batched: RingNetwork, sequential: RingNetwork) -> None:
@@ -92,12 +108,8 @@ class TestBatchedEqualsSequential:
         )
         batched = clone_network(base)
         sequential = clone_network(base)
-        reports_b = run_churn(
-            batched, seed=seed + 99, config=config, rounds=6, force_sequential=False
-        )
-        reports_s = run_churn(
-            sequential, seed=seed + 99, config=config, rounds=6, force_sequential=True
-        )
+        reports_b = run_churn(batched, seed=seed + 99, config=config, rounds=6)
+        reports_s = run_sequential(sequential, seed=seed + 99, config=config, rounds=6)
         assert reports_b == reports_s
         assert_equivalent(batched, sequential)
 
@@ -109,48 +121,42 @@ class TestBatchedEqualsSequential:
         )
         batched = clone_network(base)
         sequential = clone_network(base)
-        reports_b = run_churn(
-            batched, seed=17, config=config, rounds=5, force_sequential=False
-        )
-        reports_s = run_churn(
-            sequential, seed=17, config=config, rounds=5, force_sequential=True
-        )
+        reports_b = run_churn(batched, seed=17, config=config, rounds=5)
+        reports_s = run_sequential(sequential, seed=17, config=config, rounds=5)
         assert reports_b == reports_s
         assert_equivalent(batched, sequential)
 
-    def test_kernel_actually_engaged(self):
-        """Guard against silently comparing sequential against sequential."""
+    def test_kernel_actually_engaged(self, monkeypatch):
+        """Guard against comparing sequential against sequential, or batched
+        against batched: the kernel runs by default and never under
+        :func:`scalar_reference`, whose rounds all take the scalar sweep."""
         base, _ = make_loaded_network(n_peers=48, n_items=500, seed=3)
-        network = clone_network(base)
-        calls = {"joins": 0, "maintenance": 0}
-        original_joins = mutation.apply_joins
-        original_round = mutation.matrix_maintenance_round
+        calls = {"joins": 0, "maintenance": 0, "sweeps": 0}
 
-        def counting_joins(*args, **kwargs):
-            calls["joins"] += 1
-            return original_joins(*args, **kwargs)
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
 
-        def counting_round(*args, **kwargs):
-            calls["maintenance"] += 1
-            return original_round(*args, **kwargs)
+            return wrapper
 
-        mutation.apply_joins = counting_joins
-        mutation.matrix_maintenance_round = counting_round
-        try:
-            run_churn(
-                network,
-                seed=11,
-                config=ChurnConfig(join_rate=0.1, leave_rate=0.1),
-                rounds=4,
-                force_sequential=False,
-            )
-        finally:
-            mutation.apply_joins = original_joins
-            mutation.matrix_maintenance_round = original_round
+        monkeypatch.setattr(mutation, "apply_joins", counting("joins", mutation.apply_joins))
+        monkeypatch.setattr(
+            mutation,
+            "matrix_maintenance_round",
+            counting("maintenance", mutation.matrix_maintenance_round),
+        )
+        monkeypatch.setattr(chord, "_maintenance_sweep", counting("sweeps", chord._maintenance_sweep))
+        config = ChurnConfig(join_rate=0.1, leave_rate=0.1)
+        run_churn(clone_network(base), seed=11, config=config, rounds=4)
         assert calls["joins"] >= 1
         # chord.maintenance_round resolves the kernel via the module, so the
         # patched counter sees every loss-free maintenance call.
         assert calls["maintenance"] >= 1
+        engaged = dict(calls)
+        run_sequential(clone_network(base), seed=11, config=config, rounds=4)
+        assert calls["joins"] == engaged["joins"]
+        assert calls["sweeps"] == engaged["sweeps"] + 4
 
     @pytest.mark.parametrize("profile", ["light", "heavy"])
     def test_fault_profiles_stay_deterministic(self, profile):
@@ -173,12 +179,8 @@ class TestBatchedEqualsSequential:
         config = ChurnConfig(join_rate=0.05, leave_rate=0.05, crash_fraction=0.5)
         batched = build()
         sequential = build()
-        reports_b = run_churn(
-            batched, seed=31, config=config, rounds=5, force_sequential=False
-        )
-        reports_s = run_churn(
-            sequential, seed=31, config=config, rounds=5, force_sequential=True
-        )
+        reports_b = run_churn(batched, seed=31, config=config, rounds=5)
+        reports_s = run_sequential(sequential, seed=31, config=config, rounds=5)
         assert reports_b == reports_s
         assert ring_state(batched) == ring_state(sequential)
         assert rng_state(batched.rng) == rng_state(sequential.rng)
@@ -187,21 +189,19 @@ class TestBatchedEqualsSequential:
 class TestMatrixMaintenanceEquivalence:
     def test_matrix_round_matches_scalar_sweep(self):
         """One batched maintenance round == one scalar stabilize/fix sweep."""
-        from repro.ring import chord
-
         base, _ = make_loaded_network(n_peers=64, n_items=800, seed=9)
         # Dirty the overlay the way churn does, then repair both ways.
         process = ChurnProcess(
             base,
             ChurnConfig(join_rate=0.1, leave_rate=0.1, maintenance_rounds=0),
             rng=np.random.default_rng(2),
-            force_sequential=True,
         )
-        process.run_round()
+        with scalar_reference():
+            process.run_round()
         batched = clone_network(base)
         sequential = clone_network(base)
         assert mutation.matrix_maintenance_round(batched, 1)
-        chord._maintenance_round_fast(sequential, 1)
+        chord._maintenance_sweep(sequential, 1)
         assert ring_state(batched) == ring_state(sequential)
         assert ledger_totals(batched) == ledger_totals(sequential)
         assert batched.stats.count_of(MessageType.LOOKUP_HOP) == sequential.stats.count_of(
@@ -219,17 +219,15 @@ class TestMatrixMaintenanceEquivalence:
         path; the rounds it serves must still mirror the scalar reference
         exactly — pointers untouched, finger cursors advancing.
         """
-        from repro.ring import chord
-
         network, _ = make_loaded_network(n_peers=32, n_items=400, seed=13)
         reference = clone_network(network)
         assert mutation.matrix_maintenance_round(network, 1)
-        chord._maintenance_round_fast(reference, 1)
+        chord._maintenance_sweep(reference, 1)
         token = network._exact_ring_token
         assert token == network.topology_version
         for _ in range(3):
             assert mutation.matrix_maintenance_round(network, 1)
-            chord._maintenance_round_fast(reference, 1)
+            chord._maintenance_sweep(reference, 1)
         assert ring_state(network) == ring_state(reference)
         assert network._exact_ring_token == token == network.topology_version
 

@@ -106,6 +106,8 @@ def test_resumed_lookups():
 
 
 def test_policy_reasons_without_fault_plane():
+    """Failed outcomes carry their timeouts, and every outcome counts its
+    lost sends as retries, as the fault-plane loop reports them."""
     network = _crashed_ring(36, loss_rate=0.3)
     ids = list(network.peer_ids())
     policy = RetryPolicy(max_attempts=2).with_hop_budget(8)
@@ -195,16 +197,16 @@ RESUMED = [
 ]
 
 POLICY_REASONS = [
-    (None, 9, 0, 0, 'hop_budget'),
-    (22, 5, 0, 0, None),
+    (None, 9, 4, 2, 'hop_budget'),
+    (22, 5, 0, 1, None),
     (0, 4, 0, 0, None),
     (37, 2, 0, 0, None),
-    (None, 9, 0, 0, 'hop_budget'),
+    (None, 9, 2, 2, 'hop_budget'),
     (38, 2, 0, 0, None),
-    (2, 7, 1, 0, None),
-    (None, 9, 0, 0, 'retry_exhausted'),
-    (0, 5, 0, 0, None),
+    (2, 7, 1, 2, None),
+    (None, 9, 2, 3, 'retry_exhausted'),
+    (0, 5, 0, 1, None),
     (42, 3, 0, 0, None),
-    (2, 6, 1, 0, None),
-    (None, 9, 0, 0, 'hop_budget'),
+    (2, 6, 1, 2, None),
+    (None, 9, 2, 2, 'hop_budget'),
 ]
