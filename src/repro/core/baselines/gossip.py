@@ -218,8 +218,6 @@ class PushSumHistogramEstimator:
                             delivered = False
                         elif not plane.reachable(src_id, dst_id):
                             delivered = False
-                        elif not plane.link_delivers(src_id, dst_id):
-                            delivered = False
                     if delivered and loss_rate > 0.0:
                         delivered = bool(generator.random() >= loss_rate)
                     lost[index] = not delivered

@@ -37,9 +37,8 @@ probe-based sampler:
   ``GOSSIP`` delivery on a :class:`~repro.ring.events.EventEngine` clock,
   and delivery consults the attached
   :class:`~repro.ring.faults.FaultPlane` exactly as the probe path does:
-  stalled endpoints fail the exchange, cross-partition sends fail, the
-  per-link overrides draw from the plane's own generator, and the base
-  loss rate drops messages.  Cost is recorded per attempted exchange
+  stalled endpoints fail the exchange, cross-partition sends fail, and
+  the base loss rate drops messages.  Cost is recorded per attempted exchange
   (``GOSSIP_PUSH``, one synopsis payload each), so the message-cost
   comparison against probing is apples-to-apples.
 
@@ -276,10 +275,6 @@ class SpectraEstimator:
                     if not responsive[dst_index]:
                         delivered = False
                     elif not plane.reachable(src_id, dst_id):
-                        delivered = False
-                    elif not plane.link_delivers(src_id, dst_id):
-                        delivered = False
-                    elif not plane.link_delivers(dst_id, src_id):
                         delivered = False
                 if delivered and loss_rate > 0.0:
                     delivered = bool(

@@ -112,11 +112,11 @@ def _run_cell_block(
         max_errors, avg_errors, messages, coverages, rounds = [], [], [], [], []
         for rep in range(repetitions):
             # Every contender faces the exact same fault realisation per
-            # repetition: the delivery RNGs (the network's own generator
-            # for base loss, the plane's for per-link overrides) are
-            # stateful, so without a reset each estimator would inherit
-            # whatever stream position the previous one left behind —
-            # differences in a column would be luck, not the estimator.
+            # repetition: the delivery RNG (the network's own generator,
+            # which draws every loss outcome) is stateful, so without a
+            # reset each estimator would inherit whatever stream position
+            # the previous one left behind — differences in a column
+            # would be luck, not the estimator.
             network.rng = np.random.default_rng(seed * 101 + rep)
             if profile is not None:
                 network.install_faults(

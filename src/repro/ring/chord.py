@@ -197,8 +197,8 @@ def _take_interval(network: RingNetwork, store: LocalStore, start: int, end: int
     slab of the sorted store — or, when the interval wraps the origin, a
     low head plus a high tail, which concatenate head-first in value order
     (``start == end`` is the full ring).  One ``searchsorted`` of each
-    boundary into the hashed keys finds the slabs, and the result is
-    exactly ``store.pop_where(lambda v: interval.contains(data_hash(v)))``.
+    boundary into the hashed keys finds the slabs, so the result is every
+    value ``v`` with ``data_hash(v)`` in the interval, in store order.
     """
     keys = network.data_hash.map_values(store.as_array())
     lo = int(np.searchsorted(keys, np.uint64(start), side="right"))

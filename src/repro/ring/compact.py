@@ -458,10 +458,10 @@ class CompactRing:
             traffic=traffic,
         )
         owner_idx, hops = routes.owner_idx, routes.hops
-        if routes.fallback.any():
+        if routes.failure.any():
             raise RuntimeError(
-                f"{int(routes.fallback.sum())} lookups exceeded {max_hops} hops on a "
-                "stabilized compact ring (corrupt scan matrix?)"
+                f"{int(np.count_nonzero(routes.failure))} lookups exceeded {max_hops} hops "
+                "on a stabilized compact ring (corrupt scan matrix?)"
             )
         total_hops = int(hops.sum())
         if total_hops:

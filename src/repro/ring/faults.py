@@ -7,8 +7,8 @@ in :mod:`repro.ring.churn`, and one-off summary corruption in
 composable, seed-deterministic API:
 
 * :class:`FaultPlane` — a scriptable per-round fault schedule that injects
-  per-link message loss, peer *stalls* (alive but unresponsive), crash
-  bursts, ring partitions, and Byzantine summary fabrication.  With no
+  message loss, peer *stalls* (alive but unresponsive), crash bursts, ring
+  partitions, and Byzantine summary fabrication.  With no
   faults configured the plane is inert and every code path is bit-identical
   to a plane-less network.
 * :class:`RetryPolicy` — an explicit retry model replacing the historical
@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, ClassVar, Optional, Sequence
+from typing import TYPE_CHECKING, ClassVar, Optional, Sequence, cast
 
 import numpy as np
+from numpy.typing import NDArray
 
 from repro.ring.lockstep import FaultRows
 
@@ -145,10 +146,11 @@ class FaultPlane:
     directly).  Immediate faults can be injected with :meth:`stall`,
     :meth:`partition`, :meth:`crash_burst`, and :meth:`corrupt`.
 
-    Hot-path queries (:meth:`is_stalled`, :meth:`reachable`,
-    :meth:`link_delivers`) are consulted by the policy-aware routing path
-    only; with no faults configured (:attr:`active` is False) no query is
-    ever made and behaviour is bit-identical to a plane-less network.
+    Routing reads the plane through :meth:`row_view` (stalls and partition
+    arcs per ring row); :meth:`is_stalled` and :meth:`reachable` answer the
+    same questions for one peer.  With no faults configured (:attr:`active`
+    is False) routing never reads the plane and behaviour is bit-identical
+    to a plane-less network.
     """
 
     def __init__(self, seed: int = 0, loss_rate: float = 0.0) -> None:
@@ -159,8 +161,6 @@ class FaultPlane:
         #: base loss installs it as the network's loss rate, reusing the
         #: exact legacy retransmission machinery (and its RNG stream).
         self.loss_rate = validate_probability("loss_rate", loss_rate)
-        #: Directional per-link loss overrides: ``(src, dst) -> p``.
-        self._link_loss: dict[tuple[int, int], float] = {}
         #: Stalled peers: ident -> expiry round (None = until healed).
         self._stalled: dict[int, Optional[int]] = {}
         #: Ring partition: sorted cut identifiers; two peers communicate
@@ -174,7 +174,7 @@ class FaultPlane:
         #: Bumped by every change to stalls or cuts; keys the per-row view
         #: :meth:`row_view` caches.
         self._version = 0
-        self._rows: Optional[tuple[int, np.ndarray, FaultRows]] = None
+        self._rows: Optional[tuple[int, NDArray[np.uint64], FaultRows]] = None
 
     # ------------------------------------------------------------------
     # Configuration / scripting
@@ -187,17 +187,7 @@ class FaultPlane:
         network's scalar loss rate and handled by the legacy (bit-exact)
         retransmission path.
         """
-        return bool(
-            self._link_loss
-            or self._stalled
-            or self._cuts
-            or self._schedule
-            or self._attach_stall_fraction
-        )
-
-    def set_link_loss(self, src: int, dst: int, probability: float) -> None:
-        """Override the loss probability of one directed link."""
-        self._link_loss[(src, dst)] = validate_probability("link loss", probability)
+        return bool(self._stalled or self._cuts or self._schedule or self._attach_stall_fraction)
 
     def stall(self, idents: Sequence[int], rounds: Optional[int] = None) -> None:
         """Mark peers unresponsive (alive, routable *to*, but never replying).
@@ -440,12 +430,11 @@ class FaultPlane:
         """
         from repro.core.byzantine import ByzantineBehavior, corrupt_network  # repro-lint: disable=ARCH001 (deliberate upward call: the fault plane fronts the core Byzantine marker for compatibility; deferred so ring/ stays import-clean at load)
 
-        if behavior is None:
-            behavior = ByzantineBehavior()
-        return corrupt_network(network, fraction, behavior, rng=self.rng)
+        chosen = ByzantineBehavior() if behavior is None else cast(ByzantineBehavior, behavior)
+        return corrupt_network(network, fraction, chosen, rng=self.rng)
 
     # ------------------------------------------------------------------
-    # Hot-path queries (policy-aware routing only)
+    # Per-peer queries
     # ------------------------------------------------------------------
     def is_stalled(self, ident: int) -> bool:
         """Is this peer currently unresponsive?"""
@@ -468,19 +457,15 @@ class FaultPlane:
         return self._arc_of(src) == self._arc_of(dst)
 
     def link_delivers(self, src: int, dst: int) -> bool:
-        """Draw one delivery outcome for the per-link loss overrides.
+        """Every link delivers: the plane adds no loss of its own.
 
-        Partition and stall checks are separate (deterministic) queries;
-        this draws only the probabilistic per-link loss, from the plane's
-        own generator.  Links without an override always deliver here (the
-        base rate is handled by the network's scalar loss model).
+        Message loss is the network's base rate, drawn where a send is
+        made; this draws nothing.  Kept as the name the benchmark tracer
+        (``perfbench/tracing.py``) counts link draws under.
         """
-        probability = self._link_loss.get((src, dst))
-        if probability is None or probability <= 0.0:
-            return True
-        return bool(self.rng.random() >= probability)
+        return True
 
-    def row_view(self, ids: np.ndarray) -> FaultRows:
+    def row_view(self, ids: NDArray[np.uint64]) -> FaultRows:
         """Stalls and partition arcs per row of ``ids``.
 
         ``ids`` is a ring's sorted live identifiers
@@ -505,11 +490,6 @@ class FaultPlane:
         view = FaultRows(stalled, arc)
         self._rows = (self._version, ids, view)
         return view
-
-    @property
-    def overrides_links(self) -> bool:
-        """Does any directed link carry a loss rate of its own?"""
-        return any(probability > 0.0 for probability in self._link_loss.values())
 
     @property
     def stalled_ids(self) -> frozenset[int]:

@@ -7,12 +7,14 @@ derives them from node pointers churn may leave stale,
 ring.  :func:`compress_scan` builds that matrix and :func:`route_lockstep`
 routes lookup batches over it, hop for hop as
 :func:`repro.ring.routing.route_to_key` does — or, given a fault plane's
-rows, as :func:`repro.ring.routing.route_with_policy` does.
+rows, as the policy router behind
+:func:`repro.ring.routing.route_with_policy` does, successor-list
+failover included.  The kernel finishes every lookup it is given.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -81,13 +83,18 @@ def compress_scan(
 class RingPointers(NamedTuple):
     """Per-peer neighbour pointers of a possibly unmaintained ring.
 
-    ``succ_idx`` is the row of each primary successor; ``succ_plain`` marks
-    those that are live and no self-loop.  ``pred_ids`` are the
-    predecessor pointers; ``pred_live`` marks those set and live.
+    ``succ_idx`` is each row's resolved live successor: the primary
+    pointer if it is live and no self-loop, else the first such entry of
+    the successor list, else the next row (the oracle repair).
+    ``succ_rows`` holds the rows of the primary pointer followed by the
+    successor list, -1 where an entry is departed, absent or the peer
+    itself: the failover order for a lookup that timed out the resolved
+    successor.  ``pred_ids`` are the predecessor pointers; ``pred_live``
+    marks those set and live.
     """
 
     succ_idx: NDArray[np.int64]
-    succ_plain: NDArray[np.bool_]
+    succ_rows: NDArray[np.int64]
     pred_ids: NDArray[np.uint64]
     pred_live: NDArray[np.bool_]
 
@@ -117,8 +124,7 @@ class FaultRows(NamedTuple):
 
 
 #: Why a lookup failed: ``failure == k`` means ``FAILURES[k - 1]``, and 0
-#: that it did not.  The kernel reports the first five; ``"stuck"`` comes
-#: only from the scalar router a lookup is handed to.
+#: that it did not.
 FAILURES = (
     "entry_stalled",
     "owner_unresponsive",
@@ -127,28 +133,37 @@ FAILURES = (
     "hop_budget",
     "stuck",
 )
-_ENTRY_STALLED, _OWNER_UNRESPONSIVE, _PARTITIONED, _RETRY_EXHAUSTED, _HOP_BUDGET = range(1, 6)
+(
+    _ENTRY_STALLED,
+    _OWNER_UNRESPONSIVE,
+    _PARTITIONED,
+    _RETRY_EXHAUSTED,
+    _HOP_BUDGET,
+    _STUCK,
+) = range(1, 7)
+
+#: The attempt limit of a send without ``max_attempts``.
+_NO_CAP = np.iinfo(np.int64).max
 
 
 class Lockstep(NamedTuple):
     """Per-lookup result columns of :func:`route_lockstep`.
 
-    A lookup ends answered (``owner_idx`` >= 0), failed (``failure`` > 0)
-    or handed off (``fallback``).  ``hops`` is its cost.  A handed-off
-    lookup stopped at row ``cur``, the first ``n_excluded`` entries of
-    ``excluded`` timed out, ``settled`` if it already passed that node's
-    termination test, and ``blocked`` if a send hit the partition.
+    A lookup ends answered (``owner_idx`` >= 0) or failed (``failure`` > 0,
+    a code in :data:`FAILURES`).  ``hops`` is its cost, failures included.
+    ``timeouts`` counts its timed-out sends and ``retries`` its
+    retransmissions, as its reference router reports them.
     """
 
     owner_idx: NDArray[np.int64]
     hops: NDArray[np.int64]
-    fallback: NDArray[np.bool_]
-    cur: NDArray[np.int64]
     failure: NDArray[np.int8]
-    excluded: NDArray[np.uint64]
-    n_excluded: NDArray[np.int64]
-    settled: NDArray[np.bool_]
-    blocked: NDArray[np.bool_]
+    timeouts: NDArray[np.int64]
+    retries: NDArray[np.int64]
+
+    def reason(self, index: int) -> str:
+        """Why lookup ``index`` failed."""
+        return FAILURES[int(self.failure[index]) - 1]
 
 
 def _either(
@@ -171,7 +186,6 @@ def route_lockstep(
     max_hops: int,
     *,
     pointers: Optional[RingPointers] = None,
-    tail_cutoff: int = 0,
     traffic: Optional[NDArray[np.int64]] = None,
     sends: Optional[SendModel] = None,
     faults: Optional[FaultRows] = None,
@@ -181,28 +195,33 @@ def route_lockstep(
     Per lookup: the entry shortcuts (own id, or a live predecessor
     preceding the key), then per round either the termination test against
     the successor and the final delivery, or a send to the highest-column
-    in-arc finger, else the successor.
+    in-arc finger, else the successor.  Every lookup ends answered or
+    failed.
 
     Without ``faults`` this is :func:`repro.ring.routing.route_to_key`: a
     send to a departed finger (absent from ``ids``) costs its attempts and
     one timeout, and the lookup rescans at the same node without it.
     Exclusions last while the lookup stays at that node.  With ``faults``
-    it is :func:`repro.ring.routing.route_with_policy`: a stalled entry
-    fails the lookup, a stalled owner fails it after one hop, and a
-    stalled, departed or cross-partition finger costs one timed-out hop
-    and stays excluded for the rest of the route.
+    it is the policy router behind
+    :func:`repro.ring.routing.route_with_policy`: a stalled entry fails
+    the lookup, a stalled owner fails it after one hop, a stalled,
+    departed or cross-partition finger costs one timed-out hop and stays
+    excluded for the rest of the route, and a lookup left with no finger
+    and no successor it has not timed out fails ``"stuck"`` (under a
+    partition, ``"partitioned"``).
 
-    ``sends`` makes delivery lossy: each round draws every send's attempt
-    count in one vector, and a send that runs out of ``max_attempts``
-    excludes its finger (or fails the lookup at the owner).  ``max_hops``
-    bounds each lookup as its reference router does.
+    The successor is each row's resolved live successor
+    (:class:`RingPointers`) until the lookup times it out; then the
+    successor list is its failover, in order, and past the list the next
+    row.  ``sends`` makes delivery lossy: each round draws every send's
+    attempt count in one vector, and a send that runs out of
+    ``max_attempts`` excludes its finger (or fails the lookup at the
+    owner).  ``max_hops`` bounds each lookup as its reference router
+    does; a lookup over it fails ``"hop_budget"``.
 
-    ``pointers=None`` is the stabilized ring: neighbours are index rolls
-    and every pointer is live.  A lookup that meets a successor that is not
-    plain (or, with ``faults``, excluded), exhausts its budget without
-    ``faults``, or is among the last ``tail_cutoff`` stops: ``fallback``
-    marks it for the scalar reference to resume (see :class:`Lockstep`).
-    ``traffic``, when given, counts every hop to a live peer.
+    ``pointers=None`` is the stabilized ring: neighbours are index rolls,
+    every pointer is live, and there is no successor list to fail over
+    to.  ``traffic``, when given, counts every hop to a live peer.
     """
     count = keys.size
     n = ids.size
@@ -210,62 +229,71 @@ def route_lockstep(
     zero = np.uint64(0)
     cur = entries.astype(np.int64, copy=True)
     hops = np.zeros(count, dtype=np.int64)
+    timeouts = np.zeros(count, dtype=np.int64)
+    retries = np.zeros(count, dtype=np.int64)
     owner_idx = np.full(count, -1, dtype=np.int64)
-    fallback = np.zeros(count, dtype=bool)
     failure = np.zeros(count, dtype=np.int8)
     settled = np.zeros(count, dtype=bool)
-    blocked = np.zeros(count, dtype=bool)
     excluded = np.zeros((count, 1), dtype=np.uint64)
     n_excluded = np.zeros(count, dtype=np.int64)
     lossy = sends is not None and sends.loss_rate > 0.0
     cap = None if sends is None else sends.max_attempts
-    # Only a lost send or a fault can time out the (live) successor.
-    excluding_succ = sends is not None or faults is not None
+    # Only a lost send or a fault can time out a live peer.
+    excluding_live = sends is not None or faults is not None
     excluding = False
+    stranded_code = _STUCK if faults is None or faults.arc is None else _PARTITIONED
 
     def exclusions(
-        probes: NDArray[np.int64], rows: NDArray[np.uint64]
+        probes: NDArray[np.int64],
+        rows_of: Callable[[NDArray[np.int64]], NDArray[np.uint64]],
+        width: int,
     ) -> NDArray[np.bool_]:
-        """Which entries of each probe's ``rows`` it has excluded."""
-        out = np.zeros(rows.shape, dtype=bool)
+        """Which of ``width`` values per probe it has excluded.
+
+        ``rows_of(sub)`` gives the values of the probes at positions
+        ``sub``; it is only asked for probes with exclusions.
+        """
+        out = np.zeros((probes.size, width), dtype=bool)
         sub = np.flatnonzero(n_excluded[probes])
         if sub.size:
-            counts = n_excluded[probes[sub]]
-            lists = excluded[probes[sub], : int(counts.max())]
-            valid = np.arange(lists.shape[1]) < counts[:, None]
-            out[sub] = ((rows[sub, :, None] == lists[:, None, :]) & valid[:, None, :]).any(axis=2)
+            lists = excluded[probes[sub]]
+            out[sub] = (rows_of(sub)[:, :, None] == lists[:, None, :]).any(axis=2)
         return out
 
     def exclude(probes: NDArray[np.int64], values: NDArray[np.uint64]) -> None:
-        """Time out ``values`` for ``probes``: skip them from now on."""
+        """Time out ``values`` for ``probes``: one timeout each, skipped from now on.
+
+        A probe's unused slots repeat an excluded value, so membership
+        tests need no count mask.
+        """
         nonlocal excluded, excluding
         if not probes.size:
             return
         slot = n_excluded[probes]
         if int(slot.max()) >= excluded.shape[1]:
-            excluded = np.concatenate((excluded, np.zeros_like(excluded)), axis=1)
+            excluded = np.concatenate((excluded, excluded), axis=1)
+        first = slot == 0
+        excluded[probes[first]] = values[first, None]
         excluded[probes, slot] = values
         n_excluded[probes] += 1
+        timeouts[probes] += 1
         excluding = True
 
-    def send(
-        probes: NDArray[np.int64], attempts: NDArray[np.int64]
-    ) -> tuple[NDArray[np.bool_], NDArray[np.int8]]:
-        """Charge sends that need ``attempts`` tries; which arrived, and why not.
+    def failover(
+        probes: NDArray[np.int64], rows: NDArray[np.int64]
+    ) -> tuple[NDArray[np.int64], NDArray[np.bool_]]:
+        """Successors for lookups that timed out the resolved one at ``rows``.
 
-        A send gives up after ``max_attempts`` tries and, under ``faults``
-        (the policy router), after the first lost try past ``max_hops``.
+        The first successor-list entry each has not timed out, else the
+        next row; the mask marks those that timed that out too.
         """
-        assert sends is not None
-        limit = np.full(probes.size, np.iinfo(np.int64).max if cap is None else cap)
-        if faults is not None:
-            np.minimum(limit, np.maximum(max_hops - hops[probes] + 1, 1), out=limit)
-        arrived = attempts <= limit
-        used = np.where(arrived, attempts, limit)
-        hops[probes] += used
-        if cap is None:
-            return arrived, np.full(probes.size, _HOP_BUDGET, dtype=np.int8)
-        return arrived, np.where(limit >= cap, _RETRY_EXHAUSTED, _HOP_BUDGET).astype(np.int8)
+        listed = ((rows + 1) % n)[:, None]  # the next row, after the list
+        if pointers is not None:
+            listed = np.concatenate((pointers.succ_rows[rows], listed), axis=1)
+        usable = (listed >= 0) & ~exclusions(probes, lambda sub: ids[listed[sub]], listed.shape[1])
+        first = listed[np.arange(rows.size), np.argmax(usable, axis=1)]
+        stranded = ~usable.any(axis=1)
+        return np.where(stranded, listed[:, -1], first), stranded
 
     entry_ids = ids[cur]
     preds_here = ids[(cur - 1) % n] if pointers is None else pointers.pred_ids[cur]
@@ -277,6 +305,8 @@ def route_lockstep(
     if pointers is not None:
         shortcut &= pointers.pred_live[cur]
     done |= shortcut
+    if n == 1:
+        done[:] = True  # a lone peer is its own successor: it owns every key
     if faults is not None:
         mute = faults.stalled[cur]
         failure[mute] = _ENTRY_STALLED
@@ -293,86 +323,78 @@ def route_lockstep(
     settling = False
     while active.size:
         rounds += 1
-        if active.size <= tail_cutoff:
-            # A vectorized step costs the same whether it advances sixty
-            # lookups or three, so the few stragglers go to the scalar loop.
-            fallback[active] = True
-            break
         ci = cur[active]
-        fresh = ~settled[active] if settling else None
-        if pointers is None:
-            si = (ci + 1) % n
-        else:
-            si = pointers.succ_idx[ci]
-            # A successor that is not plain (or, per route, timed out) is
-            # the scalar reference's successor-list failover.
-            irregular = ~pointers.succ_plain[ci]
-            if faults is not None and excluding:
-                irregular |= exclusions(active, ids[si][:, None])[:, 0]
-            if fresh is not None:
-                irregular &= fresh
-            if irregular.any():
-                fallback[active[irregular]] = True
-                keep = ~irregular
-                active, ci, si = active[keep], ci[keep], si[keep]
-                fresh = None if fresh is None else fresh[keep]
-                if not active.size:
-                    break
+        si = (ci + 1) % n if pointers is None else pointers.succ_idx[ci]
+        # Which fingers, and whether the successor, each lookup timed out.
+        hidden: Optional[NDArray[np.bool_]] = None
+        stranded: Optional[NDArray[np.bool_]] = None
+        if excluding:
+            hidden = exclusions(
+                active,
+                lambda sub: np.concatenate((scan[ci[sub]], ids[si[sub], None]), axis=1),
+                scan.shape[1] + 1,
+            )
+            gone = hidden[:, -1]
+            if excluding_live and gone.any():
+                si[gone], stranded_gone = failover(active[gone], ci[gone])
+                stranded = np.zeros(active.size, dtype=bool)
+                stranded[gone] = stranded_gone
         ci_ids = ids[ci]
-        terminal = ((keys[active] - ci_ids) & umask) <= ((ids[si] - ci_ids) & umask)
-        if fresh is not None:
-            terminal &= fresh
+        reach = (keys[active] - ci_ids) & umask
+        terminal = (reach > zero) & (reach <= ((ids[si] - ci_ids) & umask))
+        if settling:
+            terminal &= ~settled[active]
         finished = active[terminal]
         owners = si[terminal]
         if faults is not None and finished.size:
             # The owner receives but never replies, or sits across the cut.
             lose = faults.stalled[owners]
-            failure[finished[lose]] = _OWNER_UNRESPONSIVE
             if faults.arc is not None:
-                cut = ~lose & (faults.arc[ci[terminal]] != faults.arc[owners])
-                failure[finished[cut]] = _PARTITIONED
-                blocked[finished[cut]] = True
-                lose |= cut
-            hops[finished[lose]] += 1
-            finished, owners = finished[~lose], owners[~lose]
+                lose |= faults.arc[ci[terminal]] != faults.arc[owners]
+            if lose.any():
+                failure[finished[lose]] = np.where(
+                    faults.stalled[owners[lose]], _OWNER_UNRESPONSIVE, _PARTITIONED
+                )
+                hops[finished[lose]] += 1
+                timeouts[finished[lose]] += 1
+                finished, owners = finished[~lose], owners[~lose]
 
         # Forwarding: the highest in-arc finger not timed out, else the successor.
         going = ~terminal
         advancing = active[going]
         ca = ci[going]
         sa = si[going]
+        nowhere = None if stranded is None else stranded[going]
+        skipped = None if hidden is None else hidden[going, :-1]
         if faults is not None:
             over = hops[advancing] > max_hops
             if over.any():
                 failure[advancing[over]] = _HOP_BUDGET
                 advancing, ca, sa = advancing[~over], ca[~over], sa[~over]
-        ca_ids = ids[ca]
+                nowhere = None if nowhere is None else nowhere[~over]
+                skipped = None if skipped is None else skipped[~over]
+        # In the open arc (current, key), the whole ring but the current
+        # node when the key is its own id: both distances shifted down by
+        # one, so that 0 wraps to the top.
+        after = ids[ca] + np.uint64(1)
         rows = scan[ca]
-        finger_dist = (rows - ca_ids[:, None]) & umask
-        in_arc = (finger_dist > zero) & (
-            finger_dist < ((keys[advancing] - ca_ids) & umask)[:, None]
-        )
-        succ_gone: Optional[NDArray[np.bool_]] = None
-        if excluding:
-            # The successor rides along as one more column.
-            skipped = exclusions(advancing, np.concatenate((rows, ids[sa][:, None]), axis=1))
-            in_arc &= ~skipped[:, :-1]
-            succ_gone = skipped[:, -1]
+        in_arc = ((rows - after[:, None]) & umask) < ((keys[advancing] - after) & umask)[:, None]
+        if skipped is not None:
+            in_arc &= ~skipped
         hit = in_arc.any(axis=1)
         first_rev = in_arc.shape[1] - 1 - np.argmax(in_arc[:, ::-1], axis=1)
         candidate = scan[ca, first_rev]
         dest = np.where(hit, np.searchsorted(ids, candidate), sa)
-        # What a timeout excludes: the finger, or (no finger hit) the successor.
-        target = candidate if not excluding_succ else np.where(hit, candidate, ids[sa])
         # Lookups that leave the batch, and those that time out and rescan
         # at the same node (None: none this round).
         stop: Optional[NDArray[np.bool_]] = None
         stay: Optional[NDArray[np.bool_]] = None
-        if succ_gone is not None:
-            # Every finger and the successor timed out: the successor
-            # list's turn.
-            lost_all = ~hit & succ_gone
-            stop = lost_all if lost_all.any() else None
+        if faults is not None and nowhere is not None:
+            # No finger and every successor timed out: the lookup gives up.
+            stop = ~hit & nowhere
+            failure[advancing[stop]] = stranded_code
+            if not stop.any():
+                stop = None
         dead: Optional[NDArray[np.bool_]] = None
         if pointers is not None:
             np.minimum(dest, n - 1, out=dest)
@@ -389,7 +411,6 @@ def route_lockstep(
                 cut = ~quiet & (faults.arc[ca] != faults.arc[dest])
                 if stop is not None:
                     cut &= ~stop
-                blocked[advancing[cut]] = True
                 quiet |= cut
             if quiet.any():
                 stay = quiet
@@ -404,36 +425,53 @@ def route_lockstep(
             tries = sends.rng.geometric(1.0 - sends.loss_rate, size=finished.size + outgoing.size)
             sent = np.ones(advancing.size, dtype=bool) if sending is None else sending
             if faults is None:
-                # route_to_key checks the budget before every attempt: a
-                # lookup whose send would cross it stops there, for the
-                # scalar reference to raise where it would have.
+                # route_to_key checks the budget before every attempt: the
+                # attempt that crosses it fails the lookup.
                 ahead = tries[finished.size :]
                 crossing = hops[outgoing] + (ahead if cap is None else np.minimum(ahead, cap))
                 crossing = crossing > max_hops
                 if crossing.any():
-                    hops[outgoing[crossing]] = max_hops
+                    over_budget = outgoing[crossing]
+                    retries[over_budget] += max_hops - hops[over_budget]
+                    hops[over_budget] = max_hops + 1
+                    failure[over_budget] = _HOP_BUDGET
                     late = np.zeros(advancing.size, dtype=bool)
                     late[sent] = crossing
-                    stop = _either(stop, late)
                     sent = sent & ~late
                     outgoing = outgoing[~crossing]
                     tries = np.concatenate((tries[: finished.size], ahead[~crossing]))
+            # A send gives up after max_attempts tries and, for the policy
+            # router, after the first lost try past max_hops.  Every try but
+            # a send's last is a retransmission.
             head = finished.size
             probes = np.concatenate((finished, outgoing))
-            arrived, reason = send(probes, tries)
-            # Failed lookups: an undelivered reply or, for the policy
-            # router, a send that ran out of hops.
-            lost = ~arrived
-            if faults is None:
-                lost[head:] = False
-            else:
-                lost[head:] &= reason[head:] == _HOP_BUDGET
-            failure[probes[lost]] = reason[lost]
-            finished, owners = finished[arrived[:head]], owners[arrived[:head]]
-            landed = np.zeros(advancing.size, dtype=bool)
-            landed[sent] = arrived[head:]
-            sending = sent.copy()
-            sending[sent] = ~lost[head:]
+            limit = np.full(probes.size, _NO_CAP if cap is None else cap)
+            if faults is not None:
+                np.minimum(limit, np.maximum(max_hops - hops[probes] + 1, 1), out=limit)
+            used = np.minimum(tries, limit)
+            hops[probes] += used
+            retries[probes] += used - 1
+            arrived = tries <= limit
+            landed = sent
+            if not arrived.all():
+                reason = np.full(probes.size, _HOP_BUDGET, dtype=np.int8)
+                if cap is not None:
+                    reason[limit >= cap] = _RETRY_EXHAUSTED
+                # Failed lookups: an undelivered reply or, for the policy
+                # router, a send that ran out of hops.
+                lost = ~arrived
+                if faults is None:
+                    lost[head:] = False
+                else:
+                    lost[head:] &= reason[head:] == _HOP_BUDGET
+                    timeouts[probes[lost]] += 1
+                failure[probes[lost]] = reason[lost]
+                finished, owners = finished[arrived[:head]], owners[arrived[:head]]
+                landed = np.zeros(advancing.size, dtype=bool)
+                landed[sent] = arrived[head:]
+                sent = sent.copy()
+                sent[sent] = ~lost[head:]
+            sending = sent
         else:
             hops[finished] += 1
             if faults is None and rounds > max_hops:
@@ -443,7 +481,8 @@ def route_lockstep(
                 if sending is not None:
                     late &= sending
                 if late.any():
-                    stop = _either(stop, late)
+                    failure[advancing[late]] = _HOP_BUDGET
+                    hops[advancing[late]] += 1
                     sending = landed = ~late if leaving is None else ~(leaving | late)
                     outgoing = advancing[sending]
             hops[outgoing] += 1
@@ -458,9 +497,6 @@ def route_lockstep(
             stuck = ~landed if sending is None else sending & ~landed
             if stuck.any():
                 stay = _either(stay, stuck)
-        if stop is not None:
-            settled[advancing[stop]] = True
-            fallback[advancing[stop]] = True
         if landed is None:
             moved = advancing
             cur[moved] = dest
@@ -468,7 +504,8 @@ def route_lockstep(
             moved = advancing[landed]
             cur[moved] = dest[landed]
         if stay is not None:
-            exclude(advancing[stay], target[stay])
+            # A timeout excludes the finger, or (no finger hit) the successor.
+            exclude(advancing[stay], np.where(hit, candidate, ids[sa])[stay])
             settled[advancing[stay]] = True
             settling = True
             assert landed is not None
@@ -481,14 +518,4 @@ def route_lockstep(
                 n_excluded[moved] = 0  # route_to_key forgets exclusions per node
         if traffic is not None:
             np.add.at(traffic, cur[moved], 1)
-    return Lockstep(
-        owner_idx,
-        hops,
-        fallback,
-        cur,
-        failure,
-        excluded,
-        n_excluded,
-        settled,
-        blocked,
-    )
+    return Lockstep(owner_idx, hops, failure, timeouts, retries)

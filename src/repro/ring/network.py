@@ -123,9 +123,8 @@ class RingNetwork:
         The plane subsumes the scalar loss model: a plane carrying a base
         ``loss_rate`` installs it as :attr:`loss_rate`, so the legacy
         retransmission machinery (and its exact RNG stream) keeps handling
-        uniform loss.  Structural faults (stalls, partitions, per-link
-        loss, scheduled bursts) are consulted only by the policy-aware
-        routing path — with none configured, behaviour is bit-identical to
+        uniform loss.  Structural faults (stalls, partitions, scheduled
+        bursts) are consulted only by the policy-aware routing path — with none configured, behaviour is bit-identical to
         an unattached network.
 
         A network has at most one plane.  Attaching a second one used to

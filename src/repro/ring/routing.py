@@ -7,27 +7,27 @@ behind: a hop to a departed peer costs a (counted) timeout and the router
 retries from the same node with that peer excluded.
 
 :func:`iter_route_steps` is the one scalar implementation of the lookup
-rule.  :func:`route_to_key`, the fault-free branch of
-:func:`route_with_policy` and the event engine consume its steps; the
-fault-plane loop of :func:`route_with_policy` and the lockstep batch
-kernel follow their own rules.
+rule: :func:`route_to_key`, joins, finger repair and the event engine
+consume its steps.  Lookup batches — probe collection, and the
+policy-aware :func:`route_with_policy` as a batch of one — run in the
+lockstep kernel of :mod:`repro.ring.lockstep`, which finishes every
+lookup it is given.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.ring.faults import FaultPlane, RetryPolicy
-from repro.ring.lockstep import FAILURES, SendModel, route_lockstep
+from repro.ring.faults import RetryPolicy
+from repro.ring.lockstep import Lockstep, SendModel, route_lockstep
 from repro.ring.messages import MessageType
 from repro.ring.network import NetworkError, RingNetwork
 from repro.ring.node import PeerNode
 
 __all__ = [
-    "BatchRoutes",
     "RouteResult",
     "RouteOutcome",
     "RouteStep",
@@ -46,12 +46,6 @@ class RoutingError(NetworkError):
 
 
 _EMPTY_EXCLUSIONS: frozenset[int] = frozenset()
-
-#: Below this many still-advancing probes the batch router hands the
-#: stragglers to the scalar loop: a vectorized step costs the same
-#: whether it moves sixty probes or three, while a scalar hop is a few
-#: microseconds, so the crossover sits well above a handful of probes.
-_BATCH_TAIL_CUTOFF = 16
 
 
 class RouteResult(NamedTuple):
@@ -120,17 +114,14 @@ def iter_route_steps(
     max_hops: int | None = None,
     *,
     policy: RetryPolicy | None = None,
-    _initial_hops: int = 0,
-    _excluded: Iterable[int] = (),
 ) -> Iterator[RouteStep]:
     """Chord's iterative lookup from ``start`` to ``key`` as a lazy step sequence.
 
-    This is the lookup rule itself: :func:`route_to_key` and the fault-free
-    branch of :func:`route_with_policy` run it to its last step, and the
-    event engine (:mod:`repro.ring.events`) lays each hop out on the
-    simulated clock.  The generator writes nothing to the ledger; every step
-    but ``"done"`` is one counted ``LOOKUP_HOP``.  Parameters are those of
-    :func:`route_to_key`.  Under loss each send draws
+    This is the lookup rule itself: :func:`route_to_key` runs it to its
+    last step, and the event engine (:mod:`repro.ring.events`) lays each
+    hop out on the simulated clock.  The generator writes nothing to the
+    ledger; every step but ``"done"`` is one counted ``LOOKUP_HOP``.
+    Parameters are those of :func:`route_to_key`.  Under loss each send draws
     :meth:`RingNetwork.delivery_succeeds` before its step is produced, so
     the network RNG advances in step order.
     """
@@ -143,21 +134,19 @@ def iter_route_steps(
         # may degenerate towards successor walking, so allow up to N + slack.
         max_hops = 2 * network.n_peers + network.space.bits
     current = start
-    hops = _initial_hops
+    hops = 0
     timeouts = 0
-    seeded: set[int] | None = set(_excluded) or None
-    if _initial_hops == 0:
-        if key == current.ident:
+    if key == current.ident:
+        yield ("done", current.ident, 0, 0, "", "")
+        return
+    # Local shortcut: a node whose *live* predecessor precedes the key
+    # can answer immediately.  (If the predecessor has departed,
+    # ownership is uncertain until stabilization, so fall through to
+    # standard routing.)
+    if current.predecessor_id is not None and network.try_node(current.predecessor_id):
+        if network.space.in_half_open(key, current.predecessor_id, current.ident):
             yield ("done", current.ident, 0, 0, "", "")
             return
-        # Local shortcut: a node whose *live* predecessor precedes the key
-        # can answer immediately.  (If the predecessor has departed,
-        # ownership is uncertain until stabilization, so fall through to
-        # standard routing.)
-        if current.predecessor_id is not None and network.try_node(current.predecessor_id):
-            if network.space.in_half_open(key, current.predecessor_id, current.ident):
-                yield ("done", current.ident, 0, 0, "", "")
-                return
     # Ring membership tests are inlined modular arithmetic on the hot loop
     # (key ∈ (current, successor] ⇔ 0 < (key−current) < ∞ mod-distance at
     # or under the successor's; mod 2**m is a mask AND), and the loss model
@@ -173,7 +162,7 @@ def iter_route_steps(
         # consulted — they may be stale after a crash, but successor
         # pointers define ownership and are what stabilization keeps
         # correct.
-        excluded, seeded = seeded, None
+        excluded: set[int] | None = None
         ident = current.ident
         # Inlined `_live_successor` fast path: the primary successor
         # pointer is almost always live; only fall back to the full
@@ -315,8 +304,6 @@ def route_to_key(
     max_hops: int | None = None,
     *,
     policy: RetryPolicy | None = None,
-    _initial_hops: int = 0,
-    _excluded: Iterable[int] = (),
 ) -> RouteResult:
     """Route from ``start`` to the live peer owning ring position ``key``.
 
@@ -333,52 +320,13 @@ def route_to_key(
     bit-identical to before the policy existed.  Callers that want partial
     results instead of exceptions use :func:`route_with_policy`.
 
-    ``_initial_hops`` resumes a lookup mid-route for the batch router: the
-    hops its vectorized prefix already took seed the counter (and the final
-    bulk ledger record), and the entry shortcuts are skipped — a mid-route
-    node answers through the standard termination test only, exactly as the
-    sequential loop would have.  ``_excluded`` seeds the peers that already
-    timed out at the node it resumes from.
-
     The rule itself is :func:`iter_route_steps`; this runs it to its last step.
     """
-    steps = iter_route_steps(
-        network, start, key, max_hops, policy=policy,
-        _initial_hops=_initial_hops, _excluded=_excluded,
-    )
+    steps = iter_route_steps(network, start, key, max_hops, policy=policy)
     kind, owner_id, hops, timeouts, _, message = _last_step(network, steps)[0]
     if kind == "fail":
         raise RoutingError(message)
     return RouteResult(network.node(owner_id), hops, timeouts)
-
-
-class BatchRoutes(NamedTuple):
-    """Per-lookup columns of :func:`route_probes_batch`.
-
-    ``owner_idx`` is the owner's row of the live ring order, -1 where the
-    lookup failed; ``failure`` is then its code in
-    :data:`~repro.ring.lockstep.FAILURES` (0: answered).  ``hops`` is
-    every lookup's cost, failures included.
-    """
-
-    owner_idx: NDArray[np.int64]
-    hops: NDArray[np.int64]
-    failure: NDArray[np.int8]
-
-    def reason(self, index: int) -> str:
-        """Why lookup ``index`` failed."""
-        return FAILURES[int(self.failure[index]) - 1]
-
-
-class _Resume(NamedTuple):
-    """Where a lookup the batch router hands to :func:`route_with_policy` stands."""
-
-    hops: int
-    excluded: list[int]
-    #: Past this node's termination test, inside its retry loop.
-    settled: bool
-    #: A send already hit the partition (reported as ``"partitioned"``).
-    blocked: bool
 
 
 def route_probes_batch(
@@ -386,34 +334,31 @@ def route_probes_batch(
     entries: NDArray[np.int64],
     keys: NDArray[np.uint64],
     policy: RetryPolicy | None = None,
-) -> BatchRoutes:
+) -> Lockstep:
     """Route many lookups in vectorized lockstep, hop-synchronously.
 
     ``entries`` and the returned owners are rows of the live ring order
-    (:meth:`RingNetwork.sorted_ids_array`).  With ``policy=None`` every
-    lookup follows :func:`route_to_key`; with a policy it follows
-    :func:`route_with_policy`, which consults an active fault plane and
-    reports failures instead of raising.  The batch runs
+    (:meth:`RingNetwork.sorted_ids_array`).  The batch runs
     :func:`~repro.ring.lockstep.route_lockstep` over the network's
-    :meth:`~RingNetwork.routing_view` (and the plane's cached per-row
-    stalls and partition arcs); the lookups it hands back (a successor
-    that is not plain or timed out, an exhausted unfaulted budget, the
-    last few stragglers) resume in the scalar reference from the node
-    where they stopped, seeded with their hops and exclusions so far.  A plane with per-link loss overrides sends every lookup that
-    leaves its entry to the scalar reference, whose sends draw the
-    override outcomes from the plane's own generator.  With
-    ``policy=None`` a resumed lookup's :class:`RoutingError` propagates
-    with the hops of every lookup routed so far in the ledger.
+    :meth:`~RingNetwork.routing_view`, and every lookup's hops post to the
+    ledger as one ``LOOKUP_HOP`` record.  With ``policy=None`` every
+    lookup follows :func:`route_to_key`, and a lookup over its hop budget
+    then raises :class:`RoutingError` (after the whole batch's hops are
+    posted) with the message :func:`route_to_key` would raise.  With a
+    policy the batch is the policy router :func:`route_with_policy` runs:
+    it honours the policy's budgets, reads an active fault plane's per-row
+    stalls and partition arcs, and reports failures in the ``failure``
+    column instead of raising.
 
     Without loss (structural faults only, or none) no draw is made and
-    owners, hops, failures and the ``LOOKUP_HOP`` total are exactly the
-    scalar reference's.  Under loss, each round draws every send's attempt
-    count in one vector from ``network.rng``: equal in distribution to the
-    reference, not in stream order.
+    owners, hops, timeouts, failures and the ``LOOKUP_HOP`` total are
+    exactly the scalar reference's.  Under loss, each round draws every
+    send's attempt count in one vector from ``network.rng``: equal in
+    distribution to the reference, not in stream order.
     """
     ids, scan, pointers = network.routing_view()
+    entries = np.asarray(entries, dtype=np.int64)
     keys = np.asarray(keys, dtype=np.uint64)
-    plane = network.faults if policy is not None else None
     max_hops = 2 * int(ids.size) + network.space.bits
     if policy is not None and policy.max_hops is not None:
         max_hops = policy.max_hops
@@ -422,60 +367,32 @@ def route_probes_batch(
         sends = SendModel(
             network.rng, network.loss_rate, None if policy is None else policy.max_attempts
         )
+    plane = network.faults
     faults = None
-    tail_cutoff = _BATCH_TAIL_CUTOFF
-    if plane is not None and plane.active:
+    if policy is not None and plane is not None and plane.active:
         faults = plane.row_view(ids)
-        if plane.overrides_links:
-            # A link with its own loss rate draws from the plane's generator
-            # as the scalar router sends over it: every lookup goes there.
-            tail_cutoff = keys.size
     routes = route_lockstep(
         ids,
         scan,
         network.space.mask,
-        np.asarray(entries, dtype=np.int64),
+        entries,
         keys,
         max_hops,
         pointers=pointers,
-        tail_cutoff=tail_cutoff,
         sends=sends,
         faults=faults,
     )
-    owner_idx, hops, failure = routes.owner_idx, routes.hops, routes.failure
-    vector_hops = int(hops[~routes.fallback].sum())
-    if vector_hops:
-        network.record(MessageType.LOOKUP_HOP, count=vector_hops)
-    for index in np.flatnonzero(routes.fallback).tolist():
-        # The lockstep prefix equals the sequential loop's own first steps,
-        # so seeding its state reproduces the rest of the scalar route.
-        start = network.node(int(ids[routes.cur[index]]))
-        excluded = routes.excluded[index, : routes.n_excluded[index]].tolist()
-        if policy is None:
-            route = route_to_key(
-                network,
-                start,
-                int(keys[index]),
-                _initial_hops=int(hops[index]),
-                _excluded=excluded,
-            )
-            owner: Optional[PeerNode] = route.owner
-            hops[index] = route.hops
-        else:
-            resume = _Resume(
-                int(hops[index]),
-                excluded,
-                bool(routes.settled[index]),
-                bool(routes.blocked[index]),
-            )
-            outcome = route_with_policy(network, start, int(keys[index]), policy, _resume=resume)
-            owner = outcome.owner
-            hops[index] = outcome.hops
-            if outcome.failure is not None:
-                failure[index] = FAILURES.index(outcome.failure) + 1
-        if owner is not None:
-            owner_idx[index] = np.searchsorted(ids, np.uint64(owner.ident))
-    return BatchRoutes(owner_idx, hops, failure)
+    total_hops = int(routes.hops.sum())
+    if total_hops:
+        network.record(MessageType.LOOKUP_HOP, count=total_hops)
+    if policy is None and routes.failure.any():
+        # Unbounded sends fail only on the hop budget.
+        index = int(np.flatnonzero(routes.failure)[0])
+        raise RoutingError(
+            f"lookup for key {int(keys[index])} exceeded {max_hops} hops "
+            f"from {int(ids[entries[index]])}"
+        )
+    return routes
 
 
 def route_with_policy(
@@ -484,170 +401,40 @@ def route_with_policy(
     key: int,
     policy: RetryPolicy | None = None,
     max_hops: int | None = None,
-    *,
-    _resume: Optional[_Resume] = None,
 ) -> RouteOutcome:
     """Route to the owner of ``key`` under an explicit retry policy,
     returning a partial result with a failure reason instead of raising.
 
     The graceful-degradation entry point: it consults the network's
-    :class:`~repro.ring.faults.FaultPlane` (peer stalls, ring partitions,
-    per-link loss) in addition to the overlay state, honours the policy's
-    attempt and hop budgets, and accounts every timed-out probe and
-    retransmission — in the returned :class:`RouteOutcome` and, as hops, in
-    the message ledger.  It never raises on network conditions.
+    :class:`~repro.ring.faults.FaultPlane` (peer stalls, ring partitions)
+    in addition to the overlay state, honours the policy's attempt and hop
+    budgets (``max_hops`` overrides the latter), and accounts every
+    timed-out probe and retransmission — in the returned
+    :class:`RouteOutcome` and, as hops, in the message ledger.  It never
+    raises on network conditions.  ``policy=None`` selects
+    :data:`RetryPolicy.DEFAULT` when structural faults are active and
+    :data:`RetryPolicy.UNBOUNDED` otherwise.
 
-    ``policy=None`` selects :data:`RetryPolicy.DEFAULT` when structural
-    faults are active and :data:`RetryPolicy.UNBOUNDED` otherwise.  With no
-    active fault plane the lookup follows :func:`iter_route_steps` — the
-    cost and RNG stream of :func:`route_to_key` — and a failing step's
-    reason becomes the outcome's; the outcome's timeouts are the last
-    step's and every ``lost`` step counts as one retry, as in the
-    fault-plane loop.
-
-    ``_resume`` continues a lookup :func:`route_probes_batch` handed over at
-    ``start``: its hops, exclusions and partition flag so far seed the
-    route (its timeouts and retries are not carried over), and the
-    entry checks (and, when ``settled``, the node's termination test) are
-    not repeated.
+    The lookup is a one-lookup :func:`route_probes_batch` from the live
+    peer ``start``.
     """
-    faults: FaultPlane | None = network.faults
-    if faults is not None and not faults.active:
-        faults = None
+    plane = network.faults
     if policy is None:
-        policy = RetryPolicy.UNBOUNDED if faults is None else RetryPolicy.DEFAULT
+        active = plane is not None and plane.active
+        policy = RetryPolicy.DEFAULT if active else RetryPolicy.UNBOUNDED
     if network.n_peers == 0:
         return RouteOutcome(None, 0, 0, 0, "empty_ring")
-    if faults is None:
-        # Fault-free ring: the scalar lookup rule is the reference.
-        steps = iter_route_steps(
-            network, start, key, max_hops, policy=policy,
-            _initial_hops=0 if _resume is None else _resume.hops,
-            _excluded=() if _resume is None else _resume.excluded,
-        )
-        step, retries = _last_step(network, steps)
-        kind, owner_id, hops, timeouts, reason, _ = step
-        if kind == "fail":
-            return RouteOutcome(None, hops, timeouts, retries, reason)
-        return RouteOutcome(network.node(owner_id), hops, timeouts, retries, None)
-
-    space = network.space
-    space.validate(key)
-    if max_hops is None:
-        max_hops = policy.max_hops
-    if max_hops is None:
-        max_hops = 2 * network.n_peers + space.bits
-    if _resume is None and faults.is_stalled(start.ident):
-        return RouteOutcome(None, 0, 0, 0, "entry_stalled")
-    mask = space.mask
-    loss_free = network.loss_rate <= 0.0
-    attempt_cap = policy.max_attempts
-    nodes_get = network._nodes.get
-    hops = 0
-    timeouts = 0
-    retries = 0
-    partition_blocked = False
-    excluded: set[int] = set()
-    settled = False
-    if _resume is not None:
-        hops = _resume.hops
-        excluded.update(_resume.excluded)
-        settled, partition_blocked = _resume.settled, _resume.blocked
-
-    def transmit(src_id: int, dst_id: int) -> Optional[str]:
-        """One message send with retransmission; None means delivered.
-
-        A cross-partition send is one deterministic timed-out probe; a
-        lossy link is retried up to the policy's attempt budget.  Every
-        attempt costs a counted hop.
-        """
-        nonlocal hops, timeouts, retries, partition_blocked
-        if not faults.reachable(src_id, dst_id):
-            hops += 1
-            timeouts += 1
-            partition_blocked = True
-            return "unreachable"
-        attempts = 0
-        while True:
-            hops += 1
-            attempts += 1
-            if (loss_free or network.delivery_succeeds()) and faults.link_delivers(
-                src_id, dst_id
-            ):
-                return None
-            if attempt_cap is not None and attempts >= attempt_cap:
-                timeouts += 1
-                return "retry_exhausted"
-            if hops > max_hops:
-                timeouts += 1
-                return "hop_budget"
-            retries += 1
-
-    current = start
-    try:
-        if _resume is None:
-            if key == current.ident:
-                return RouteOutcome(current, 0, 0, 0, None)
-            if current.predecessor_id is not None and network.try_node(current.predecessor_id):
-                if space.in_half_open(key, current.predecessor_id, current.ident):
-                    return RouteOutcome(current, 0, 0, 0, None)
-        while True:
-            ident = current.ident
-            if settled:
-                # Resumed inside this node's retry loop: its termination
-                # test already ran.
-                settled = False
-            else:
-                successor_id = _live_successor(network, current, excluded)
-                reach = (key - ident) & mask
-                if successor_id == ident or 0 < reach <= (successor_id - ident) & mask:
-                    owner = network.node(successor_id)
-                    if owner.ident != ident:
-                        if faults.is_stalled(owner.ident):
-                            # The owner receives but never replies.
-                            hops += 1
-                            timeouts += 1
-                            return RouteOutcome(
-                                None, hops, timeouts, retries, "owner_unresponsive"
-                            )
-                        verdict = transmit(ident, owner.ident)
-                        if verdict == "unreachable":
-                            return RouteOutcome(None, hops, timeouts, retries, "partitioned")
-                        if verdict is not None:
-                            return RouteOutcome(None, hops, timeouts, retries, verdict)
-                    return RouteOutcome(owner, hops, timeouts, retries, None)
-            next_node = None
-            while next_node is None:
-                if hops > max_hops:
-                    return RouteOutcome(None, hops, timeouts, retries, "hop_budget")
-                candidate = current.closest_preceding_finger(key, excluded)
-                if candidate == ident:
-                    # No usable finger: fall to the successor-list failover.
-                    candidate = _live_successor(network, current, excluded)
-                if candidate == ident or candidate in excluded:
-                    reason = "partitioned" if partition_blocked or faults.partitioned else "stuck"
-                    return RouteOutcome(None, hops, timeouts, retries, reason)
-                resolved = nodes_get(candidate)
-                if resolved is None or not resolved.alive or faults.is_stalled(candidate):
-                    # Departed or unresponsive: one timed-out probe, then
-                    # fail over with the peer excluded.
-                    hops += 1
-                    timeouts += 1
-                    excluded.add(candidate)
-                    continue
-                verdict = transmit(ident, candidate)
-                if verdict == "hop_budget":
-                    return RouteOutcome(None, hops, timeouts, retries, "hop_budget")
-                if verdict is not None:
-                    excluded.add(candidate)
-                    continue
-                next_node = resolved
-            if next_node.ident == ident:
-                return RouteOutcome(None, hops, timeouts, retries, "stuck")
-            current = next_node
-    finally:
-        if hops:
-            network.record(MessageType.LOOKUP_HOP, count=hops)
+    network.space.validate(key)
+    if max_hops is not None:
+        policy = policy.with_hop_budget(max_hops)
+    ids = network.sorted_ids_array()
+    entry = np.searchsorted(ids, np.array([start.ident], dtype=np.uint64)).astype(np.int64)
+    routes = route_probes_batch(network, entry, np.array([key], dtype=np.uint64), policy)
+    hops, timeouts, retries = int(routes.hops[0]), int(routes.timeouts[0]), int(routes.retries[0])
+    if routes.failure[0]:
+        return RouteOutcome(None, hops, timeouts, retries, routes.reason(0))
+    owner = network.node(int(ids[routes.owner_idx[0]]))
+    return RouteOutcome(owner, hops, timeouts, retries, None)
 
 
 def _live_successor(

@@ -32,6 +32,7 @@ is a pure view and never a second source of truth.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
@@ -306,8 +307,14 @@ class RingSnapshot:
         # therefore be newer than self._ids until the next data refresh.
         self._overlay_ids = ids
 
-    def _finger_blocks(self) -> Iterator[tuple[NDArray[np.uint64], NDArray[np.bool_]]]:
-        """The overlay's finger tables in row blocks, with validity masks."""
+    def _finger_blocks(
+        self, lead: Optional[NDArray[np.uint64]] = None
+    ) -> Iterator[tuple[NDArray[np.uint64], NDArray[np.bool_]]]:
+        """The overlay's finger tables in row blocks, with validity masks.
+
+        ``lead``, when given, is one more (valid) column per row, placed
+        before the fingers.
+        """
         nodes = self._network._nodes
         bits = self._network.space.bits
         ids = self._overlay_ids.tolist()
@@ -328,6 +335,10 @@ class RingSnapshot:
             valid = np.ones(fingers.shape, dtype=bool)
             for index in none_rows:
                 valid[index] = [f is not None for f in rows[index]]
+            if lead is not None:
+                first = lead[start : start + len(rows), None]
+                fingers = np.concatenate((first, fingers), axis=1)
+                valid = np.concatenate((np.ones(first.shape, dtype=bool), valid), axis=1)
             yield fingers, valid
 
     def _finger_tables(self) -> tuple[NDArray[np.uint64], NDArray[np.bool_]]:
@@ -351,21 +362,45 @@ class RingSnapshot:
 
         A pointer is live iff it appears in the sorted live-id array
         (departed peers are unregistered), and its row index doubles as the
-        hop destination.  Derived lazily; the next overlay rebuild drops it.
+        hop destination.  Each scan row also carries the primary successor
+        pointer as its lowest column, since a lookup with no finger inside
+        the arc tries it before failing over.  Derived lazily; the next
+        overlay rebuild drops it.
         """
         self._ensure_overlay()
         if self._routing is None:
             ids = self._overlay_ids
-            last = max(ids.size - 1, 0)
-            succ_idx = np.minimum(np.searchsorted(ids, self._successors), last)
+            n = ids.size
+            last = max(n - 1, 0)
+            nodes = self._network._nodes
+            lists = [nodes[ident].successor_list for ident in ids.tolist()]
+            width = 1 + max(map(len, lists), default=0)
+            # Primary pointer, then the successor list, padded with the
+            # peer's own id (never a usable entry).
+            order = np.repeat(ids[:, None], width, axis=1)
+            order[:, 0] = self._successors
+            lengths = np.fromiter(map(len, lists), dtype=np.int64, count=n)
+            listed = order[:, 1:]
+            listed[np.arange(width - 1) < lengths[:, None]] = np.fromiter(
+                chain.from_iterable(lists), dtype=np.uint64, count=int(lengths.sum())
+            )
+            rows = np.minimum(np.searchsorted(ids, order), last)
+            own = np.arange(n, dtype=np.int64)
+            usable = (ids[rows] == order) & (rows != own[:, None])
+            succ_rows = np.where(usable, rows, -1).astype(np.int64, copy=False)
+            succ_idx = np.where(
+                usable.any(axis=1),
+                succ_rows[own, np.argmax(usable, axis=1)],
+                (own + 1) % max(n, 1),
+            )
             pred_idx = np.minimum(np.searchsorted(ids, self._predecessors), last)
             pointers = RingPointers(
-                succ_idx=succ_idx.astype(np.int64, copy=False),
-                succ_plain=(ids[succ_idx] == self._successors) & (self._successors != ids),
+                succ_idx=succ_idx,
+                succ_rows=succ_rows,
                 pred_ids=self._predecessors,
                 pred_live=self._predecessor_valid & (ids[pred_idx] == self._predecessors),
             )
-            scan = compress_scan(ids, self._finger_blocks())
+            scan = compress_scan(ids, self._finger_blocks(lead=self._successors))
             self._routing = (scan, pointers)
         return self._routing
 

@@ -148,31 +148,14 @@ class LocalStore:
             return True
         return False
 
-    def pop_range(self, low: float, high: float) -> list[float]:
-        """Remove and return all items with ``low <= v < high``.
-
-        Used for data handoff when a joining peer takes over part of an
-        interval, or a leaving peer ships everything to its successor.
-        """
-        items = self._list
-        lo = bisect.bisect_left(items, low)
-        hi = bisect.bisect_left(items, high)
-        if lo == hi:
-            return []
-        moved = items[lo:hi]
-        del items[lo:hi]
-        self._mutated()
-        return moved
-
     def pop_slice(self, lo: int, hi: int) -> list[float]:
         """Remove and return the items at sorted positions ``[lo, hi)``.
 
-        The index-based twin of :meth:`pop_range` for callers that already
-        know *where* the boundary sits (e.g. the join splice, which
-        locates handoff boundaries with one ``searchsorted`` over the
-        hashed key array).  Removing a contiguous slab is one O(n) memmove
-        instead of a per-item predicate pass; the removed items come back
-        sorted, exactly as :meth:`pop_range` would return them.
+        The data handoff when a joining peer takes over part of an
+        interval: the join splice locates the boundaries with one
+        ``searchsorted`` over the hashed key array, and removing a
+        contiguous slab is one O(n) memmove.  The removed items come back
+        sorted.
         """
         items = self._list
         if not 0 <= lo <= hi <= len(items):
@@ -207,22 +190,6 @@ class LocalStore:
             return []
         self._list = []
         self._mutated()
-        return moved
-
-    def pop_where(self, predicate) -> list[float]:
-        """Remove and return all items for which ``predicate(value)`` holds.
-
-        Needed for ownership handoff at joins: the boundary between two
-        peers is defined in ring-identifier space, which a pure value range
-        cannot express when the interval wraps the ring origin.
-        """
-        moved: list[float] = []
-        kept: list[float] = []
-        for v in self._list:
-            (moved if predicate(v) else kept).append(v)
-        if moved:
-            self._list = kept
-            self._mutated()
         return moved
 
     # ------------------------------------------------------------------

@@ -27,6 +27,7 @@ SCOPED = [
     REPO_ROOT / "src" / "repro" / "ring" / "compact.py",
     REPO_ROOT / "src" / "repro" / "ring" / "lockstep.py",
     REPO_ROOT / "src" / "repro" / "ring" / "routing.py",
+    REPO_ROOT / "src" / "repro" / "ring" / "faults.py",
     REPO_ROOT / "src" / "repro" / "serve" / "metrics.py",
     REPO_ROOT / "src" / "repro" / "experiments" / "estimation_bench.py",
 ]

@@ -13,7 +13,9 @@ from repro.core.cdf_sampling import ProbeFailure, ProbeReplies
 from repro.core.synopsis import summarize_peer
 from repro.ring.faults import RetryPolicy
 from repro.ring.messages import MessageType
-from repro.ring.routing import route_to_key, route_with_policy
+from repro.ring.routing import route_to_key
+
+from tests.ring.reference_routing import route_with_policy_scalar
 
 
 def collect_at_scalar(network, targets, buckets, synopsis_kind="equi-width"):
@@ -35,7 +37,7 @@ def collect_at_scalar(network, targets, buckets, synopsis_kind="equi-width"):
 
 
 def collect_resilient_scalar(network, targets, buckets, synopsis_kind="equi-width", policy=None):
-    """Route with :func:`route_with_policy`; bound the exchange by the policy."""
+    """Route with the policy router's oracle; bound the exchange by the policy."""
     if policy is None:
         policy = RetryPolicy.DEFAULT
     summaries, answered, hops, failures = [], [], [], []
@@ -44,7 +46,7 @@ def collect_resilient_scalar(network, targets, buckets, synopsis_kind="equi-widt
             failures.append(ProbeFailure(target=int(target), reason="empty_ring", hops=0))
             continue
         entry = network.random_peer()
-        outcome = route_with_policy(network, entry, int(target), policy=policy)
+        outcome = route_with_policy_scalar(network, entry, int(target), policy=policy)
         if not outcome.ok:
             failures.append(ProbeFailure(int(target), outcome.failure, outcome.hops))
             continue

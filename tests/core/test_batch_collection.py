@@ -1,12 +1,14 @@
-"""Batch probe collection against the probe-at-a-time oracles.
+"""Batch probe collection and policy routing against the one-at-a-time oracles.
 
 :func:`collect_probes_resilient` and :func:`collect_probes_at` route a
 whole probe batch hop-synchronously and exchange requests and replies in
-vector rounds.  Without message loss that is a pure read of the overlay
-and the fault plane, so the batch must equal the scalar loops of
-``reference_collection`` bit for bit: replies, failures, the ledger and
-the generator state afterwards.  Under loss the draws come in another
-order, so the two must agree in distribution over a seed ensemble.
+vector rounds; :func:`route_with_policy` routes one lookup as a batch of
+one.  Without message loss that is a pure read of the overlay and the
+fault plane, so each must equal its scalar oracle (``reference_collection``
+and ``reference_routing``) bit for bit: replies, failures, timeouts and
+retries, the ledger and the generator state afterwards.  Under loss the
+draws come in another order, so the two must agree in distribution over a
+seed ensemble.  No lookup of a batch is handed to a scalar router.
 """
 
 from __future__ import annotations
@@ -23,11 +25,14 @@ from repro.core.cdf_sampling import collect_probes_at, collect_probes_resilient
 from repro.ring import routing
 from repro.ring.chord import crash
 from repro.ring.faults import FaultPlane, RetryPolicy, plane_from_profile
+from repro.ring.lockstep import route_lockstep
 from repro.ring.messages import MessageType
 from repro.ring.network import RingNetwork
-from repro.ring.routing import _BATCH_TAIL_CUTOFF, route_probes_batch, route_with_policy
+from repro.ring.routing import route_probes_batch, route_with_policy
 
 from tests.core.reference_collection import collect_at_scalar, collect_resilient_scalar
+from tests.ring import reference_routing
+from tests.ring.reference_routing import route_with_policy_scalar
 
 BUCKETS = 8
 
@@ -91,7 +96,7 @@ POLICIES = [
     stall=st.sampled_from([0.0, 0.05, 0.2, 0.5]),
     arcs=st.sampled_from([0, 0, 2, 3]),
     policy=st.sampled_from(POLICIES),
-    count=st.sampled_from([1, _BATCH_TAIL_CUTOFF, _BATCH_TAIL_CUTOFF + 1, 60]),
+    count=st.sampled_from([1, 16, 17, 60]),
 )
 def test_structural_faults_match_scalar_bit_for_bit(
     seed, n_peers, crashed, self_loops, stall, arcs, policy, count
@@ -132,47 +137,127 @@ def test_structural_faults_match_scalar_bit_for_bit(
     assert state == ref_state
 
 
-def test_link_overrides_draw_in_scalar_order():
-    """Per-link loss draws from the plane's generator, probe after probe."""
-    worlds = []
-    for _ in range(2):
-        network = _world(4, 80, stall=0.1)
-        for ident in network.peer_ids():
-            network.faults.set_link_loss(ident, network.node(ident).successor_id, 0.4)
-        worlds.append(network)
-    batch_net, scalar_net = worlds
-    targets = np.random.default_rng(4).integers(0, 2**64, size=60, dtype=np.uint64)
-    (replies, failures), ledger, state = _observe(
-        batch_net, lambda: collect_probes_resilient(batch_net, targets, BUCKETS)
+def _outcome_row(network, outcome):
+    """A policy outcome with its owner as a row of the live ring order."""
+    owner = outcome.owner
+    row = None if owner is None else network.sorted_ids_array().tolist().index(owner.ident)
+    return (row, outcome.hops, outcome.timeouts, outcome.retries, outcome.failure)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n_peers=st.integers(min_value=12, max_value=160),
+    crashed=st.sampled_from([0.0, 0.1, 0.25]),
+    self_loops=st.integers(min_value=0, max_value=3),
+    stall=st.sampled_from([0.0, 0.05, 0.2, 0.5]),
+    arcs=st.sampled_from([0, 0, 2, 3]),
+    policy=st.sampled_from(POLICIES + [None]),
+)
+def test_policy_wrapper_matches_oracle_bit_for_bit(
+    seed, n_peers, crashed, self_loops, stall, arcs, policy
+):
+    """route_with_policy, a batch of one, is the oracle's lookup exactly."""
+    world = dict(crashed=crashed, self_loops=self_loops, stall=stall, arcs=arcs)
+    network = _world(seed, n_peers, **world)
+    reference = _world(seed, n_peers, **world)
+    rng = np.random.default_rng(seed + 1)
+    ids = network.sorted_ids_array().tolist()
+    entries = rng.integers(len(ids), size=12).tolist()
+    keys = rng.integers(0, network.space.size, size=12, dtype=np.uint64).tolist()
+
+    def run(net, route):
+        return [
+            _outcome_row(net, route(net, net.node(ids[entry]), key, policy))
+            for entry, key in zip(entries, keys)
+        ]
+
+    rows, ledger, state = _observe(network, lambda: run(network, route_with_policy))
+    ref_rows, ref_ledger, ref_state = _observe(
+        reference, lambda: run(reference, route_with_policy_scalar)
     )
-    (ref_replies, ref_failures), ref_ledger, ref_state = _observe(
-        scalar_net, lambda: collect_resilient_scalar(scalar_net, targets, BUCKETS)
-    )
-    assert _columns(replies) == _columns(ref_replies)
-    assert (failures, ledger, state) == (ref_failures, ref_ledger, ref_state)
-    plane_state = batch_net.faults.rng.bit_generator.state
-    assert plane_state == scalar_net.faults.rng.bit_generator.state
-    assert plane_state != np.random.default_rng(4).bit_generator.state  # drew
+    assert rows == ref_rows
+    assert (ledger, state) == (ref_ledger, ref_state)
 
 
 def test_structural_property_reaches_every_hand_off(monkeypatch):
-    """The worlds above send lookups to every scalar resume path."""
-    reference = routing.route_with_policy
-    seen = Counter()
+    """The worlds above hand lookups to every failover path the kernel runs.
 
-    def spy(network, start, key, policy=None, max_hops=None, *, _resume=None):
-        if _resume is not None:
-            seen["settled" if _resume.settled else "arrival"] += 1
-            seen["excluded"] += bool(_resume.excluded)
-            seen["blocked"] += _resume.blocked
-        return reference(network, start, key, policy, max_hops, _resume=_resume)
+    The successor list (past a departed, self-looped or timed-out primary
+    pointer), the next-row repair past the list, a successor the lookup
+    timed out earlier on its route, a lookup with nowhere left to go
+    (``stuck`` or ``partitioned``) and the hop budget.  The oracle's
+    successor consults are spied on; the kernel matches the oracle on
+    every one of these lookups.
+    """
+    reference = reference_routing._live_successor
+    paths = Counter()
 
-    monkeypatch.setattr(routing, "route_with_policy", spy)
+    def spy(network, node, excluded):
+        if reference(network, node, frozenset()) in excluded:
+            paths["excluded successor"] += 1
+        usable = [
+            entry
+            for entry in (node.successor_id, *node.successor_list)
+            if entry != node.ident and entry not in excluded and network.try_node(entry)
+        ]
+        if not usable:
+            paths["next row"] += 1
+        elif usable[0] != node.successor_id:
+            paths["list"] += 1
+        return reference(network, node, excluded)
+
+    monkeypatch.setattr(reference_routing, "_live_successor", spy)
+    reasons = Counter()
     for seed in range(6):
-        network = _world(seed, 150, crashed=0.1, self_loops=3, stall=0.2, arcs=2)
-        targets = np.random.default_rng(seed).integers(0, network.space.size, size=60, dtype=np.uint64)
-        collect_probes_resilient(network, targets, BUCKETS)
-    assert seen["settled"] and seen["arrival"] and seen["excluded"] and seen["blocked"]
+        policy = POLICIES[seed % 3]
+        world = dict(crashed=0.1, self_loops=3, stall=0.2, arcs=2 * (seed % 2))
+        batch_net = _world(seed, 150, **world)
+        scalar_net = _world(seed, 150, **world)
+        targets = np.random.default_rng(seed).integers(0, 2**64, size=60, dtype=np.uint64)
+        replies, failures = collect_probes_resilient(batch_net, targets, BUCKETS, policy=policy)
+        ref_replies, ref_failures = collect_resilient_scalar(
+            scalar_net, targets, BUCKETS, policy=policy
+        )
+        assert _columns(replies) == _columns(ref_replies)
+        assert failures == ref_failures
+        reasons.update(failure.reason for failure in failures)
+    assert paths["list"] and paths["next row"] and paths["excluded successor"]
+    assert reasons["stuck"] + reasons["partitioned"] and reasons["hop_budget"]
+
+
+def _lossy_or_faulted_worlds():
+    yield _world(1, 120, crashed=0.15, self_loops=3)
+    yield _world(2, 120, stall=0.2, arcs=3)
+    yield _world(3, 120, plane=plane_from_profile("heavy", seed=3, ring_size=2**64))
+    yield _world(4, 120, crashed=0.1, plane=FaultPlane(seed=4, loss_rate=0.3))
+
+
+def test_batches_call_no_scalar_router(monkeypatch):
+    """Batches never hand a lookup to the scalar rule or to the oracle."""
+    calls = Counter()
+
+    def forbidden(name):
+        def refuse(*args, **kwargs):
+            calls[name] += 1
+            raise AssertionError(f"{name} called from a batch")
+
+        return refuse
+
+    monkeypatch.setattr(routing, "iter_route_steps", forbidden("iter_route_steps"))
+    monkeypatch.setattr(routing, "_live_successor", forbidden("_live_successor"))
+    monkeypatch.setattr(
+        reference_routing, "route_with_policy_scalar", forbidden("route_with_policy_scalar")
+    )
+    routed = 0
+    for network in _lossy_or_faulted_worlds():
+        targets = np.random.default_rng(5).integers(0, 2**64, size=60, dtype=np.uint64)
+        for policy in (RetryPolicy.DEFAULT, RetryPolicy(max_attempts=1).with_hop_budget(6)):
+            collect_probes_resilient(network, targets, BUCKETS, policy=policy)
+            entries = network.rng.integers(0, network.n_peers, size=targets.size)
+            routed += route_probes_batch(network, entries, targets, policy).hops.size
+        collect_probes_at(network, targets, BUCKETS)
+    assert routed and not calls
 
 
 # -- lossy batches: equal in distribution ----------------------------------
@@ -274,57 +359,102 @@ def test_lossy_plain_batch_matches_scalar_in_distribution():
     assert batch[2].mean() == pytest.approx(1 / 0.8**2, rel=0.05)
 
 
-@pytest.mark.parametrize("profile", ["light", "heavy"])
-def test_lossy_policy_routes_match_scalar_in_distribution(profile):
-    """Per lookup: hops and failure reasons."""
-    policy = RetryPolicy.DEFAULT
-    batch_hops, batch_reasons = [], Counter()
-    ref_hops, ref_reasons = [], Counter()
+def _policy_ensemble(profile, policy, route):
+    """Per-lookup outcomes of ``route(network, entries, keys)`` over the ensemble.
+
+    ``route`` returns one ``(hops, timeouts, retries, failure)`` tuple per
+    lookup; the pooled hops, timeouts, retries and failure counts come back.
+    """
+    hops, timeouts, retries, reasons = [], [], [], Counter()
     for seed in ENSEMBLE:
         network = _lossy_world(profile, seed)
-        reference = _lossy_world(profile, seed)
         rng = np.random.default_rng(seed + 5)
         entries = rng.integers(0, network.n_peers, size=PROBES)
         keys = rng.integers(0, network.space.size, size=PROBES, dtype=np.uint64)
-        routes = route_probes_batch(network, entries, keys, policy)
-        batch_hops.extend(routes.hops.tolist())
-        batch_reasons.update(routes.reason(i) for i in np.flatnonzero(routes.failure).tolist())
-        ids = reference.sorted_ids_array()
+        for hop, timeout, retry, failure in route(network, entries, keys, policy):
+            hops.append(hop)
+            timeouts.append(timeout)
+            retries.append(retry)
+            if failure is not None:
+                reasons[failure] += 1
+    return hops, np.asarray(timeouts), np.asarray(retries), reasons
+
+
+def _batch_routes(network, entries, keys, policy):
+    routes = route_probes_batch(network, entries, keys, policy)
+    for index in range(keys.size):
+        failure = routes.reason(index) if routes.failure[index] else None
+        yield routes.hops[index], routes.timeouts[index], routes.retries[index], failure
+
+
+def _one_by_one(route):
+    def routes(network, entries, keys, policy):
+        ids = network.sorted_ids_array()
         for entry, key in zip(entries.tolist(), keys.tolist()):
-            outcome = route_with_policy(reference, reference.node(int(ids[entry])), key, policy)
-            ref_hops.append(outcome.hops)
-            if outcome.failure is not None:
-                ref_reasons[outcome.failure] += 1
-    _assert_rates_agree(batch_reasons, ref_reasons, len(ENSEMBLE) * PROBES)
-    assert ks_2samp(batch_hops, ref_hops).pvalue >= P_FLOOR
+            outcome = route(network, network.node(int(ids[entry])), key, policy)
+            yield outcome.hops, outcome.timeouts, outcome.retries, outcome.failure
+
+    return routes
+
+
+def _assert_policy_routes_agree(profile, policy, route):
+    """``route`` and the oracle agree per lookup: hops, reasons, timeouts, retries."""
+    hops, timeouts, retries, reasons = _policy_ensemble(profile, policy, route)
+    ref_hops, ref_timeouts, ref_retries, ref_reasons = _policy_ensemble(
+        profile, policy, _one_by_one(route_with_policy_scalar)
+    )
+    _assert_rates_agree(reasons, ref_reasons, len(ENSEMBLE) * PROBES)
+    assert ks_2samp(hops, ref_hops).pvalue >= P_FLOOR
+    _assert_means_agree(timeouts, ref_timeouts, "timeouts")
+    _assert_means_agree(retries, ref_retries, "retries")
+    assert retries.sum() > 0 and timeouts.sum() > 0
+
+
+@pytest.mark.parametrize("profile", ["light", "heavy"])
+def test_lossy_policy_routes_match_scalar_in_distribution(profile):
+    """Per lookup: hops, failure reasons, timeouts and retries."""
+    _assert_policy_routes_agree(profile, RetryPolicy.DEFAULT, _batch_routes)
+
+
+@pytest.mark.parametrize(
+    "profile, policy",
+    [
+        ("light", RetryPolicy.DEFAULT),
+        ("heavy", RetryPolicy.DEFAULT),
+        # No active plane: the route_to_key law with a bounded policy.
+        ("loss", RetryPolicy(max_attempts=2).with_hop_budget(8)),
+    ],
+)
+def test_lossy_policy_wrapper_matches_oracle_in_distribution(profile, policy):
+    """route_with_policy, one lookup at a time, against the oracle."""
+    _assert_policy_routes_agree(profile, policy, _one_by_one(route_with_policy))
 
 
 def test_routing_error_leaves_routed_hops_and_no_exchange(monkeypatch):
-    """A raising lookup aborts the batch after routing, before any exchange."""
-    reference = routing.route_to_key
-    resumed = []
+    """A lookup over budget raises after routing, with every hop posted.
 
-    def counting(network, start, key, max_hops=None, **kwargs):
-        result = reference(network, start, key, max_hops, **kwargs)
-        resumed.append(result.hops)
-        return result
+    On a very lossy ring with unbounded retries some lookups run past the
+    hop budget.  The whole batch still routes to the end: the ledger holds
+    every lookup's hops (a failed one's is the budget plus one), the error
+    names the first failed lookup, and no probe is exchanged.
+    """
+    seen = []
 
-    def raising(network, start, key, max_hops=None, **kwargs):
-        raise routing.RoutingError(f"lookup for key {key} stuck at peer {start.ident}")
+    def recording(*args, **kwargs):
+        seen.append(route_lockstep(*args, **kwargs))
+        return seen[-1]
 
+    monkeypatch.setattr(routing, "route_lockstep", recording)
+    network = _world(3, 12, plane=FaultPlane(seed=3, loss_rate=0.95))
     targets = np.random.default_rng(3).integers(0, 2**64, size=60, dtype=np.uint64)
-    twin = _world(3, 150, crashed=0.1)
-    monkeypatch.setattr(routing, "route_to_key", counting)
-    twin.reset_stats()
-    collect_probes_at(twin, targets, BUCKETS)
-    assert resumed  # some lookups finish in the scalar router
-    vector_hops = twin.stats.count_of(MessageType.LOOKUP_HOP) - sum(resumed)
-
-    network = _world(3, 150, crashed=0.1)
-    monkeypatch.setattr(routing, "route_to_key", raising)
     network.reset_stats()
-    with pytest.raises(routing.RoutingError):
+    with pytest.raises(routing.RoutingError, match="exceeded 88 hops") as raised:
         collect_probes_at(network, targets, BUCKETS)
-    assert network.stats.count_of(MessageType.LOOKUP_HOP) == vector_hops > 0
+    (routes,) = seen
+    failed = np.flatnonzero(routes.failure)
+    assert 0 < failed.size < targets.size
+    assert set(routes.hops[failed].tolist()) == {89}
+    assert f"key {int(targets[failed[0]])} " in str(raised.value)
+    assert network.stats.count_of(MessageType.LOOKUP_HOP) == int(routes.hops.sum())
     assert network.stats.count_of(MessageType.PROBE_REQUEST) == 0
     assert network.stats.count_of(MessageType.PROBE_REPLY) == 0

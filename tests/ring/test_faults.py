@@ -1,6 +1,5 @@
 """Unit tests for the fault-injection plane and retry policies."""
 
-import numpy as np
 import pytest
 
 from repro.ring.faults import (
@@ -44,8 +43,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="loss_rate"):
             FaultPlane(loss_rate=1.0)
         plane = FaultPlane()
-        with pytest.raises(ValueError, match="link loss"):
-            plane.set_link_loss(1, 2, 1.5)
         with pytest.raises(ValueError, match="rounds"):
             plane.stall([1], rounds=0)
         with pytest.raises(ValueError, match="cut points"):
@@ -133,15 +130,13 @@ class TestFaultPlane:
         assert plane.reachable(10, 150)
 
     def test_link_loss_overrides(self):
-        plane = FaultPlane(seed=7)
-        plane.set_link_loss(1, 2, 0.0)
-        assert plane.link_delivers(1, 2)
-        plane.set_link_loss(3, 4, np.nextafter(1.0, 0.0))
-        assert not plane.link_delivers(3, 4)
-        # Un-overridden links never draw from the plane's generator.
+        """There are none: every link delivers and the plane draws nothing."""
+        plane = FaultPlane(seed=7, loss_rate=0.5)
+        assert not hasattr(plane, "set_link_loss")
         state_before = plane.rng.bit_generator.state
-        assert plane.link_delivers(9, 9)
+        assert plane.link_delivers(1, 2) and plane.link_delivers(9, 9)
         assert plane.rng.bit_generator.state == state_before
+        assert not plane.active  # loss alone is the network's base rate
 
     def test_crash_burst_keeps_one_alive(self):
         network, _ = make_loaded_network(n_peers=4, n_items=50)

@@ -1,11 +1,11 @@
 """Batch routing over crashed, unmaintained object rings.
 
 :func:`route_probes_batch` must reproduce the scalar reference
-:func:`route_to_key` probe for probe — owner, hop count, and the
+:func:`route_to_key` probe for probe — owner, hop count, timeouts and the
 ``LOOKUP_HOP`` ledger — on rings whose pointers were left stale: crashed
-peers behind fingers (in-batch timeout-and-exclude), behind successor
-pointers (the scalar resume) and self-looped successors (a join that has
-not stabilized yet).  Batch sizes straddle the straggler hand-off.
+peers behind fingers (timeout and exclude), behind successor pointers
+(successor-list failover) and self-looped successors (a join that has not
+stabilized yet).  The kernel finishes every lookup itself.
 """
 
 import numpy as np
@@ -14,15 +14,10 @@ import pytest
 from repro.ring import routing
 from repro.ring.chord import crash
 from repro.ring.compact import CompactRing
-from repro.ring.lockstep import route_lockstep
+from repro.ring.lockstep import FAILURES, route_lockstep
 from repro.ring.messages import MessageType
 from repro.ring.network import RingNetwork
-from repro.ring.routing import (
-    _BATCH_TAIL_CUTOFF,
-    RoutingError,
-    route_probes_batch,
-    route_to_key,
-)
+from repro.ring.routing import RoutingError, route_probes_batch, route_to_key
 
 SEEDS = range(6)
 
@@ -66,78 +61,69 @@ def _reference(network, entries, keys):
     )
 
 
-def _batch(network, entries, keys):
-    routes = route_probes_batch(network, entries, keys)
-    return routes.owner_idx.tolist(), routes.hops.tolist()
-
-
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize(
-    "count", [_BATCH_TAIL_CUTOFF, _BATCH_TAIL_CUTOFF + 1, 200]
-)
+@pytest.mark.parametrize("count", [16, 17, 200])
 def test_batch_matches_route_to_key(seed, count):
     network = _crashed_ring(seed)
     entries, keys = _probes(network, count, seed + 50)
-    owners, hops, _timeouts, ledger = _reference(network, entries, keys)
+    owners, hops, timeouts, ledger = _reference(network, entries, keys)
     network.reset_stats()
-    batch_owners, batch_hops = _batch(network, entries, keys)
-    assert batch_owners == owners
-    assert batch_hops == hops
+    routes = route_probes_batch(network, entries, keys)
+    assert routes.owner_idx.tolist() == owners
+    assert routes.hops.tolist() == hops
+    assert routes.timeouts.tolist() == timeouts
+    assert not routes.failure.any()
     assert network.stats.count_of(MessageType.LOOKUP_HOP) == ledger
 
 
 def test_batch_reaches_every_irregular_path(monkeypatch):
-    """The equivalence above covers dead fingers, dead and self-looped successors."""
-    reference = routing.route_to_key
-    resumed_keys: set[int] = set()
-    resume_sites = {"dead": 0, "self": 0}
+    """The equivalence above covers dead fingers, dead and self-looped successors.
 
-    def spy(network, start, key, *args, **kwargs):
-        if kwargs.get("_initial_hops", 0) > 0:
-            resumed_keys.add(int(key))
-            if start.successor_id == start.ident:
-                resume_sites["self"] += 1
-            elif network.try_node(start.successor_id) is None:
-                resume_sites["dead"] += 1
-        return reference(network, start, key, *args, **kwargs)
+    The reference consults the successor list exactly when a node's
+    primary successor is departed or a self-loop; on these worlds it does
+    both, and times out dead fingers, all of which the kernel matches.
+    """
+    reference = routing._live_successor
+    sites = {"dead": 0, "self": 0}
 
-    in_batch_timeouts = 0
+    def spy(network, node, excluded):
+        if node.successor_id == node.ident:
+            sites["self"] += 1
+        elif network.try_node(node.successor_id) is None:
+            sites["dead"] += 1
+        return reference(network, node, excluded)
+
+    monkeypatch.setattr(routing, "_live_successor", spy)
+    timed_out = 0
     for seed in SEEDS:
         network = _crashed_ring(seed)
         entries, keys = _probes(network, 200, seed + 50)
-        _owners, _hops, timeouts, _ledger = _reference(network, entries, keys)
-        monkeypatch.setattr(routing, "route_to_key", spy)
-        _batch(network, entries, keys)
-        monkeypatch.setattr(routing, "route_to_key", reference)
-        in_batch_timeouts += sum(
-            1
-            for key, t in zip(keys.tolist(), timeouts)
-            if t > 0 and int(key) not in resumed_keys
-        )
-    assert in_batch_timeouts > 0
-    assert resume_sites["dead"] > 0
-    assert resume_sites["self"] > 0
+        timed_out += sum(t > 0 for t in _reference(network, entries, keys)[2])
+    assert timed_out > 0
+    assert sites["dead"] > 0
+    assert sites["self"] > 0
 
 
-def test_kernel_hands_off_exhausted_budgets():
-    """Lookups over budget leave the batch; the rest finish exactly."""
+def test_kernel_fails_exhausted_budgets():
+    """Lookups over budget fail at max_hops + 1 hops; the rest finish exactly."""
     ring = CompactRing.build(300, seed=2)
     network = RingNetwork.create(300, seed=2)
     entries, keys = _probes(network, 200, 9)
-    owners, hops, fallback, cur = route_lockstep(
-        ring.ids, ring.scan, ring.space.mask, entries, keys, 2
-    )[:4]
+    routes = route_lockstep(ring.ids, ring.scan, ring.space.mask, entries, keys, 2)
     ids = network.sorted_ids_array()
+    failed = 0
     for index, (e, k) in enumerate(zip(entries.tolist(), keys.tolist())):
         start = network.node(int(ids[e]))
         try:
             reference = route_to_key(network, start, int(k), max_hops=2)
         except RoutingError:
-            assert fallback[index]
+            assert routes.reason(index) == "hop_budget"
+            assert routes.hops[index] == 3
+            assert routes.owner_idx[index] == -1
+            failed += 1
             continue
-        if not fallback[index]:
-            assert ids[owners[index]] == reference.owner.ident
-            assert hops[index] == reference.hops
-    assert fallback.any() and not fallback.all()
-    # Handed-off lookups keep the hops they already took.
-    assert (cur[fallback] != entries[fallback]).any()
+        assert ids[routes.owner_idx[index]] == reference.owner.ident
+        assert routes.hops[index] == reference.hops
+        assert not routes.failure[index]
+    assert 0 < failed < len(entries)
+    assert set(routes.failure.tolist()) == {0, FAILURES.index("hop_budget") + 1}

@@ -1,10 +1,11 @@
 """Characterization of the scalar lookup rule on crashed, unmaintained rings.
 
 Every value below is a literal recorded from the router and pinned so a
-restructuring of :func:`route_to_key` (or of the fault-free branch of
-:func:`route_with_policy`) cannot move an owner, a hop, a timeout, an
-error message, the ``LOOKUP_HOP`` total or a single draw of the network
-RNG.  Owners are pinned as rows of the live ring order.
+restructuring of :func:`route_to_key` (or of the fault-free branch of the
+policy router's oracle, ``reference_routing.route_with_policy_scalar``)
+cannot move an owner, a hop, a timeout, an error message, the
+``LOOKUP_HOP`` total or a single draw of the network RNG.  Owners are
+pinned as rows of the live ring order.
 """
 
 import numpy as np
@@ -13,7 +14,9 @@ from repro.ring import chord
 from repro.ring.faults import FaultPlane, RetryPolicy
 from repro.ring.messages import MessageType
 from repro.ring.network import RingNetwork
-from repro.ring.routing import RoutingError, route_to_key, route_with_policy
+from repro.ring.routing import RoutingError, route_to_key
+
+from tests.ring.reference_routing import route_with_policy_scalar
 
 LOOKUPS = 12
 
@@ -41,13 +44,11 @@ def _queries(network, seed):
         yield start, int(rng.integers(0, network.space.size, dtype=np.uint64))
 
 
-def _route_all(network, seed, excluded_of=None, **kwargs):
+def _route_all(network, seed, **kwargs):
     """(owner row, hops, timeouts) or the error message, per lookup."""
     ids = list(network.peer_ids())
     rows = []
     for start, key in _queries(network, seed):
-        if excluded_of is not None:
-            kwargs["_excluded"] = excluded_of(start)
         try:
             route = route_to_key(network, start, key, **kwargs)
         except RoutingError as exc:
@@ -93,18 +94,6 @@ def test_hop_budget_raises():
     assert _rng_state(network) == 73209579981554779521494585942196343566
 
 
-def test_resumed_lookups():
-    dead = set(_crashed(RingNetwork.create(64, seed=35)))
-    network = _crashed_ring(35)
-
-    def excluded_of(start):
-        return sorted(dead.intersection(start.fingers)) + [start.successor_id]
-
-    assert _route_all(network, 5, excluded_of, _initial_hops=2) == RESUMED
-    assert _ledger(network) == 68
-    assert _rng_state(network) == 200097290158613587660924357535444814185
-
-
 def test_policy_reasons_without_fault_plane():
     """Failed outcomes carry their timeouts, and every outcome counts its
     lost sends as retries, as the fault-plane loop reports them."""
@@ -113,7 +102,7 @@ def test_policy_reasons_without_fault_plane():
     policy = RetryPolicy(max_attempts=2).with_hop_budget(8)
     rows = []
     for start, key in _queries(network, 6):
-        outcome = route_with_policy(network, start, key, policy)
+        outcome = route_with_policy_scalar(network, start, key, policy)
         owner = None if outcome.owner is None else ids.index(outcome.owner.ident)
         rows.append((owner, outcome.hops, outcome.timeouts, outcome.retries, outcome.failure))
     assert rows == POLICY_REASONS
@@ -179,21 +168,6 @@ HOP_BUDGET = [
     'lookup for key 18154418519102891929 exceeded 3 hops from 8729430009367121693',
     (50, 2, 0),
     'lookup for key 17137512012831544041 exceeded 3 hops from 7215364668381471613',
-]
-
-RESUMED = [
-    (37, 4, 0),
-    (28, 6, 0),
-    (4, 7, 0),
-    (23, 6, 0),
-    (3, 4, 0),
-    (3, 7, 0),
-    (34, 4, 0),
-    (17, 6, 0),
-    (51, 6, 0),
-    (44, 8, 0),
-    (24, 5, 0),
-    (28, 5, 0),
 ]
 
 POLICY_REASONS = [

@@ -63,31 +63,19 @@ class TestBasics:
 
 
 class TestRangeOps:
-    def test_pop_range(self):
+    def test_pop_slice(self):
         store = LocalStore([1.0, 2.0, 3.0, 4.0])
-        moved = store.pop_range(2.0, 4.0)
+        moved = store.pop_slice(1, 3)
         assert moved == [2.0, 3.0]
         assert list(store) == [1.0, 4.0]
-
-    def test_pop_range_empty(self):
-        store = LocalStore([1.0])
-        assert store.pop_range(5.0, 6.0) == []
+        assert store.pop_slice(1, 1) == []
+        with pytest.raises(IndexError):
+            store.pop_slice(1, 3)
 
     def test_pop_all(self):
         store = LocalStore([1.0, 2.0])
         assert store.pop_all() == [1.0, 2.0]
         assert store.count == 0
-
-    def test_pop_where(self):
-        store = LocalStore([1.0, 2.0, 3.0, 4.0])
-        moved = store.pop_where(lambda v: v > 2.5)
-        assert moved == [3.0, 4.0]
-        assert list(store) == [1.0, 2.0]
-
-    def test_pop_where_none_match(self):
-        store = LocalStore([1.0])
-        assert store.pop_where(lambda v: False) == []
-        assert store.count == 1
 
     def test_count_range(self):
         store = LocalStore([1.0, 2.0, 3.0])
@@ -202,7 +190,7 @@ class TestCachedViews:
         assert store.remove(0.2)
         assert store.values() is not first
         second = store.values()
-        store.pop_range(0.0, 0.35)
+        store.pop_slice(0, 2)
         assert store.values() is not second
         assert store.values() == (0.4,)
 
