@@ -23,18 +23,19 @@ import numpy as np
 
 from repro.ring.compact import CompactRing
 
-#: Per-peer budget for the persistent columns (measured: ~224 B/peer at
-#: N=10^6, ~230 at N=10^5, plus 16 B/peer of eager synopsis segment
-#: bounds; the scan width grows with log2 n).
-BYTES_PER_PEER_BUDGET = 512.0
+#: Per-peer budget for the persistent columns (measured: 136 B/peer at
+#: N=10^6 and 120 at N=10^5, 16 B/peer of eager synopsis segment bounds
+#: included; the scan holds 4 B per entry and its width grows with
+#: log2 n).
+BYTES_PER_PEER_BUDGET = 256.0
 
 #: Per-peer budget once data is loaded and the synopsis plane's histogram
 #: matrix exists (B=8 int64 buckets = 64 B/peer on top of the structural
-#: columns; measured ~296 B/peer at N=10^6).  This is a deliberate,
+#: columns; measured 200 B/peer at N=10^6).  This is a deliberate,
 #: explicit raise over the structural budget — the estimation plane costs
 #: ~80 B/peer and that spend is asserted here rather than silently
 #: absorbed into BYTES_PER_PEER_BUDGET.
-BYTES_PER_PEER_LOADED_BUDGET = 640.0
+BYTES_PER_PEER_LOADED_BUDGET = 320.0
 
 #: Peak-RSS ceiling for the million-peer run, in bytes.
 PEAK_RSS_BUDGET = 3 * 1024**3

@@ -28,11 +28,11 @@ from repro.experiments.estimation_bench import run_estimation_bench
 PEAK_RSS_BUDGET = 3 * 1024**3
 
 #: Post-load per-peer ceiling including the synopsis plane: the E1
-#: structural budget (512 B) plus the plane's 8x8-byte histogram row and
-#: two 8-byte segment bounds per peer, with headroom.  Raised here
-#: *explicitly* — the synopsis plane is a deliberate +~80 B/peer spend,
-#: not drift to be absorbed silently into the old budget.
-BYTES_PER_PEER_LOADED_BUDGET = 640.0
+#: structural budget (256 B) plus the plane's 8x8-byte histogram row, with
+#: headroom (the E1 loaded budget).  Raised here *explicitly* — the
+#: synopsis plane is a deliberate +~80 B/peer spend, not drift to be
+#: absorbed silently into the structural budget.
+BYTES_PER_PEER_LOADED_BUDGET = 320.0
 
 #: KS ceiling at s=256 probes: the F1 Monte-Carlo band is ~1/sqrt(s) =
 #: 0.0625; triple it so the assertion flags broken estimation (KS near

@@ -5,7 +5,8 @@ Python object graph before the first item is stored, which caps the
 object-backed simulator around 10^5 peers.  :class:`CompactRing` keeps the
 whole ring as a handful of NumPy columns instead — sorted ``uint64``
 identifiers, ``int64`` load counts, and the compressed finger-scan matrix
-in the exact :class:`~repro.ring.snapshot.RingSnapshot` layout — so
+of ``int32`` rows in the exact :class:`~repro.ring.snapshot.RingSnapshot`
+layout — so
 N=10^6–10^7 rings construct and run full routing and gossip rounds in
 bounded memory (tens to a few hundred bytes per peer, reported by
 :meth:`CompactRing.memory_report`).
@@ -62,18 +63,20 @@ class CompactRing:
 
     * :attr:`ids` — sorted peer identifiers, ``uint64``;
     * :attr:`counts` — per-peer item counts, ``int64`` (the load column);
-    * :attr:`scan` — the compressed finger-scan matrix, ``uint64`` of shape
-      ``(n, W)`` with ``W ~ log2 n``: per peer, the distinct finger targets
-      with duplicate runs collapsed to their highest column and short rows
-      padded with the peer's own identifier (which fails every strict
-      in-arc test), exactly the
-      :meth:`~repro.ring.snapshot.RingSnapshot.finger_scan_tables` layout.
+    * :attr:`scan` — the compressed finger-scan matrix, ``int32`` of shape
+      ``(n, W)`` with ``W ~ log2 n`` (4·W bytes per peer): per peer, the
+      rows of its distinct fingers with duplicate runs collapsed to their
+      highest column, highest first, and short rows padded with the peer's
+      own row (which fails every strict in-arc test), exactly the
+      :meth:`~repro.ring.snapshot.RingSnapshot.finger_scan_tables` layout
+      (see :func:`~repro.ring.lockstep.compress_scan`).
 
     Successors and predecessors are not stored: on the stabilized ring they
-    are index rolls (``succ(i) = (i+1) % n``), which is also why no
-    liveness mask exists — the compact backend has no notion of a departed
-    peer.  Cost accounting goes through the same :class:`MessageStats`
-    ledger as the object backend.
+    are row rolls (``succ(i) = (i+1) % n``).  Every row is a live peer, so
+    routing reads no liveness mask (the object backend's routing view
+    carries one, :class:`~repro.ring.lockstep.RingPointers`).  Cost
+    accounting goes through the same :class:`MessageStats` ledger as the
+    object backend.
     """
 
     def __init__(
@@ -95,7 +98,7 @@ class CompactRing:
         self.stats = MessageStats()
         self.ids: NDArray[np.uint64] = np.ascontiguousarray(ids, dtype=np.uint64)
         self.counts: NDArray[np.int64] = np.zeros(ids.size, dtype=np.int64)
-        self.scan: NDArray[np.uint64] = self._build_scan(space, self.ids)
+        self.scan: NDArray[np.int32] = self._build_scan(space, self.ids)
         #: The compact backend never carries a fault plane: it models the
         #: stabilized, loss-free ring.  The attribute exists so estimators
         #: can read ``backend.faults`` uniformly across both backends.
@@ -159,21 +162,21 @@ class CompactRing:
     @staticmethod
     def _build_scan(
         space: IdentifierSpace, ids: NDArray[np.uint64]
-    ) -> NDArray[np.uint64]:
-        """The compressed finger-scan matrix, built blockwise.
+    ) -> NDArray[np.int32]:
+        """The compressed finger-scan matrix of rows, built blockwise.
 
-        Each block of rows computes its full ``block x bits`` finger slab
-        (:func:`~repro.ring.lockstep.exact_fingers`; every finger is valid
-        on the stabilized ring) and hands it to
+        Each block of rows computes its full ``block x bits`` slab of
+        finger rows (:func:`~repro.ring.lockstep.exact_fingers`; every
+        finger is valid on the stabilized ring) and hands it to
         :func:`~repro.ring.lockstep.compress_scan`, which keeps only the
-        block's compressed entries.  Peak transient memory is one block's
-        finger slab, never ``n x bits``.
+        block's compressed entries as ``int32``.  Peak transient memory is
+        one block's finger slab, never ``n x bits``.
         """
         blocks = (
             (exact_fingers(ids, slice(lo, lo + _SCAN_BLOCK), space.bits), None)
             for lo in range(0, ids.size, _SCAN_BLOCK)
         )
-        return compress_scan(ids, blocks)
+        return compress_scan(np.arange(ids.size, dtype=np.int32), blocks)
 
     def _build_segment_bounds(self) -> None:
         """Per-peer value-range bounds of the synopsis plane.
@@ -451,7 +454,6 @@ class CompactRing:
         routes = route_lockstep(
             self.ids,
             self.scan,
-            self.space.mask,
             np.asarray(entries, dtype=np.int64),
             np.asarray(keys, dtype=np.uint64),
             max_hops,
@@ -534,12 +536,13 @@ class CompactRing:
             self._gossip_weight = np.ones(n, dtype=np.float64)
         value = self._gossip_value
         weight = self._gossip_weight
+        # The draw counts columns from the lowest finger (the last one).
         cols = rng.integers(0, self.scan.shape[1], size=n)
-        partner_ids = self.scan[np.arange(n), cols]
-        partner = np.searchsorted(self.ids, partner_ids).astype(np.int64)
+        own = np.arange(n, dtype=np.int64)
+        partner = self.scan[own, -1 - cols].astype(np.int64)
         # Self-pad (or the degenerate single-peer ring): push clockwise.
-        self_hit = partner_ids == self.ids
-        partner[self_hit] = (np.flatnonzero(self_hit) + 1) % n
+        self_hit = partner == own
+        partner[self_hit] = (own[self_hit] + 1) % n
         half_v = value * 0.5
         half_w = weight * 0.5
         new_v = half_v.copy()

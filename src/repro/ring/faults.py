@@ -468,9 +468,10 @@ class FaultPlane:
     def row_view(self, ids: NDArray[np.uint64]) -> FaultRows:
         """Stalls and partition arcs per row of ``ids``.
 
-        ``ids`` is a ring's sorted live identifiers
-        (:meth:`~repro.ring.network.RingNetwork.sorted_ids_array`).  The
-        view is what the policy mode of
+        ``ids`` is a ring's sorted row identifiers: its live peers and the
+        departed ones its fingers still name
+        (:meth:`~repro.ring.network.RingNetwork.routing_view`).  The view
+        is what the policy mode of
         :func:`~repro.ring.lockstep.route_lockstep` reads instead of
         :meth:`is_stalled` and :meth:`reachable`; it is cached until the
         plane changes or another ``ids`` array is passed.

@@ -15,7 +15,6 @@ probe-position generators) holds a reference to one shared instance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 __all__ = ["IdentifierSpace", "RingInterval"]
 
@@ -100,12 +99,6 @@ class IdentifierSpace:
             return True
         return self.in_open(ident, start, end) or ident == end
 
-    def in_closed_open(self, ident: int, start: int, end: int) -> bool:
-        """Membership in ``[start, end)`` clockwise (full ring when equal)."""
-        if start == end:
-            return True
-        return ident == start or self.in_open(ident, start, end)
-
     def to_unit(self, ident: int) -> float:
         """Map an identifier to the unit interval ``[0, 1)``."""
         return ident / self.size
@@ -115,12 +108,6 @@ class IdentifierSpace:
         if not 0.0 <= u <= 1.0:
             raise ValueError(f"unit position {u} outside [0, 1]")
         return min(int(u * self.size), self.size - 1) if u < 1.0 else 0
-
-    def iter_powers(self, ident: int) -> Iterator[int]:
-        """Yield the ``m`` finger targets of ``ident`` in increasing reach."""
-        for k in range(self.bits):
-            yield self.finger_target(ident, k)
-
 
 @dataclass(frozen=True)
 class RingInterval:
@@ -154,25 +141,6 @@ class RingInterval:
     def contains(self, ident: int) -> bool:
         """Membership test for ``(start, end]``."""
         return self.space.in_half_open(ident, self.start, self.end)
-
-    def split_at(self, ident: int) -> tuple["RingInterval", "RingInterval"]:
-        """Split into ``(start, ident]`` and ``(ident, end]``.
-
-        ``ident`` must lie inside the arc; used during peer joins, when a new
-        node takes over the first half of its successor's interval.
-        """
-        if not self.contains(ident):
-            raise ValueError(f"{ident} not inside interval ({self.start}, {self.end}]")
-        return (
-            RingInterval(self.space, self.start, ident),
-            RingInterval(self.space, ident, self.end),
-        )
-
-    def offset_of(self, ident: int) -> int:
-        """Clockwise distance from ``start`` to a member identifier."""
-        if not self.contains(ident):
-            raise ValueError(f"{ident} not inside interval ({self.start}, {self.end}]")
-        return self.space.distance(self.start, ident)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RingInterval(({self.start}, {self.end}], len={self.length})"

@@ -1,11 +1,12 @@
 """Columnar Chord routing shared by both ring backends.
 
 Both backends hold the overlay as ring-ordered peer identifiers plus a
-compressed finger-scan matrix: :class:`~repro.ring.snapshot.RingSnapshot`
-derives them from node pointers churn may leave stale,
-:class:`~repro.ring.compact.CompactRing` builds them for the stabilized
-ring.  :func:`compress_scan` builds that matrix and :func:`route_lockstep`
-routes lookup batches over it, hop for hop as
+compressed finger-scan matrix whose entries are *rows* of that order, not
+identifiers: :class:`~repro.ring.snapshot.RingSnapshot` derives them from
+node pointers churn may leave stale (its rows also rank the departed peers
+a finger still names), :class:`~repro.ring.compact.CompactRing` builds
+them for the stabilized ring.  :func:`compress_scan` builds that matrix
+and :func:`route_lockstep` routes lookup batches over it, hop for hop as
 :func:`repro.ring.routing.route_to_key` does — or, given a fault plane's
 rows, as the policy router behind
 :func:`repro.ring.routing.route_with_policy` does, successor-list
@@ -14,7 +15,7 @@ failover included.  The kernel finishes every lookup it is given.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -30,36 +31,43 @@ __all__ = [
     "route_lockstep",
 ]
 
+_Entry = TypeVar("_Entry", np.uint64, np.int32)
 
-def exact_fingers(ids: NDArray[np.uint64], rows: slice, bits: int) -> NDArray[np.uint64]:
-    """Stabilized finger tables of the peers ``ids[rows]``, shape ``(rows, bits)``.
 
-    Finger ``k`` of peer ``p`` is the owner of ``(p + 2^k) mod 2^bits``: one
-    ``searchsorted`` into the sorted ids, the scalar oracle's bisection.
+def exact_fingers(ids: NDArray[np.uint64], rows: slice, bits: int) -> NDArray[np.int64]:
+    """Stabilized finger tables of the peers ``ids[rows]`` as rows of ``ids``.
+
+    The result has shape ``(rows, bits)``.  Finger ``k`` of peer ``p`` is
+    the owner of ``(p + 2^k) mod 2^bits``: one ``searchsorted`` into the
+    sorted ids, the scalar oracle's bisection.
     """
     powers = np.uint64(1) << np.arange(bits, dtype=np.uint64)
     targets = (ids[rows, None] + powers) & np.uint64((1 << bits) - 1)
     indices = np.searchsorted(ids, targets)
     indices[indices == ids.size] = 0
-    return ids[indices]
+    return indices
 
 
 def compress_scan(
-    own_ids: NDArray[np.uint64],
-    blocks: Iterable[tuple[NDArray[np.uint64], Optional[NDArray[np.bool_]]]],
-) -> NDArray[np.uint64]:
-    """The compressed finger-scan matrix of ``own_ids``' finger tables.
+    own: NDArray[_Entry],
+    blocks: Iterable[tuple[NDArray[np.generic], Optional[NDArray[np.bool_]]]],
+) -> NDArray[_Entry]:
+    """The compressed finger-scan matrix of finger tables, in ``own``'s dtype.
 
+    ``own`` holds each row's own entry (its row, or its identifier), and
     ``blocks`` yields consecutive row blocks of the ``(rows, bits)`` finger
-    matrix with their validity mask (``None``: all valid).  A row holds
-    ~log2(n) distinct fingers in consecutive runs, and routing only asks
-    "highest column inside an arc", so each run collapses to its highest
-    column: an entry is dropped when the next column is valid and equal
-    (stale tables under churn at worst keep duplicates, never lose a
-    value).  Invalid fingers are dropped, and rows pad to the common width
-    with the peer's own identifier, which fails every strict in-arc test.
+    matrix in the same terms with their validity mask (``None``: all
+    valid).  A row holds ~log2(n) distinct fingers in consecutive runs, and
+    routing only asks "highest column inside an arc", so each run collapses
+    to its highest column: an entry is dropped when the next column is
+    valid and equal (stale tables under churn at worst keep duplicates,
+    never lose a value).  Invalid fingers are dropped.  Rows are stored
+    highest column first, so the highest in-arc column is the first
+    in-arc entry: the kept entries are right-aligned in reverse column
+    order, and rows pad on the left to the common width with the row's
+    own entry, which fails every strict in-arc test.
     """
-    kept_blocks: list[tuple[NDArray[np.uint64], NDArray[np.int64]]] = []
+    kept_blocks: list[tuple[NDArray[_Entry], NDArray[np.int64]]] = []
     width = 1
     for fingers, valid in blocks:
         keep = np.ones(fingers.shape, dtype=bool) if valid is None else valid.copy()
@@ -69,33 +77,41 @@ def compress_scan(
         keep[:, :-1] &= ~repeats
         widths = keep.sum(axis=1)
         width = max(width, int(widths.max(initial=0)))
-        kept_blocks.append((fingers[keep], widths))
-    scan = np.repeat(own_ids[:, None], width, axis=1)
+        kept_blocks.append((fingers[keep].astype(own.dtype, copy=False), widths))
+    scan = np.repeat(own[:, None], width, axis=1)
     row = 0
     for kept, widths in kept_blocks:
         rows = np.repeat(np.arange(widths.size, dtype=np.int64), widths)
         starts = np.cumsum(widths) - widths
-        scan[row + rows, np.arange(kept.size, dtype=np.int64) - starts[rows]] = kept
+        scan[row + rows, width - 1 - (np.arange(kept.size, dtype=np.int64) - starts[rows])] = kept
         row += widths.size
     return scan
 
 
 class RingPointers(NamedTuple):
-    """Per-peer neighbour pointers of a possibly unmaintained ring.
+    """Per-row neighbour pointers of a possibly unmaintained ring.
 
-    ``succ_idx`` is each row's resolved live successor: the primary
+    Rows are those of the routing view's identifiers: every live peer and
+    every departed peer a finger still names, in ring order, so that each
+    arc test on rows orders departed fingers exactly as their identifiers.
+    ``live`` marks the live rows and ``live_rows`` lists them in ring
+    order (row ``live_rows[i]`` is the ``i``-th live peer).
+
+    ``succ_idx`` is each live row's resolved live successor: the primary
     pointer if it is live and no self-loop, else the first such entry of
-    the successor list, else the next row (the oracle repair).
+    the successor list, else the next live row (the oracle repair).
     ``succ_rows`` holds the rows of the primary pointer followed by the
     successor list, -1 where an entry is departed, absent or the peer
-    itself: the failover order for a lookup that timed out the resolved
-    successor.  ``pred_ids`` are the predecessor pointers; ``pred_live``
-    marks those set and live.
+    itself, and last the next live row: the failover order for a lookup
+    that timed out the resolved successor.  ``pred_idx`` is the row of
+    each predecessor pointer; ``pred_live`` marks those set and live.
     """
 
+    live: NDArray[np.bool_]
+    live_rows: NDArray[np.int64]
     succ_idx: NDArray[np.int64]
     succ_rows: NDArray[np.int64]
-    pred_ids: NDArray[np.uint64]
+    pred_idx: NDArray[np.int64]
     pred_live: NDArray[np.bool_]
 
 
@@ -113,7 +129,7 @@ class SendModel(NamedTuple):
 
 
 class FaultRows(NamedTuple):
-    """A fault plane's structural state per ring row.
+    """A fault plane's structural state per routing-view row.
 
     ``stalled`` marks unresponsive peers and ``arc`` gives each row's
     partition arc (``None``: no partition).
@@ -179,8 +195,7 @@ def _either(
 
 def route_lockstep(
     ids: NDArray[np.uint64],
-    scan: NDArray[np.uint64],
-    mask: int,
+    scan: NDArray[np.int32],
     entries: NDArray[np.int64],
     keys: NDArray[np.uint64],
     max_hops: int,
@@ -192,17 +207,25 @@ def route_lockstep(
 ) -> Lockstep:
     """Route lookups from the peers at rows ``entries`` to ``keys`` in lockstep.
 
-    Per lookup: the entry shortcuts (own id, or a live predecessor
-    preceding the key), then per round either the termination test against
-    the successor and the final delivery, or a send to the highest-column
-    in-arc finger, else the successor.  Every lookup ends answered or
-    failed.
+    ``ids`` are the sorted identifiers the rows of ``scan``, ``entries``,
+    ``pointers``, ``faults`` and the returned owners index.  Per lookup:
+    the entry shortcuts (own id, or a live predecessor preceding the key),
+    then per round either the termination test against the successor and
+    the final delivery, or a send to the highest-column in-arc finger,
+    else the successor.  Every lookup ends answered or failed.
+
+    Every arc test compares clockwise row offsets from the current row,
+    ``off(r) = (r - cur - 1) mod len(ids)``: each key's position, the first
+    row at or after it, is found once per batch; a finger is in the arc
+    iff ``off(finger) < off(position)``, and the lookup ends iff
+    ``off(position) <= off(successor)``.  A row stands for its identifier
+    exactly, so these are the identifier tests of the reference routers.
 
     Without ``faults`` this is :func:`repro.ring.routing.route_to_key`: a
-    send to a departed finger (absent from ``ids``) costs its attempts and
-    one timeout, and the lookup rescans at the same node without it.
-    Exclusions last while the lookup stays at that node.  With ``faults``
-    it is the policy router behind
+    send to a departed finger (a row ``pointers.live`` does not mark)
+    costs its attempts and one timeout, and the lookup rescans at the same
+    node without it.  Exclusions last while the lookup stays at that node.
+    With ``faults`` it is the policy router behind
     :func:`repro.ring.routing.route_with_policy`: a stalled entry fails
     the lookup, a stalled owner fails it after one hop, a stalled,
     departed or cross-partition finger costs one timed-out hop and stays
@@ -213,28 +236,27 @@ def route_lockstep(
     The successor is each row's resolved live successor
     (:class:`RingPointers`) until the lookup times it out; then the
     successor list is its failover, in order, and past the list the next
-    row.  ``sends`` makes delivery lossy: each round draws every send's
-    attempt count in one vector, and a send that runs out of
+    live row.  ``sends`` makes delivery lossy: each round draws every
+    send's attempt count in one vector, and a send that runs out of
     ``max_attempts`` excludes its finger (or fails the lookup at the
     owner).  ``max_hops`` bounds each lookup as its reference router
     does; a lookup over it fails ``"hop_budget"``.
 
-    ``pointers=None`` is the stabilized ring: neighbours are index rolls,
-    every pointer is live, and there is no successor list to fail over
+    ``pointers=None`` is the stabilized ring: neighbours are row rolls,
+    every row is a live peer, and there is no successor list to fail over
     to.  ``traffic``, when given, counts every hop to a live peer.
     """
     count = keys.size
-    n = ids.size
-    umask = np.uint64(mask)
-    zero = np.uint64(0)
+    m = ids.size
     cur = entries.astype(np.int64, copy=True)
+    position = np.searchsorted(ids, keys) % m
     hops = np.zeros(count, dtype=np.int64)
     timeouts = np.zeros(count, dtype=np.int64)
     retries = np.zeros(count, dtype=np.int64)
     owner_idx = np.full(count, -1, dtype=np.int64)
     failure = np.zeros(count, dtype=np.int8)
     settled = np.zeros(count, dtype=bool)
-    excluded = np.zeros((count, 1), dtype=np.uint64)
+    excluded = np.zeros((count, 1), dtype=np.int64)
     n_excluded = np.zeros(count, dtype=np.int64)
     lossy = sends is not None and sends.loss_rate > 0.0
     cap = None if sends is None else sends.max_attempts
@@ -243,15 +265,19 @@ def route_lockstep(
     excluding = False
     stranded_code = _STUCK if faults is None or faults.arc is None else _PARTITIONED
 
+    def successors(rows: NDArray[np.int64]) -> NDArray[np.int64]:
+        """The resolved live successors of ``rows``."""
+        return (rows + 1) % m if pointers is None else pointers.succ_idx[rows]
+
     def exclusions(
         probes: NDArray[np.int64],
-        rows_of: Callable[[NDArray[np.int64]], NDArray[np.uint64]],
+        rows_of: Callable[[NDArray[np.int64]], NDArray[np.int64]],
         width: int,
     ) -> NDArray[np.bool_]:
-        """Which of ``width`` values per probe it has excluded.
+        """Which of ``width`` rows per probe it has excluded.
 
-        ``rows_of(sub)`` gives the values of the probes at positions
-        ``sub``; it is only asked for probes with exclusions.
+        ``rows_of(sub)`` gives the rows of the probes at positions ``sub``;
+        it is only asked for probes with exclusions.
         """
         out = np.zeros((probes.size, width), dtype=bool)
         sub = np.flatnonzero(n_excluded[probes])
@@ -260,10 +286,10 @@ def route_lockstep(
             out[sub] = (rows_of(sub)[:, :, None] == lists[:, None, :]).any(axis=2)
         return out
 
-    def exclude(probes: NDArray[np.int64], values: NDArray[np.uint64]) -> None:
-        """Time out ``values`` for ``probes``: one timeout each, skipped from now on.
+    def exclude(probes: NDArray[np.int64], rows: NDArray[np.int64]) -> None:
+        """Time out ``rows`` for ``probes``: one timeout each, skipped from now on.
 
-        A probe's unused slots repeat an excluded value, so membership
+        A probe's unused slots repeat an excluded row, so membership
         tests need no count mask.
         """
         nonlocal excluded, excluding
@@ -273,8 +299,8 @@ def route_lockstep(
         if int(slot.max()) >= excluded.shape[1]:
             excluded = np.concatenate((excluded, excluded), axis=1)
         first = slot == 0
-        excluded[probes[first]] = values[first, None]
-        excluded[probes, slot] = values
+        excluded[probes[first]] = rows[first, None]
+        excluded[probes, slot] = rows
         n_excluded[probes] += 1
         timeouts[probes] += 1
         excluding = True
@@ -285,28 +311,25 @@ def route_lockstep(
         """Successors for lookups that timed out the resolved one at ``rows``.
 
         The first successor-list entry each has not timed out, else the
-        next row; the mask marks those that timed that out too.
+        next live row; the mask marks those that timed that out too.
         """
-        listed = ((rows + 1) % n)[:, None]  # the next row, after the list
-        if pointers is not None:
-            listed = np.concatenate((pointers.succ_rows[rows], listed), axis=1)
-        usable = (listed >= 0) & ~exclusions(probes, lambda sub: ids[listed[sub]], listed.shape[1])
+        listed = ((rows + 1) % m)[:, None] if pointers is None else pointers.succ_rows[rows]
+        usable = (listed >= 0) & ~exclusions(probes, lambda sub: listed[sub], listed.shape[1])
         first = listed[np.arange(rows.size), np.argmax(usable, axis=1)]
         stranded = ~usable.any(axis=1)
         return np.where(stranded, listed[:, -1], first), stranded
 
-    entry_ids = ids[cur]
-    preds_here = ids[(cur - 1) % n] if pointers is None else pointers.pred_ids[cur]
-    done = keys == entry_ids
-    dk = (keys - preds_here) & umask
-    shortcut = ~done & (
-        (preds_here == entry_ids) | ((dk > zero) & (dk <= (entry_ids - preds_here) & umask))
-    )
+    # The entry owns the key if it is the key, or if its live predecessor
+    # precedes the key: the key in (pred, entry], the whole ring when the
+    # predecessor is the entry itself.
+    done = keys == ids[cur]
+    pred = (cur - 1) % m if pointers is None else pointers.pred_idx[cur]
+    shortcut = ~done & ((position - pred - 1) % m <= (cur - pred - 1) % m)
     if pointers is not None:
         shortcut &= pointers.pred_live[cur]
     done |= shortcut
-    if n == 1:
-        done[:] = True  # a lone peer is its own successor: it owns every key
+    # A lone live peer is its own successor: it owns every key.
+    done |= successors(cur) == cur
     if faults is not None:
         mute = faults.stalled[cur]
         failure[mute] = _ENTRY_STALLED
@@ -324,14 +347,14 @@ def route_lockstep(
     while active.size:
         rounds += 1
         ci = cur[active]
-        si = (ci + 1) % n if pointers is None else pointers.succ_idx[ci]
+        si = successors(ci)
         # Which fingers, and whether the successor, each lookup timed out.
         hidden: Optional[NDArray[np.bool_]] = None
         stranded: Optional[NDArray[np.bool_]] = None
         if excluding:
             hidden = exclusions(
                 active,
-                lambda sub: np.concatenate((scan[ci[sub]], ids[si[sub], None]), axis=1),
+                lambda sub: np.concatenate((scan[ci[sub]], si[sub, None]), axis=1),
                 scan.shape[1] + 1,
             )
             gone = hidden[:, -1]
@@ -339,9 +362,9 @@ def route_lockstep(
                 si[gone], stranded_gone = failover(active[gone], ci[gone])
                 stranded = np.zeros(active.size, dtype=bool)
                 stranded[gone] = stranded_gone
-        ci_ids = ids[ci]
-        reach = (keys[active] - ci_ids) & umask
-        terminal = (reach > zero) & (reach <= ((ids[si] - ci_ids) & umask))
+        after = ci + 1
+        reach = (position[active] - after) % m  # off(position)
+        terminal = reach <= (si - after) % m
         if settling:
             terminal &= ~settled[active]
         finished = active[terminal]
@@ -364,27 +387,30 @@ def route_lockstep(
         advancing = active[going]
         ca = ci[going]
         sa = si[going]
+        span = reach[going]
         nowhere = None if stranded is None else stranded[going]
         skipped = None if hidden is None else hidden[going, :-1]
         if faults is not None:
             over = hops[advancing] > max_hops
             if over.any():
                 failure[advancing[over]] = _HOP_BUDGET
-                advancing, ca, sa = advancing[~over], ca[~over], sa[~over]
+                advancing, ca, sa, span = advancing[~over], ca[~over], sa[~over], span[~over]
                 nowhere = None if nowhere is None else nowhere[~over]
                 skipped = None if skipped is None else skipped[~over]
         # In the open arc (current, key), the whole ring but the current
-        # node when the key is its own id: both distances shifted down by
-        # one, so that 0 wraps to the top.
-        after = ids[ca] + np.uint64(1)
-        rows = scan[ca]
-        in_arc = ((rows - after[:, None]) & umask) < ((keys[advancing] - after) & umask)[:, None]
+        # node when the key is its own id: off(finger) < off(position),
+        # tested without a modulo as rows [after, after + span) and, past
+        # the top row, [0, after + span - m).
+        fingers = scan[ca]
+        after = (ca + 1).astype(np.int32)
+        in_arc = (fingers - after[:, None]).view(np.uint32) < span.astype(np.uint32)[:, None]
+        in_arc |= fingers < (after + span - m).astype(np.int32)[:, None]
         if skipped is not None:
             in_arc &= ~skipped
-        hit = in_arc.any(axis=1)
-        first_rev = in_arc.shape[1] - 1 - np.argmax(in_arc[:, ::-1], axis=1)
-        candidate = scan[ca, first_rev]
-        dest = np.where(hit, np.searchsorted(ids, candidate), sa)
+        first = np.argmax(in_arc, axis=1)
+        lanes = np.arange(ca.size)
+        hit = in_arc[lanes, first]
+        dest = np.where(hit, fingers[lanes, first], sa)
         # Lookups that leave the batch, and those that time out and rescan
         # at the same node (None: none this round).
         stop: Optional[NDArray[np.bool_]] = None
@@ -395,10 +421,10 @@ def route_lockstep(
             failure[advancing[stop]] = stranded_code
             if not stop.any():
                 stop = None
+        # A departed finger (the successor is live).
         dead: Optional[NDArray[np.bool_]] = None
         if pointers is not None:
-            np.minimum(dest, n - 1, out=dest)
-            dead = hit & (ids[dest] != candidate)
+            dead = ~pointers.live[dest]
             if not dead.any():
                 dead = None
         if faults is not None:
@@ -505,7 +531,7 @@ def route_lockstep(
             cur[moved] = dest[landed]
         if stay is not None:
             # A timeout excludes the finger, or (no finger hit) the successor.
-            exclude(advancing[stay], np.where(hit, candidate, ids[sa])[stay])
+            exclude(advancing[stay], dest[stay])
             settled[advancing[stay]] = True
             settling = True
             assert landed is not None

@@ -409,7 +409,8 @@ class RingNetwork:
             return
         list_length = min(self.SUCCESSOR_LIST_LENGTH, max(n - 1, 1))
         # All N x bits finger targets at once, each owner one searchsorted.
-        finger_rows = exact_fingers(self.sorted_ids_array(), slice(None), self.space.bits).tolist()
+        sorted_ids = self.sorted_ids_array()
+        finger_rows = sorted_ids[exact_fingers(sorted_ids, slice(None), self.space.bits)].tolist()
         for index, ident in enumerate(ids):
             node = self._nodes[ident]
             node.predecessor_id = ids[index - 1] if n > 1 else ident
@@ -556,13 +557,13 @@ class RingNetwork:
         return self._snapshot
 
     def routing_view(self) -> tuple[np.ndarray, np.ndarray, RingPointers]:
-        """Live ids, finger-scan matrix and resolved pointers for batch routing.
+        """Row identifiers, finger-scan matrix and resolved pointers for batch routing.
 
-        The overlay half of the snapshot plane: routing reads no stored
-        data, so it never pays for a data-plane refresh.
+        The overlay half of the snapshot plane (see
+        :meth:`RingSnapshot.routing_view`): routing reads no stored data,
+        so it never pays for a data-plane refresh.
         """
-        scan, pointers = self._snapshot.routing_view()
-        return self.sorted_ids_array(), scan, pointers
+        return self._snapshot.routing_view()
 
     @property
     def total_count(self) -> int:

@@ -340,7 +340,9 @@ def route_probes_batch(
     ``entries`` and the returned owners are rows of the live ring order
     (:meth:`RingNetwork.sorted_ids_array`).  The batch runs
     :func:`~repro.ring.lockstep.route_lockstep` over the network's
-    :meth:`~RingNetwork.routing_view`, and every lookup's hops post to the
+    :meth:`~RingNetwork.routing_view`, whose rows also rank departed
+    fingers: entries are mapped into those rows and owners back out.
+    Every lookup's hops post to the
     ledger as one ``LOOKUP_HOP`` record.  With ``policy=None`` every
     lookup follows :func:`route_to_key`, and a lookup over its hop budget
     then raises :class:`RoutingError` (after the whole batch's hops are
@@ -357,9 +359,9 @@ def route_probes_batch(
     distribution to the reference, not in stream order.
     """
     ids, scan, pointers = network.routing_view()
-    entries = np.asarray(entries, dtype=np.int64)
+    entries = pointers.live_rows[np.asarray(entries, dtype=np.int64)]
     keys = np.asarray(keys, dtype=np.uint64)
-    max_hops = 2 * int(ids.size) + network.space.bits
+    max_hops = 2 * int(pointers.live_rows.size) + network.space.bits
     if policy is not None and policy.max_hops is not None:
         max_hops = policy.max_hops
     sends = None
@@ -374,7 +376,6 @@ def route_probes_batch(
     routes = route_lockstep(
         ids,
         scan,
-        network.space.mask,
         entries,
         keys,
         max_hops,
@@ -392,7 +393,10 @@ def route_probes_batch(
             f"lookup for key {int(keys[index])} exceeded {max_hops} hops "
             f"from {int(ids[entries[index]])}"
         )
-    return routes
+    answered = routes.owner_idx >= 0
+    owner_idx = np.full(entries.size, -1, dtype=np.int64)
+    owner_idx[answered] = np.searchsorted(pointers.live_rows, routes.owner_idx[answered])
+    return routes._replace(owner_idx=owner_idx)
 
 
 def route_with_policy(

@@ -16,9 +16,10 @@ of the network:
   order (peer ``i`` owns ``values[offsets[i]:offsets[i+1]]``),
 * ``sorted_values`` — the same multiset globally sorted (the ground truth
   dataset),
-* the routing view — compressed finger-scan matrix plus successor and
-  predecessor rows with liveness — derived from the overlay pointers
-  (lazy; keyed on the overlay token).
+* the routing view — the compressed finger-scan matrix of rows plus
+  successor and predecessor rows, over the live ids and the departed ids
+  fingers still name, with a liveness mask — derived from the overlay
+  pointers (lazy; keyed on the overlay token).
 
 The snapshot is keyed on ``(topology_version, data_version)`` and is
 **updated incrementally**: the network records which stores mutated
@@ -33,7 +34,7 @@ is a pure view and never a second source of truth.
 from __future__ import annotations
 
 from itertools import chain
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -58,6 +59,19 @@ _FULL_REBUILD_FRACTION = 0.5
 # view compresses them block by block, so no full ``(n, bits)`` matrix (nor
 # the Python list behind it) is held to build it.
 _FINGER_BLOCK = 2048
+
+
+_Cell = TypeVar("_Cell", bound=np.generic)
+
+
+def _spread(
+    values: NDArray[_Cell], rows: NDArray[np.int64], size: int, fill: object
+) -> NDArray[_Cell]:
+    """``values`` placed at ``rows`` of a ``size``-row array, ``fill`` elsewhere."""
+    out = np.empty((size,) + values.shape[1:], dtype=values.dtype)
+    out[...] = fill
+    out[rows] = values
+    return out
 
 
 class RingSnapshot:
@@ -93,8 +107,11 @@ class RingSnapshot:
         self._finger_valid: Optional[NDArray[np.bool_]] = None
         self._adjacency: Optional[dict[int, list[int]]] = None
         self._overlay_ids: NDArray[np.uint64] = _EMPTY_U
-        # Routing view (scan matrix, resolved pointers), derived lazily.
-        self._routing: Optional[tuple[NDArray[np.uint64], RingPointers]] = None
+        # Routing view (row identifiers, scan matrix, resolved pointers),
+        # derived lazily.
+        self._routing: Optional[
+            tuple[NDArray[np.uint64], NDArray[np.int32], RingPointers]
+        ] = None
 
     # ------------------------------------------------------------------
     # Data-plane views
@@ -319,22 +336,21 @@ class RingSnapshot:
         bits = self._network.space.bits
         ids = self._overlay_ids.tolist()
         for start in range(0, len(ids), _FINGER_BLOCK):
-            rows = [nodes[ident]._fingers for ident in ids[start : start + _FINGER_BLOCK]]
-            # Rows containing a broken (None) finger are rare outside heavy
-            # churn, so the common row extends the flat list at C speed and
-            # the validity mask starts all-True with per-row patches.
-            flat: list[int] = []
-            none_rows: list[int] = []
-            for index, row in enumerate(rows):
-                if None in row:
-                    none_rows.append(index)
-                    flat.extend(0 if f is None else f for f in row)
-                else:
-                    flat.extend(row)
-            fingers = np.asarray(flat, dtype=np.uint64).reshape(len(rows), bits)
-            valid = np.ones(fingers.shape, dtype=bool)
-            for index in none_rows:
-                valid[index] = [f is not None for f in rows[index]]
+            rows: list[list[Optional[int]]] = [
+                nodes[ident]._fingers for ident in ids[start : start + _FINGER_BLOCK]
+            ]
+            valid = np.ones((len(rows), bits), dtype=bool)
+            try:
+                flat = np.fromiter(chain.from_iterable(rows), dtype=np.uint64, count=valid.size)
+            except TypeError:
+                # A broken (None) finger, rare outside heavy churn: searching
+                # every row for one costs more than reading the block twice.
+                for index, row in enumerate(rows):
+                    if None in row:
+                        valid[index] = [f is not None for f in row]
+                        rows[index] = [0 if f is None else f for f in row]
+                flat = np.fromiter(chain.from_iterable(rows), dtype=np.uint64, count=valid.size)
+            fingers = flat.reshape(valid.shape)
             if lead is not None:
                 first = lead[start : start + len(rows), None]
                 fingers = np.concatenate((first, fingers), axis=1)
@@ -353,16 +369,19 @@ class RingSnapshot:
             self._finger_matrix, self._finger_valid = fingers, valid
         return fingers, valid
 
-    def finger_scan_tables(self) -> NDArray[np.uint64]:
-        """The finger matrix compressed for routing (see :func:`compress_scan`)."""
-        return self.routing_view()[0]
+    def finger_scan_tables(self) -> NDArray[np.int32]:
+        """The finger matrix compressed for routing, as :meth:`routing_view` rows."""
+        return self.routing_view()[1]
 
-    def routing_view(self) -> tuple[NDArray[np.uint64], RingPointers]:
-        """The scan matrix and resolved pointers :func:`route_lockstep` reads.
+    def routing_view(self) -> tuple[NDArray[np.uint64], NDArray[np.int32], RingPointers]:
+        """The identifiers, scan matrix and pointers :func:`route_lockstep` reads.
 
-        A pointer is live iff it appears in the sorted live-id array
-        (departed peers are unregistered), and its row index doubles as the
-        hop destination.  Each scan row also carries the primary successor
+        Rows rank the sorted union of the live ids and every departed id a
+        finger still names (departed peers are unregistered, so a finger
+        is departed iff its id is not live), and every arc test on rows is
+        then exact: a departed finger and a key in the same live gap keep
+        their order.  :class:`RingPointers` marks the live rows.  Each scan
+        row (see :func:`compress_scan`) also carries the primary successor
         pointer as its lowest column, since a lookup with no finger inside
         the arc tries it before failing over.  Derived lazily; the next
         overlay rebuild drops it.
@@ -371,7 +390,6 @@ class RingSnapshot:
         if self._routing is None:
             ids = self._overlay_ids
             n = ids.size
-            last = max(n - 1, 0)
             nodes = self._network._nodes
             lists = [nodes[ident].successor_list for ident in ids.tolist()]
             width = 1 + max(map(len, lists), default=0)
@@ -384,24 +402,44 @@ class RingSnapshot:
             listed[np.arange(width - 1) < lengths[:, None]] = np.fromiter(
                 chain.from_iterable(lists), dtype=np.uint64, count=int(lengths.sum())
             )
-            rows = np.minimum(np.searchsorted(ids, order), last)
-            own = np.arange(n, dtype=np.int64)
-            usable = (ids[rows] == order) & (rows != own[:, None])
-            succ_rows = np.where(usable, rows, -1).astype(np.int64, copy=False)
+            fingers = compress_scan(ids, self._finger_blocks(lead=self._successors))
+            last = max(n - 1, 0)
+
+            def locate(values: NDArray[np.uint64]) -> tuple[NDArray[np.int64], NDArray[np.bool_]]:
+                """Each value's position among the live ids, and whether it is one."""
+                at = np.searchsorted(ids, values)
+                np.minimum(at, last, out=at)
+                return at, ids[at] == values
+
+            # Column by column: a scan column is nearly sorted, which
+            # searchsorted runs fastest on.  A finger that is not live has
+            # departed and gets a row of its own among the live ones.
+            at, known = locate(fingers.T)
+            departed = fingers.T[~known]
+            row_ids = np.union1d(ids, departed)
+            m = row_ids.size
+            own = np.searchsorted(row_ids, ids)
+            rows = own[at]
+            rows[~known] = np.searchsorted(row_ids, departed)
+            at, usable = locate(order)
+            usable &= at != np.arange(n)[:, None]
+            following = np.roll(own, -1)  # the next live row, the oracle repair
+            succ_rows = np.concatenate((np.where(usable, own[at], -1), following[:, None]), axis=1)
             succ_idx = np.where(
-                usable.any(axis=1),
-                succ_rows[own, np.argmax(usable, axis=1)],
-                (own + 1) % max(n, 1),
+                usable.any(axis=1), succ_rows[np.arange(n), np.argmax(usable, axis=1)], following
             )
-            pred_idx = np.minimum(np.searchsorted(ids, self._predecessors), last)
+            at, pred_known = locate(self._predecessors)
+            # A departed row is never current: its pointers and scan entries
+            # are -1.
             pointers = RingPointers(
-                succ_idx=succ_idx,
-                succ_rows=succ_rows,
-                pred_ids=self._predecessors,
-                pred_live=self._predecessor_valid & (ids[pred_idx] == self._predecessors),
+                live=_spread(np.ones(n, dtype=bool), own, m, False),
+                live_rows=own,
+                succ_idx=_spread(succ_idx, own, m, -1),
+                succ_rows=_spread(succ_rows, own, m, -1),
+                pred_idx=_spread(own[at], own, m, -1),
+                pred_live=_spread(self._predecessor_valid & pred_known, own, m, False),
             )
-            scan = compress_scan(ids, self._finger_blocks(lead=self._successors))
-            self._routing = (scan, pointers)
+            self._routing = (row_ids, _spread(rows.T.astype(np.int32), own, m, -1), pointers)
         return self._routing
 
     def adjacency(self) -> dict[int, list[int]]:

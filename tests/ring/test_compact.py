@@ -16,13 +16,14 @@ from repro.core.estimator import DistributionFreeEstimator
 from repro.core.synopsis import summarize_compact
 from repro.ring import compact as compact_module
 from repro.ring.compact import CompactRing
+from repro.ring.lockstep import exact_fingers
 from repro.ring.messages import MessageType
 from repro.ring.network import RingNetwork
 from repro.ring.routing import route_to_key
 
 #: CI memory budget (bytes/peer) the E1 smoke job enforces; the measured
-#: footprint at N=10^6 is ~224 B/peer (see docs/PERFORMANCE.md).
-BYTES_PER_PEER_BUDGET = 512.0
+#: footprint at N=10^6 is 136 B/peer (see docs/PERFORMANCE.md).
+BYTES_PER_PEER_BUDGET = 256.0
 
 N = 256
 
@@ -59,8 +60,10 @@ class TestConstruction:
             monkeypatch.setattr(compact_module, "_SCAN_BLOCK", 16)
             blocked = RingNetwork.create(203, seed=seed, compact=True)
             monkeypatch.undo()
-            widths = (blocked.scan != blocked.ids[:, None]).sum(axis=1)
+            # Rows pad with the peer's own row.
+            widths = (blocked.scan != np.arange(203)[:, None]).sum(axis=1)
             assert len(set(widths.tolist())) > 1
+            assert single.scan.dtype == blocked.scan.dtype == expected.dtype == np.int32
             assert single.scan.shape == blocked.scan.shape == expected.shape
             assert np.array_equal(single.scan, expected)
             assert np.array_equal(blocked.scan, expected)
@@ -171,6 +174,27 @@ class TestGossip:
         assert errors[-1] < 0.05
         assert errors[-1] < errors[0] / 10.0
 
+    def test_gossip_draw_counts_from_the_lowest_finger(self):
+        # A draw of column c pushes to the c-th distinct finger counted from
+        # finger 0 (the self-pad past the last one falls to the successor),
+        # whatever order the scan stores a row in.
+        _network, compact = _pair(n=300, seed=6)
+        compact.load_counts(np.random.default_rng(3).random(3_000))
+        n, width = compact.scan.shape
+        fingers = exact_fingers(compact.ids, slice(None), compact.space.bits)
+        cols = np.random.default_rng(4).integers(0, width, size=n)
+        partner = np.empty(n, dtype=np.int64)
+        for row in range(n):
+            table = fingers[row].tolist()
+            distinct = [f for k, f in enumerate(table) if k == 0 or f != table[k - 1]]
+            distinct += [row] * (width - len(distinct))
+            target = int(distinct[cols[row]])
+            partner[row] = (row + 1) % n if target == row else target
+        value = compact.counts.astype(float) * 0.5
+        np.add.at(value, partner, compact.counts * 0.5)
+        compact.gossip_round(rng=np.random.default_rng(4))
+        assert np.array_equal(compact._gossip_value, value)
+
     def test_gossip_records_ledger_traffic(self):
         _network, compact = _pair(n=64, seed=2)
         compact.gossip_round(rng=np.random.default_rng(1))
@@ -250,7 +274,7 @@ class TestMemoryFootprint:
         # the module constant is avoided: instead compare two builds whose
         # row counts straddle nothing — the scan is a pure function of ids,
         # so slicing rows out of a larger ring's scan must match a direct
-        # searchsorted reference.
+        # searchsorted reference (the scan holds finger rows).
         ring = CompactRing.build(300, seed=4)
         ids = ring.ids
         mask = np.uint64(ring.space.size - 1)
@@ -258,8 +282,7 @@ class TestMemoryFootprint:
         targets = (ids[:, None] + powers[None, :]) & mask
         indices = np.searchsorted(ids, targets, side="left")
         indices[indices == ids.size] = 0
-        fingers = ids[indices]
         for row in (0, 150, 299):
-            distinct = np.unique(fingers[row])
+            distinct = np.unique(indices[row])
             row_entries = set(ring.scan[row].tolist())
-            assert set(distinct.tolist()) <= row_entries | {int(ids[row])}
+            assert set(distinct.tolist()) <= row_entries | {row}

@@ -109,7 +109,7 @@ def test_kernel_fails_exhausted_budgets():
     ring = CompactRing.build(300, seed=2)
     network = RingNetwork.create(300, seed=2)
     entries, keys = _probes(network, 200, 9)
-    routes = route_lockstep(ring.ids, ring.scan, ring.space.mask, entries, keys, 2)
+    routes = route_lockstep(ring.ids, ring.scan, entries, keys, 2)
     ids = network.sorted_ids_array()
     failed = 0
     for index, (e, k) in enumerate(zip(entries.tolist(), keys.tolist())):
