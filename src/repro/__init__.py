@@ -40,7 +40,6 @@ from repro.core import (
     DistributionFreeEstimator,
     ErrorReport,
     ExactCdfEstimator,
-    InversionSampler,
     PiecewiseCDF,
     PrefixIndex,
     build_prefix_index,
@@ -72,7 +71,6 @@ from repro.ring import (
     MessageType,
     ReplicationManager,
     RingNetwork,
-    estimate_network_size,
 )
 from repro.serve import (
     AdaptiveRefreshPolicy,
@@ -100,7 +98,6 @@ __all__ = [
     "EstimationService",
     "ExactCdfEstimator",
     "IdentifierSpace",
-    "InversionSampler",
     "LoadBalanceReport",
     "MessageType",
     "NaivePeerSamplingEstimator",
@@ -124,7 +121,6 @@ __all__ = [
     "compute_global_cdf_traversal",
     "empirical_cdf",
     "estimate_with_confidence",
-    "estimate_network_size",
     "evaluate_estimate",
     "evaluate_selectivity",
     "gini_coefficient",

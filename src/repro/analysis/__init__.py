@@ -41,7 +41,6 @@ from repro.analysis.framework import (
     all_rules,
     canonical_path,
     clear_caches,
-    lint_file,
     lint_paths,
     lint_project_sources,
     lint_source,
@@ -62,7 +61,6 @@ __all__ = [
     "all_rules",
     "canonical_path",
     "clear_caches",
-    "lint_file",
     "lint_paths",
     "lint_project_sources",
     "lint_source",

@@ -60,7 +60,6 @@ __all__ = [
     "all_rules",
     "select_rules",
     "lint_source",
-    "lint_file",
     "lint_paths",
     "lint_project_sources",
     "iter_python_files",
@@ -564,14 +563,6 @@ def lint_project_sources(
     active.extend(project_active)
     suppressed.extend(project_suppressed)
     return active, suppressed
-
-
-def lint_file(
-    path: Path, rules: Sequence[Rule]
-) -> tuple[list[Finding], list[Finding]]:
-    """Lint one file from disk; returns ``(active, suppressed)``."""
-    source = path.read_text(encoding="utf-8")
-    return lint_source(source, str(path), rules)
 
 
 def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import ast
 import sys
 from dataclasses import dataclass, field
-from typing import Iterator, Literal, Mapping, Optional, Sequence, Union
+from typing import Literal, Mapping, Optional, Sequence, Union
 
 from repro.analysis.framework import FileContext, Finding, Rule, Suppression
 
@@ -397,7 +397,6 @@ class ProjectGraph:
 
     def __init__(self, modules: dict[str, ModuleInfo]) -> None:
         self.modules = modules
-        self._by_path = {info.path: info for info in modules.values()}
 
     @classmethod
     def build(
@@ -458,10 +457,6 @@ class ProjectGraph:
 
     # -- lookups ----------------------------------------------------------
 
-    def module_for_path(self, path: str) -> Optional[ModuleInfo]:
-        """The module at a canonical ``src/repro/...`` path, or None."""
-        return self._by_path.get(path)
-
     def function(self, dotted: str) -> Optional[tuple[ModuleInfo, FunctionNode]]:
         """The defining module and node of a top-level function, or None."""
         module_name, _, func_name = dotted.rpartition(".")
@@ -499,11 +494,6 @@ class ProjectGraph:
         return None
 
     # -- graph queries -----------------------------------------------------
-
-    def import_edges(self) -> Iterator[ImportEdge]:
-        """Every import edge in the project, module by module."""
-        for info in self.modules.values():
-            yield from info.edges
 
     def _load_time_neighbors(self, name: str) -> list[str]:
         """Project modules imported at module load (cycle-relevant edges)."""

@@ -14,7 +14,6 @@ from repro.apps.load_balance import (
     coefficient_of_variation,
     gini_coefficient,
     predict_peer_loads,
-    predict_peer_loads_served,
     rebalanced_boundaries,
 )
 from repro.apps.range_query import (
@@ -23,7 +22,6 @@ from repro.apps.range_query import (
     execute_range_query,
     plan_range_query,
     plan_range_queries,
-    plan_range_queries_served,
     true_range_counts,
 )
 from repro.apps.sampling_service import SamplingService
@@ -32,7 +30,6 @@ from repro.apps.selectivity import (
     estimate_selectivities,
     estimate_selectivity,
     evaluate_selectivity,
-    served_selectivities,
     true_selectivities,
 )
 
@@ -56,12 +53,9 @@ __all__ = [
     "execute_range_query",
     "gini_coefficient",
     "plan_range_queries",
-    "plan_range_queries_served",
     "plan_range_query",
     "predict_peer_loads",
-    "predict_peer_loads_served",
     "rebalanced_boundaries",
-    "served_selectivities",
     "true_range_counts",
     "true_selectivities",
 ]

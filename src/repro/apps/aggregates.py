@@ -33,15 +33,6 @@ class AggregateAnswer:
     mean: float         # AVG of values in range (NaN when count ≈ 0)
     median: float       # within-range median (NaN when count ≈ 0)
 
-    def as_dict(self) -> dict[str, float]:
-        """Plain-dict view."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "median": self.median,
-        }
-
 
 class AggregateEngine:
     """Answers aggregate queries from a density estimate, locally."""
@@ -87,15 +78,6 @@ class AggregateErrorReport:
     sum_error: float
     mean_error: float
     median_error: float
-
-    def as_dict(self) -> dict[str, float]:
-        """Plain-dict view."""
-        return {
-            "count_error": self.count_error,
-            "sum_error": self.sum_error,
-            "mean_error": self.mean_error,
-            "median_error": self.median_error,
-        }
 
 
 def evaluate_aggregates(

@@ -39,11 +39,6 @@ class EquiDepthHistogram:
         """Number of buckets."""
         return int(self.boundaries.size - 1)
 
-    def bucket_of(self, value: float) -> int:
-        """Index of the bucket containing ``value`` (clamped at the edges)."""
-        index = int(np.searchsorted(self.boundaries, value, side="right")) - 1
-        return min(max(index, 0), self.buckets - 1)
-
     def selectivity(self, low: float, high: float) -> float:
         """Selectivity estimate from the histogram alone.
 
@@ -84,15 +79,6 @@ class EquiDepthReport:
     max_depth: float          # largest actual per-bucket fraction
     min_depth: float
     depth_rmse: float         # RMS deviation from the intended depth
-
-    def as_dict(self) -> dict[str, float]:
-        """Plain-dict view."""
-        return {
-            "buckets": float(self.buckets),
-            "max_depth": self.max_depth,
-            "min_depth": self.min_depth,
-            "depth_rmse": self.depth_rmse,
-        }
 
 
 def evaluate_equi_depth(

@@ -12,23 +12,17 @@ their evaluation against the network's actual per-peer loads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.core.estimate import DensityEstimate
 from repro.core.quantile import equi_depth_boundaries
 from repro.ring.network import RingNetwork
 
-if TYPE_CHECKING:
-    from repro.serve.service import EstimationService
-
 __all__ = [
     "gini_coefficient",
     "coefficient_of_variation",
     "LoadBalanceReport",
     "predict_peer_loads",
-    "predict_peer_loads_served",
     "analyze_load_balance",
     "rebalanced_boundaries",
 ]
@@ -129,38 +123,14 @@ def predict_peer_loads(network: RingNetwork, estimate: DensityEstimate) -> np.nd
     return base * estimate.n_items
 
 
-def predict_peer_loads_served(service: "EstimationService") -> np.ndarray:
-    """Predicted item count per peer, through the serving layer.
-
-    Same contract as :func:`predict_peer_loads`, but the segment masses
-    come from the service's batched selectivity path — kept fresh against
-    the live network by the staleness SLO, and cached across repeated
-    calls (peer boundaries only move on topology bumps, which also key the
-    cache).  Element-wise equal to ``predict_peer_loads(service.network,
-    service.current)`` evaluated against the estimate the service serves.
-    """
-    base, seg_low, seg_high, seg_owner = _ownership_segments(service.network)
-    if seg_owner:
-        # The cached batch is read-only; the subtraction inside
-        # selectivity_batch already allocated a fresh array only on a
-        # cache miss, so clamp on a copy.
-        masses = service.selectivity_batch(seg_low, seg_high).copy()
-        np.maximum(masses, 0.0, out=masses)
-        np.add.at(base, seg_owner, masses)
-    current = service.current
-    if current is None:  # degenerate ring with no proper arcs: bootstrap
-        current = service.refresh()
-    return base * current.n_items
-
-
 @dataclass(frozen=True)
 class LoadBalanceReport:
     """Predicted vs. actual load-imbalance summary.
 
     ``degraded`` marks a prediction made from a degraded estimate; the
     numbers are still well-defined (a zero-evidence estimate predicts a
-    perfectly flat ring), but a rebalancer should not act on them.  Kept
-    out of :meth:`as_dict` so existing result tables are unchanged.
+    perfectly flat ring), but a rebalancer should not act on them.  Result
+    tables name the fields they report, so the flag does not change them.
     """
 
     actual_gini: float
@@ -171,17 +141,6 @@ class LoadBalanceReport:
     hotspot_hit: bool                # did we predict the most-loaded peer's
     #                                  neighbourhood (top decile) correctly?
     degraded: bool = False
-
-    def as_dict(self) -> dict[str, float]:
-        """Plain-dict view for result tables."""
-        return {
-            "actual_gini": self.actual_gini,
-            "predicted_gini": self.predicted_gini,
-            "actual_cv": self.actual_cv,
-            "predicted_cv": self.predicted_cv,
-            "per_peer_mean_abs_error": self.per_peer_mean_abs_error,
-            "hotspot_hit": float(self.hotspot_hit),
-        }
 
 
 def analyze_load_balance(network: RingNetwork, estimate: DensityEstimate) -> LoadBalanceReport:

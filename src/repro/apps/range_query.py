@@ -12,7 +12,7 @@ paper's introduction motivates, end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,16 +23,12 @@ from repro.ring.messages import MessageType
 from repro.ring.network import RingNetwork
 from repro.ring.routing import route_to_value, route_with_policy, successor_walk
 
-if TYPE_CHECKING:
-    from repro.serve.service import EstimationService
-
 __all__ = [
     "QueryResult",
     "QueryPlan",
     "execute_range_query",
     "plan_range_query",
     "plan_range_queries",
-    "plan_range_queries_served",
     "true_range_counts",
 ]
 
@@ -57,11 +53,6 @@ class QueryResult:
     def count(self) -> int:
         """Number of matching items fetched."""
         return int(self.values.size)
-
-    @property
-    def complete(self) -> bool:
-        """Did the sweep cover the whole range?"""
-        return self.failure is None
 
 
 def execute_range_query(
@@ -174,8 +165,8 @@ class QueryPlan:
 
     ``degraded`` marks a plan derived from a degraded estimate — the cost
     prediction stands on partial (or zero) probe evidence, so an admission
-    controller may want a safety margin.  Kept out of :meth:`as_dict` so
-    existing result tables are unchanged.
+    controller may want a safety margin.  Result tables name the fields
+    they report, so the flag does not change them.
     """
 
     expected_items: float
@@ -183,15 +174,6 @@ class QueryPlan:
     expected_messages: float
     admitted: bool           # within the caller's budget?
     degraded: bool = False
-
-    def as_dict(self) -> dict[str, float]:
-        """Plain-dict view."""
-        return {
-            "expected_items": self.expected_items,
-            "expected_peers": self.expected_peers,
-            "expected_messages": self.expected_messages,
-            "admitted": float(self.admitted),
-        }
 
 
 def plan_range_query(
@@ -245,47 +227,6 @@ def plan_range_queries(
     highs = np.asarray([q.high for q in queries], dtype=float)
     cdf = estimate.cdf
     masses = cdf(highs) - cdf(lows)
-    expected_items = masses * estimate.n_items
-    low, high = network.domain
-    ring_share = (np.minimum(highs, high) - np.maximum(lows, low)) / (high - low)
-    np.maximum(ring_share, 0.0, out=ring_share)
-    expected_peers = np.maximum(ring_share * estimate.n_peers, 1.0)
-    lookup = max(np.log2(max(estimate.n_peers, 2.0)) / 2.0, 1.0)
-    expected_messages = lookup + 2.0 * expected_peers
-    return [
-        QueryPlan(
-            expected_items=float(expected_items[i]),
-            expected_peers=float(expected_peers[i]),
-            expected_messages=float(expected_messages[i]),
-            admitted=max_items is None or float(expected_items[i]) <= max_items,
-            degraded=estimate.degraded,
-        )
-        for i in range(len(queries))
-    ]
-
-
-def plan_range_queries_served(
-    service: "EstimationService",
-    workload: RangeQueryWorkload | Sequence[RangeQuery],
-    max_items: Optional[float] = None,
-) -> list[QueryPlan]:
-    """Plan a workload through the serving layer.
-
-    Same cost model as :func:`plan_range_queries`, but the range masses
-    come from the service's batched selectivity path: the estimate stays
-    fresh against the live network under the staleness SLO, and a planner
-    re-running the same workload (the common admission-control loop) hits
-    the version-keyed result cache instead of re-evaluating the CDF.
-    """
-    queries = list(workload)
-    if not queries:
-        return []
-    lows = np.asarray([q.low for q in queries], dtype=float)
-    highs = np.asarray([q.high for q in queries], dtype=float)
-    masses = service.selectivity_batch(lows, highs)
-    estimate = service.current
-    assert estimate is not None  # selectivity_batch bootstrapped the service
-    network = service.network
     expected_items = masses * estimate.n_items
     low, high = network.domain
     ring_share = (np.minimum(highs, high) - np.maximum(lows, low)) / (high - low)

@@ -10,22 +10,18 @@ estimates are against the network's actual contents over a query workload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.estimate import DensityEstimate
 from repro.data.workload import RangeQuery, RangeQueryWorkload
 
-if TYPE_CHECKING:
-    from repro.serve.service import EstimationService
-
 __all__ = [
     "SelectivityReport",
     "estimate_selectivity",
     "estimate_selectivities",
     "evaluate_selectivity",
-    "served_selectivities",
     "true_selectivities",
 ]
 
@@ -51,26 +47,6 @@ def estimate_selectivities(
     if lows.size == 0:
         return np.empty(0, dtype=float)
     return estimate.cdf(highs) - estimate.cdf(lows)
-
-
-def served_selectivities(
-    service: "EstimationService",
-    workload: RangeQueryWorkload | Sequence[RangeQuery],
-) -> np.ndarray:
-    """Estimated selectivity of a workload through the serving layer.
-
-    Same contract as :func:`estimate_selectivities`, but evaluated by an
-    :class:`~repro.serve.service.EstimationService`: the service keeps its
-    estimate fresh against the live network (staleness SLO), and repeated
-    workloads hit the version-keyed result cache.  The returned array is
-    the cache's read-only entry — copy before mutating.
-    """
-    queries = list(workload)
-    if not queries:
-        return np.empty(0, dtype=float)
-    lows = np.asarray([q.low for q in queries], dtype=float)
-    highs = np.asarray([q.high for q in queries], dtype=float)
-    return service.selectivity_batch(lows, highs)
 
 
 def true_selectivities(
@@ -110,8 +86,8 @@ class SelectivityReport:
     ``degraded`` marks a report computed from a degraded estimate (some or
     all probe evidence missing); the error numbers are still exact for the
     estimate they were computed from, but the workload owner should expect
-    them to be worse than a full-coverage run's.  Kept out of
-    :meth:`as_dict` so existing result tables are unchanged.
+    them to be worse than a full-coverage run's.  Result tables name the
+    fields they report, so the flag does not change them.
     """
 
     queries: int
@@ -120,16 +96,6 @@ class SelectivityReport:
     mean_relative_error: float     # mean |sel̂ - sel| / max(sel, floor)
     mean_true_selectivity: float
     degraded: bool = False
-
-    def as_dict(self) -> dict[str, float]:
-        """Plain-dict view for result tables."""
-        return {
-            "queries": float(self.queries),
-            "mean_abs_error": self.mean_abs_error,
-            "max_abs_error": self.max_abs_error,
-            "mean_relative_error": self.mean_relative_error,
-            "mean_true_selectivity": self.mean_true_selectivity,
-        }
 
 
 def evaluate_selectivity(

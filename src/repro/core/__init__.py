@@ -1,7 +1,7 @@
 """Core contribution: distribution-free global density estimation.
 
-The CDF machinery, the exact and sampled global-CDF algorithms, the
-inversion-method samplers, and the estimator facade plus its baselines.
+The CDF machinery (with inversion-method sampling), the exact and sampled
+global-CDF algorithms, and the estimator facade plus its baselines.
 """
 
 from repro.core.adaptive import AdaptiveDensityEstimator, allocate_refinement_probes
@@ -44,7 +44,6 @@ from repro.core.estimate import (
     zero_evidence_estimate,
 )
 from repro.core.estimator import DensityEstimator, DistributionFreeEstimator
-from repro.core.inversion import InversionSampler, inverse_transform_sample
 from repro.core.metrics import (
     ErrorReport,
     emd,
@@ -58,7 +57,6 @@ from repro.core.metrics import (
 )
 from repro.core.quantile import (
     equi_depth_boundaries,
-    interquartile_range,
     median,
     quantile,
     quantiles,
@@ -80,7 +78,6 @@ __all__ = [
     "DistributionFreeEstimator",
     "ErrorReport",
     "ExactCdfEstimator",
-    "InversionSampler",
     "PeerSummary",
     "PiecewiseCDF",
     "PrefixIndex",
@@ -110,8 +107,6 @@ __all__ = [
     "evaluate_estimate",
     "fabricate_summary",
     "ht_weights",
-    "interquartile_range",
-    "inverse_transform_sample",
     "kl_divergence_binned",
     "ks_distance",
     "ks_distance_to_samples",

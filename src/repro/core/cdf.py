@@ -172,12 +172,6 @@ class PiecewiseCDF:
         """``F`` at the right end (1.0 for a proper CDF)."""
         return float(self.fs[-1])
 
-    def normalized(self) -> "PiecewiseCDF":
-        """Rescale so total mass is exactly 1 (repairs float drift)."""
-        if self.total_mass <= 0:
-            raise ValueError("cannot normalize a CDF with zero mass")
-        return PiecewiseCDF(self.xs, self.fs / self.total_mass, kind=self.kind)
-
     def density_on_grid(self, grid: NDArray[np.float64]) -> NDArray[np.float64]:
         """Finite-difference density on an evaluation grid.
 

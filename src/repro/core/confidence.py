@@ -63,12 +63,6 @@ class ConfidenceBand:
         inside = (values >= self.lower - 1e-12) & (values <= self.upper + 1e-12)
         return float(np.mean(inside))
 
-    def contains_point(self, x: float, f_value: float) -> bool:
-        """Is ``(x, F(x)=f_value)`` inside the band (grid-interpolated)?"""
-        lower = float(np.interp(x, self.grid, self.lower))
-        upper = float(np.interp(x, self.grid, self.upper))
-        return lower - 1e-12 <= f_value <= upper + 1e-12
-
 
 def bootstrap_confidence_band(
     evidence: Evidence,

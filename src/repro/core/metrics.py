@@ -130,17 +130,6 @@ class ErrorReport:
     kl: float
     tv: float
 
-    def as_dict(self) -> dict[str, float]:
-        """Plain-dict view for result tables."""
-        return {
-            "ks": self.ks,
-            "l1": self.l1,
-            "l2": self.l2,
-            "emd": self.emd,
-            "kl": self.kl,
-            "tv": self.tv,
-        }
-
 
 def evaluate_estimate(
     estimate: CdfLike,

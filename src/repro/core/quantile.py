@@ -16,7 +16,7 @@ from numpy.typing import NDArray
 
 from repro.core.cdf import PiecewiseCDF
 
-__all__ = ["quantile", "quantiles", "median", "interquartile_range", "equi_depth_boundaries"]
+__all__ = ["quantile", "quantiles", "median", "equi_depth_boundaries"]
 
 
 def quantile(cdf: PiecewiseCDF, q: float) -> float:
@@ -37,12 +37,6 @@ def quantiles(cdf: PiecewiseCDF, levels: Sequence[float]) -> NDArray[np.float64]
 def median(cdf: PiecewiseCDF) -> float:
     """The 0.5-quantile."""
     return quantile(cdf, 0.5)
-
-
-def interquartile_range(cdf: PiecewiseCDF) -> float:
-    """``Q3 - Q1`` — a robust spread summary of the estimate."""
-    q1, q3 = quantiles(cdf, [0.25, 0.75])
-    return float(q3 - q1)
 
 
 def equi_depth_boundaries(cdf: PiecewiseCDF, parts: int) -> NDArray[np.float64]:

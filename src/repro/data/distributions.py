@@ -70,10 +70,6 @@ class Distribution(ABC):
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``n`` iid values."""
 
-    def quantile_grid(self, points: int) -> np.ndarray:
-        """CDF values on an even grid — convenience for plotting/tests."""
-        return self.cdf(self.domain.grid(points))
-
     def _rejection_sample(
         self,
         n: int,

@@ -34,10 +34,6 @@ class Domain:
         """Membership test (closed on both ends)."""
         return self.low <= value <= self.high
 
-    def clamp(self, value: float) -> float:
-        """Clip a value into the domain."""
-        return min(max(value, self.low), self.high)
-
     def normalize(self, values: np.ndarray | float) -> np.ndarray | float:
         """Map domain values to ``[0, 1]``."""
         return (np.asarray(values, dtype=float) - self.low) / self.width

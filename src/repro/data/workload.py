@@ -31,17 +31,6 @@ class Dataset:
         """Number of items."""
         return int(self.values.size)
 
-    def empirical_cdf_at(self, x: np.ndarray | float) -> np.ndarray:
-        """Empirical CDF of the dataset (the finite-sample ground truth).
-
-        Estimators are compared against *this*, not the analytic CDF: the
-        network stores these particular items, so a perfect estimator
-        reproduces the empirical distribution exactly.
-        """
-        sorted_values = np.sort(self.values)
-        ranks = np.searchsorted(sorted_values, np.asarray(x, dtype=float), side="right")
-        return ranks / max(self.size, 1)
-
 
 def build_dataset(
     distribution: Distribution | str,
@@ -96,11 +85,6 @@ class UpdateStream:
         self._rng = np.random.default_rng(self.seed)
         if self.insert_distribution is None:
             self.insert_distribution = self.dataset.distribution
-
-    @property
-    def live_values(self) -> np.ndarray:
-        """The dataset as updated so far."""
-        return np.asarray(self._live, dtype=float)
 
     def ops(self, count: int) -> Iterator[UpdateOp]:
         """Yield ``count`` update operations, mutating the live set."""

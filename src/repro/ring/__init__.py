@@ -2,8 +2,7 @@
 
 Everything the estimators run on: identifier arithmetic, hashing/placement,
 peer nodes and their local stores, the network simulator with message
-accounting, Chord routing and protocol dynamics, churn processes, and
-network-size estimation.
+accounting, Chord routing and protocol dynamics, and churn processes.
 """
 
 from repro.ring.churn import ChurnConfig, ChurnProcess, ChurnRoundReport
@@ -15,7 +14,7 @@ from repro.ring.faults import (
     plane_from_profile,
     validate_probability,
 )
-from repro.ring.hashing import ConsistentHash, OrderPreservingHash
+from repro.ring.hashing import OrderPreservingHash
 from repro.ring.identifier import IdentifierSpace, RingInterval
 from repro.ring.messages import CostSnapshot, MessageStats, MessageType
 from repro.ring.network import NetworkError, RingNetwork
@@ -31,14 +30,12 @@ from repro.ring.routing import (
     route_with_policy,
     successor_walk,
 )
-from repro.ring.sizing import SizeEstimate, estimate_network_size, estimate_size_from_segments
 from repro.ring.storage import LocalStore
 
 __all__ = [
     "ChurnConfig",
     "ChurnProcess",
     "ChurnRoundReport",
-    "ConsistentHash",
     "CostSnapshot",
     "FAULT_PROFILES",
     "FaultPlane",
@@ -58,9 +55,6 @@ __all__ = [
     "RouteOutcome",
     "RouteResult",
     "RoutingError",
-    "SizeEstimate",
-    "estimate_network_size",
-    "estimate_size_from_segments",
     "load_network",
     "network_from_dict",
     "network_to_dict",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -22,9 +22,6 @@ from repro.ring.faults import FaultPlane
 from repro.ring.messages import MessageType
 from repro.ring.network import RingNetwork
 from repro.ring.replication import ReplicationManager
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (events -> churn)
-    from repro.ring.events import EventEngine
 
 __all__ = ["ChurnConfig", "ChurnProcess", "ChurnRoundReport"]
 
@@ -219,36 +216,3 @@ class ChurnProcess:
         for _ in range(rounds):
             total = total.merge(self.run_round())
         return total
-
-    def schedule_rounds(
-        self, engine: "EventEngine", rounds: int, *, round_duration: float = 1.0
-    ) -> list[ChurnRoundReport]:
-        """Ride ``rounds`` churn rounds on an event engine's clock.
-
-        One ``CHURN_ROUND`` event fires per ``round_duration``, executing
-        :meth:`run_round` (fault advance, joins/departures, maintenance,
-        replication — the full synchronous round, so the round semantics
-        and both RNG streams are exactly the synchronous ones) and
-        re-chaining itself until ``rounds`` have run.  Returns the live
-        report list, appended to as rounds fire.  If this process carries
-        a fault plane, the plane ticks here — do not *also* ``bind()`` it
-        to the engine, or it would advance twice per round.
-        """
-        if rounds < 0:
-            raise ValueError(f"rounds must be >= 0, got {rounds}")
-        if round_duration <= 0.0:
-            raise ValueError(f"round_duration must be > 0, got {round_duration}")
-        from repro.ring.events import EventKind  # local: events -> routing (cycle guard)
-
-        reports: list[ChurnRoundReport] = []
-
-        def fire() -> None:
-            reports.append(self.run_round())
-            if len(reports) < rounds:
-                engine.schedule(
-                    round_duration, EventKind.CHURN_ROUND, fire, tag=len(reports)
-                )
-
-        if rounds:
-            engine.schedule(round_duration, EventKind.CHURN_ROUND, fire, tag=0)
-        return reports

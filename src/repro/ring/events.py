@@ -12,11 +12,10 @@ honest fault timing all need a simulated clock.  This module provides it:
   tie-breaking contract is what makes a run a pure function of the
   schedule: the same seed and the same scheduling calls replay the same
   event sequence byte for byte (see :meth:`EventEngine.trace_bytes`).
-* Event kinds for message delivery (routing hops, gossip exchanges, probe
-  RPCs), churn arrivals/departures, and fault-plane transitions, so every
-  simulated activity shares the one clock.  ``FaultPlane.bind`` and
-  ``ChurnProcess.schedule_rounds`` ride their round schedules on this
-  queue instead of keeping private round counters.
+* Event kinds for message delivery (routing hops and gossip exchanges)
+  and for scheduled callbacks.  Churn and fault rounds stay on their
+  synchronous round counters (``ChurnProcess.run_round``,
+  ``FaultPlane.advance``); nothing drives them from this clock.
 * :class:`LatencyModel` / :class:`ServiceModel` — per-message delay and a
   single-server FIFO queue per peer.  With the default
   :attr:`LatencyModel.IMMEDIATE` and no service model, deliveries fire in
@@ -52,8 +51,6 @@ from repro.ring.messages import MessageType
 from repro.ring.routing import iter_route_steps
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.ring.churn import ChurnProcess
-    from repro.ring.mutation import RoundPlan
     from repro.ring.network import RingNetwork
     from repro.ring.node import PeerNode
 
@@ -66,27 +63,15 @@ __all__ = [
     "LookupTask",
     "schedule_lookup",
     "schedule_gossip_push",
-    "schedule_probe_rpc",
-    "schedule_churn_plan",
 ]
 
 
 class EventKind(str, Enum):
     """Every kind of event the engine can carry."""
 
-    # Message deliveries
     MESSAGE = "message"          # one routing hop (lookup traffic)
     GOSSIP = "gossip"            # one push-sum / gossip exchange
-    PROBE = "probe"              # one leg of a probe RPC (request or reply)
-    # Membership transitions (churn arrivals/departures)
-    JOIN = "join"
-    LEAVE = "leave"
-    CRASH = "crash"
-    # Round transitions riding the shared clock
-    FAULT_ROUND = "fault_round"  # one FaultPlane.advance round
-    CHURN_ROUND = "churn_round"  # one ChurnProcess.run_round round
-    # Generic scheduled callback (lookup kickoffs, timers)
-    TIMER = "timer"
+    TIMER = "timer"              # generic scheduled callback (lookup kickoffs)
 
 
 @dataclass(frozen=True)
@@ -270,10 +255,6 @@ class EventEngine:
 
         return self.schedule(completion - self.now, kind, processed, src=src, dst=dst, tag=tag)
 
-    def queue_depth(self, ident: int) -> int:
-        """Messages currently queued at one peer (service model only)."""
-        return self._backlog.get(ident, 0)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -439,7 +420,7 @@ def schedule_lookup(
 
 
 # ----------------------------------------------------------------------
-# Gossip exchanges and probe RPCs
+# Gossip exchanges
 # ----------------------------------------------------------------------
 def schedule_gossip_push(
     engine: EventEngine,
@@ -459,83 +440,3 @@ def schedule_gossip_push(
             on_deliver()
 
     return engine.deliver(src, dst, EventKind.GOSSIP, handle, tag=tag)
-
-
-def schedule_probe_rpc(
-    engine: EventEngine,
-    src: int,
-    dst: int,
-    *,
-    reply_payload: float = 0.0,
-    tag: int = 0,
-    on_reply: Optional[Callable[[], None]] = None,
-) -> Event:
-    """One probe RPC as two timed legs (request out, reply back).
-
-    The ledger sees exactly what the synchronous ``record_rpc`` records —
-    one ``PROBE_REQUEST`` plus one ``PROBE_REPLY`` carrying the synopsis
-    payload — but each leg pays its own latency and queueing.
-    """
-
-    def request_arrived() -> None:
-        engine.network.record(MessageType.PROBE_REQUEST)
-
-        def reply_arrived() -> None:
-            engine.network.record(MessageType.PROBE_REPLY, payload=reply_payload)
-            if on_reply is not None:
-                on_reply()
-
-        engine.deliver(dst, src, EventKind.PROBE, reply_arrived, tag=tag)
-
-    return engine.deliver(src, dst, EventKind.PROBE, request_arrived, tag=tag)
-
-
-# ----------------------------------------------------------------------
-# Churn arrivals/departures on the clock
-# ----------------------------------------------------------------------
-def schedule_churn_plan(
-    engine: EventEngine,
-    churn: "ChurnProcess",
-    *,
-    round_duration: float = 1.0,
-) -> "RoundPlan":
-    """Draw one churn round's plan and spread it over the round interval.
-
-    Uses :func:`repro.ring.mutation.plan_round` — consuming the churn and
-    network RNG streams exactly as a synchronous round would — then lays
-    every join/departure out as its own ``JOIN``/``LEAVE``/``CRASH`` event
-    via :func:`repro.ring.mutation.spread_plan`, so individual membership
-    transitions interleave with in-flight message traffic on the shared
-    clock instead of landing as one atomic round boundary.
-
-    Membership guards at fire time (duplicate join, already-departed or
-    last-peer departure) mirror the sequential loop's own checks; the plan
-    is coherent by construction, so they only trigger if the caller also
-    mutates membership out of band.
-    """
-    from repro.ring import chord
-    from repro.ring.mutation import plan_round, spread_plan
-
-    network = engine.network
-    plan = plan_round(network, churn.config, churn.rng)
-
-    def make_apply(kindname: str, ident: int) -> Callable[[], None]:
-        def apply() -> None:
-            if kindname == "join":
-                if ident not in network:
-                    chord.join(network, ident)
-            elif ident in network and network.n_peers > 1:
-                if kindname == "crash":
-                    chord.crash(network, ident)
-                else:
-                    chord.leave_gracefully(network, ident)
-
-        return apply
-
-    kinds = {"join": EventKind.JOIN, "leave": EventKind.LEAVE, "crash": EventKind.CRASH}
-    for at_time, kindname, ident, _is_crash in spread_plan(plan, engine.now, round_duration):
-        engine.schedule(
-            at_time - engine.now, kinds[kindname], make_apply(kindname, ident),
-            src=ident, dst=ident,
-        )
-    return plan

@@ -33,7 +33,6 @@ from numpy.typing import NDArray
 from repro.ring.lockstep import FaultRows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network -> faults)
-    from repro.ring.events import EventEngine
     from repro.ring.network import RingNetwork
 
 __all__ = [
@@ -336,47 +335,6 @@ class FaultPlane:
         report.partitioned = bool(self._cuts)
         self._version += 1
         return report
-
-    def _pending_rounds(self) -> bool:
-        """Is there any future round transition left to observe?
-
-        True while scheduled injections remain, any timed stall has an
-        expiry still to pass, or a timed partition is in force — the
-        conditions under which another :meth:`advance` changes state.
-        """
-        if self._schedule:
-            return True
-        if any(exp is not None for exp in self._stalled.values()):
-            return True
-        return self._partition_expiry is not None
-
-    def bind(self, engine: "EventEngine", round_duration: float = 1.0) -> list[FaultRoundReport]:
-        """Ride this plane's round schedule on an event engine's clock.
-
-        Generalizes the ``at()``/``advance()`` round counter onto the
-        shared simulated clock: one ``FAULT_ROUND`` event fires per
-        ``round_duration``, calling :meth:`advance` on the engine's
-        network, and re-chains itself while :meth:`_pending_rounds` says a
-        future transition remains (so inert planes schedule nothing and
-        finished schedules stop cleanly).  Returns the live report list,
-        appended to as rounds fire.  Do not also drive the same plane from
-        a synchronous churn loop — the plane has one round counter and it
-        should tick on one clock.
-        """
-        from repro.ring.events import EventKind  # local: events -> routing -> faults
-
-        if round_duration <= 0.0:
-            raise ValueError(f"round_duration must be > 0, got {round_duration}")
-        reports: list[FaultRoundReport] = []
-
-        def fire() -> None:
-            reports.append(self.advance(engine.network))
-            if self._pending_rounds():
-                engine.schedule(round_duration, EventKind.FAULT_ROUND, fire, tag=self.round)
-
-        if self._pending_rounds():
-            engine.schedule(round_duration, EventKind.FAULT_ROUND, fire, tag=self.round)
-        return reports
 
     def _pick_peers(self, network: "RingNetwork", fraction: float, count: int) -> list[int]:
         """Draw victims uniformly without replacement from the plane's RNG."""

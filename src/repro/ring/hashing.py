@@ -1,52 +1,25 @@
 """Placement functions: how peers and data land on the ring.
 
-Two placement regimes matter for density estimation:
+Under consistent (uniform) hashing, the classic DHT placement, keys are
+scattered uniformly, so every peer holds an unbiased random sample of the
+global data and density estimation is trivial.  The paper targets
+**order-preserving placement** instead: the data value maps monotonically
+onto ring position, so range queries are local but each peer's data
+reflects only its own slice of the domain.  Estimating the *global*
+distribution then genuinely requires the paper's machinery.
 
-* **Consistent (uniform) hashing** — the classic DHT placement.  Keys are
-  scattered uniformly, so every peer holds an unbiased random sample of the
-  global data and density estimation is trivial.  We implement it as a
-  baseline substrate and for hashing *peer* identifiers.
-
-* **Order-preserving placement** — the regime the paper targets.  The data
-  value maps monotonically onto ring position, so range queries are local but
-  each peer's data reflects only its own slice of the domain.  Estimating the
-  *global* distribution then genuinely requires the paper's machinery.
-
-Both are deterministic, seedable, and pure functions of their inputs.
+The mapping is deterministic and a pure function of its inputs.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.ring.identifier import IdentifierSpace
 
-__all__ = ["ConsistentHash", "OrderPreservingHash"]
-
-
-@dataclass(frozen=True)
-class ConsistentHash:
-    """Uniform hashing of arbitrary keys onto the identifier ring.
-
-    Uses SHA-256 truncated to the ring width.  A fixed ``salt`` lets callers
-    derive independent hash functions (e.g. peer ids vs. replica ids) from
-    the same space.
-    """
-
-    space: IdentifierSpace
-    salt: str = ""
-
-    def __call__(self, key: object) -> int:
-        digest = hashlib.sha256(f"{self.salt}:{key!r}".encode()).digest()
-        value = int.from_bytes(digest, "big")
-        return value % self.space.size
-
-    def hash_peer(self, peer_name: object) -> int:
-        """Hash a peer's name; alias making call sites self-documenting."""
-        return self(peer_name)
+__all__ = ["OrderPreservingHash"]
 
 
 @dataclass(frozen=True)
@@ -108,14 +81,3 @@ class OrderPreservingHash:
         self.space.validate(ident)
         u = ident / self.space.size
         return self.low + u * (self.high - self.low)
-
-    def unit_to_value(self, u: float) -> float:
-        """Map a unit-interval ring coordinate to a domain value."""
-        if not 0.0 <= u <= 1.0:
-            raise ValueError(f"unit position {u} outside [0, 1]")
-        return self.low + u * (self.high - self.low)
-
-    def value_to_unit(self, value: float) -> float:
-        """Map a domain value to its unit-interval ring coordinate."""
-        u = (value - self.low) / (self.high - self.low)
-        return min(max(u, 0.0), 1.0)

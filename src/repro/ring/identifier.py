@@ -67,10 +67,6 @@ class IdentifierSpace:
         """Clockwise distance from ``start`` to ``end`` (0 if equal)."""
         return (end - start) & self.mask
 
-    def midpoint(self, start: int, end: int) -> int:
-        """Identifier halfway along the clockwise arc from start to end."""
-        return self.add(start, self.distance(start, end) // 2)
-
     def finger_target(self, ident: int, k: int) -> int:
         """The classic Chord finger target ``ident + 2**k`` (0-indexed ``k``)."""
         if not 0 <= k < self.bits:
@@ -99,15 +95,6 @@ class IdentifierSpace:
             return True
         return self.in_open(ident, start, end) or ident == end
 
-    def to_unit(self, ident: int) -> float:
-        """Map an identifier to the unit interval ``[0, 1)``."""
-        return ident / self.size
-
-    def from_unit(self, u: float) -> int:
-        """Map ``u`` in ``[0, 1]`` to an identifier (1.0 wraps to 0)."""
-        if not 0.0 <= u <= 1.0:
-            raise ValueError(f"unit position {u} outside [0, 1]")
-        return min(int(u * self.size), self.size - 1) if u < 1.0 else 0
 
 @dataclass(frozen=True)
 class RingInterval:
@@ -132,11 +119,6 @@ class RingInterval:
         if self.start == self.end:
             return self.space.size
         return self.space.distance(self.start, self.end)
-
-    @property
-    def unit_length(self) -> float:
-        """Arc length as a fraction of the whole ring."""
-        return self.length / self.space.size
 
     def contains(self, ident: int) -> bool:
         """Membership test for ``(start, end]``."""

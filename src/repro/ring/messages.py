@@ -159,7 +159,3 @@ class MessageStats:
         self._messages = 0
         self._hops = 0
         self._payload = 0.0
-
-    def as_dict(self) -> dict[str, int]:
-        """Plain-dict view for reporting."""
-        return {t.value: c for t, c in sorted(self.counts.items()) if c}

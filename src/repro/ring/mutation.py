@@ -61,7 +61,6 @@ __all__ = [
     "KERNEL_MIN_PEERS",
     "RoundPlan",
     "plan_round",
-    "spread_plan",
     "apply_joins",
     "matrix_maintenance_round",
     "ring_is_clean",
@@ -145,38 +144,6 @@ def plan_round(
             is_crash = bool(rng.random() < config.crash_fraction)
             departures.append((victim, is_crash))
     return RoundPlan(joins=joins, departures=departures)
-
-
-def spread_plan(
-    plan: RoundPlan, round_start: float, round_duration: float
-) -> list[tuple[float, str, int, bool]]:
-    """Lay one round's plan out on a simulated-time interval.
-
-    Returns ``(time, kind, ident, is_crash)`` tuples — ``kind`` one of
-    ``"join"``/``"leave"``/``"crash"`` — preserving the plan's sequential
-    order (joins first, then departures, exactly as the scalar loop
-    applies them) and spacing the transitions evenly across
-    ``[round_start, round_start + round_duration)``.  Pure arithmetic on
-    the plan: no RNG, no ring access, so the event schedule is a
-    deterministic function of the plan alone.
-    """
-    if round_duration < 0.0:
-        raise ValueError(f"round_duration must be >= 0, got {round_duration}")
-    entries: list[tuple[str, int, bool]] = [
-        ("join", ident, False) for ident in plan.joins
-    ]
-    entries.extend(
-        ("crash" if is_crash else "leave", ident, is_crash)
-        for ident, is_crash in plan.departures
-    )
-    total = len(entries)
-    if not total:
-        return []
-    step = round_duration / total
-    return [
-        (round_start + index * step, kind, ident, is_crash)
-        for index, (kind, ident, is_crash) in enumerate(entries)
-    ]
 
 
 def apply_joins(network: RingNetwork, idents: list[int]) -> int:

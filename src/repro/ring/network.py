@@ -485,10 +485,6 @@ class RingNetwork:
         """True owner of a ring position (oracle view, no cost)."""
         return self._nodes[self._oracle_successor(key)]
 
-    def owner_of_value(self, value: float) -> PeerNode:
-        """True owner of a data value (oracle view, no cost)."""
-        return self.owner_of(self.data_hash(value))
-
     def owners_of_keys(self, keys: np.ndarray) -> list[PeerNode]:
         """True owners of many ring positions at once (oracle view, no cost).
 
@@ -510,7 +506,7 @@ class RingNetwork:
         Hashes all values in one vectorized pass (byte-identical to the
         scalar hash by the :meth:`OrderPreservingHash.map_values` contract)
         and resolves owners with one ``searchsorted`` — element-wise equal
-        to calling :meth:`owner_of_value` per value.
+        to calling :meth:`owner_of` on each value's hash.
         """
         arr = np.asarray(values, dtype=float)
         if arr.size == 0:
@@ -536,11 +532,6 @@ class RingNetwork:
             chunk = sorted_values[boundaries[index] : boundaries[index + 1]]
             if chunk.size:
                 self._nodes[ident].store.insert_many(chunk)
-
-    def clear_data(self) -> None:
-        """Drop all stored items from every peer."""
-        for node in self._nodes.values():
-            node.store.pop_all()
 
     # ------------------------------------------------------------------
     # Snapshot plane / ground truth (oracle view)
@@ -584,10 +575,6 @@ class RingNetwork:
         Served from the snapshot plane; treat the array as read-only.
         """
         return self.snapshot().counts
-
-    def peer_segment_lengths(self) -> np.ndarray:
-        """Per-peer ownership arc lengths in ring order."""
-        return np.asarray([node.segment_length for node in self.peers()], dtype=float)
 
     # ------------------------------------------------------------------
     # Message ledger helpers

@@ -12,8 +12,8 @@ of the network:
 
 * ``ids`` — sorted live peer identifiers (``uint64``),
 * ``counts`` / ``cum_counts`` — per-peer item counts and their prefix sums,
-* ``values`` / ``offsets`` — every stored item packed per peer in ring
-  order (peer ``i`` owns ``values[offsets[i]:offsets[i+1]]``),
+* ``values`` — every stored item packed per peer in ring order (peer
+  ``i`` owns ``values[cum_counts[i]:cum_counts[i+1]]``),
 * ``sorted_values`` — the same multiset globally sorted (the ground truth
   dataset),
 * the routing view — the compressed finger-scan matrix of rows plus
@@ -139,19 +139,14 @@ class RingSnapshot:
 
     @property
     def cum_counts(self) -> NDArray[np.int64]:
-        """Prefix sums of :attr:`counts`, length ``n_peers + 1``."""
+        """Prefix sums of :attr:`counts`, length ``n_peers + 1``: peer ``i``
+        owns ``values[cum_counts[i]:cum_counts[i+1]]``."""
         return self._cum_counts
 
     @property
     def values(self) -> NDArray[np.float64]:
         """All stored items packed per peer in ring order."""
         return self._values
-
-    @property
-    def offsets(self) -> NDArray[np.int64]:
-        """Alias of :attr:`cum_counts`: peer ``i`` owns
-        ``values[offsets[i]:offsets[i+1]]``."""
-        return self._cum_counts
 
     @property
     def sorted_values(self) -> NDArray[np.float64]:
@@ -205,7 +200,7 @@ class RingSnapshot:
         self._sorted_values = np.sort(self._values) if self._values.size else _EMPTY_F
 
     def _repack(self) -> None:
-        """Rebuild counts/offsets/packed values from the chunk table.
+        """Rebuild counts/prefix sums/packed values from the chunk table.
 
         This is pure memcpy over the cached per-peer arrays — O(total
         items) with a tiny constant — so it runs on every refresh; only the

@@ -203,11 +203,6 @@ class LocalStore:
         """Number of stored items ``<= value`` — the local CDF numerator."""
         return bisect.bisect_right(self._list, value)
 
-    def count_range(self, low: float, high: float) -> int:
-        """Number of items with ``low <= v < high``."""
-        items = self._list
-        return bisect.bisect_left(items, high) - bisect.bisect_left(items, low)
-
     def values_in_range(self, low: float, high: float) -> list[float]:
         """All items with ``low <= v < high``, in sorted order.
 

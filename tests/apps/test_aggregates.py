@@ -79,13 +79,6 @@ class TestEvaluation:
         assert report.mean_error < 0.05
         assert report.median_error < 0.05
 
-    def test_report_dict(self, world):
-        network, engine = world
-        report = evaluate_aggregates(engine, RangeQuery(0.1, 0.9), network.all_values())
-        assert set(report.as_dict()) == {
-            "count_error", "sum_error", "mean_error", "median_error",
-        }
-
     def test_empty_true_range_handled(self, world):
         network, engine = world
         report = evaluate_aggregates(

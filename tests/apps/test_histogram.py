@@ -42,13 +42,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             EquiDepthHistogram(np.array([2.0, 1.0]), 0.5, 10)
 
-    def test_bucket_of(self):
-        histogram = EquiDepthHistogram(np.array([0.0, 1.0, 2.0]), 0.5, 10)
-        assert histogram.bucket_of(-1.0) == 0
-        assert histogram.bucket_of(0.5) == 0
-        assert histogram.bucket_of(1.5) == 1
-        assert histogram.bucket_of(5.0) == 1
-
 
 class TestEquiDepthProperty:
     def test_depths_are_nearly_equal(self, world):

@@ -89,14 +89,6 @@ class TestPrediction:
         assert report.actual_gini > 0.5
         assert report.predicted_gini > 0.3
 
-    def test_report_dict(self):
-        network, _ = make_loaded_network(n_peers=16, n_items=500)
-        estimate = AdaptiveDensityEstimator(probes=16).estimate(
-            network, rng=np.random.default_rng(3)
-        )
-        report = analyze_load_balance(network, estimate)
-        assert "hotspot_hit" in report.as_dict()
-
 
 class TestRebalancing:
     def test_boundaries_equalise_mass(self):

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.apps.range_query import execute_range_query, plan_range_query
+from repro.apps.range_query import (
+    execute_range_query,
+    plan_range_queries,
+    plan_range_query,
+    true_range_counts,
+)
 from repro.core.adaptive import AdaptiveDensityEstimator
 from repro.data.workload import RangeQuery
 
@@ -27,6 +32,13 @@ class TestExecution:
         values = network.all_values()
         expected = np.sort(values[(values >= 0.3) & (values < 0.6)])
         np.testing.assert_array_equal(result.values, expected)
+        # The snapshot-plane oracle counts what execution fetches: inside
+        # the domain, across either bound, wholly outside, and for no query.
+        workload = [query, RangeQuery(-0.5, 0.2), RangeQuery(0.9, 1.5), RangeQuery(5.0, 6.0)]
+        assert true_range_counts(network, workload).tolist() == [
+            execute_range_query(network, q).count for q in workload
+        ]
+        assert true_range_counts(network, []).tolist() == []
 
     def test_whole_domain(self, world):
         network, _ = world
@@ -98,16 +110,14 @@ class TestPlanning:
         assert not plan_range_query(network, estimate, wide, max_items=10).admitted
         assert plan_range_query(network, estimate, wide, max_items=1e9).admitted
         assert plan_range_query(network, estimate, wide).admitted
+        # The batch planner is the scalar one, element for element.
+        workload = [wide, RangeQuery(0.3, 0.5), RangeQuery(0.9, 1.5)]
+        assert plan_range_queries(network, estimate, workload, max_items=10) == [
+            plan_range_query(network, estimate, q, max_items=10) for q in workload
+        ]
 
     def test_plan_costs_no_messages(self, world):
         network, estimate = world
         before = network.stats.messages
         plan_range_query(network, estimate, RangeQuery(0.3, 0.5))
         assert network.stats.messages == before
-
-    def test_plan_dict(self, world):
-        network, estimate = world
-        plan = plan_range_query(network, estimate, RangeQuery(0.3, 0.5))
-        assert set(plan.as_dict()) == {
-            "expected_items", "expected_peers", "expected_messages", "admitted",
-        }

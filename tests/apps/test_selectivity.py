@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.apps.selectivity import estimate_selectivity, evaluate_selectivity
+from repro.apps.selectivity import (
+    estimate_selectivities,
+    estimate_selectivity,
+    evaluate_selectivity,
+)
 from repro.core.adaptive import AdaptiveDensityEstimator
 from repro.data.workload import RangeQuery, RangeQueryWorkload
 
@@ -32,6 +36,11 @@ class TestEstimateSelectivity:
         query = RangeQuery(0.3, 0.6)
         expected = float(estimate.cdf(0.6)) - float(estimate.cdf(0.3))
         assert estimate_selectivity(estimate, query) == pytest.approx(expected)
+        # The batch path is the scalar one, element for element.
+        workload = [query, RangeQuery(-0.5, 0.2), RangeQuery(0.9, 1.5)]
+        assert estimate_selectivities(estimate, workload).tolist() == [
+            estimate_selectivity(estimate, q) for q in workload
+        ]
 
     def test_accurate_against_truth(self, world):
         network, estimate = world
@@ -72,15 +81,3 @@ class TestEvaluateSelectivity:
         tiny = [RangeQuery(0.0, 1e-9)]
         report = evaluate_selectivity(estimate, tiny, network.all_values())
         assert np.isfinite(report.mean_relative_error)
-
-    def test_as_dict(self, world):
-        network, estimate = world
-        workload = RangeQueryWorkload.random(network.domain, 10, seed=3)
-        report = evaluate_selectivity(estimate, workload, network.all_values())
-        assert set(report.as_dict()) == {
-            "queries",
-            "mean_abs_error",
-            "max_abs_error",
-            "mean_relative_error",
-            "mean_true_selectivity",
-        }

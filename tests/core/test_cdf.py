@@ -142,6 +142,7 @@ class TestSampling:
         samples = cdf.sample(500, rng)
         assert samples.size == 500
         assert samples.min() >= 0.0 and samples.max() <= 1.0
+        assert cdf.sample(0, rng).size == 0
 
     def test_sample_follows_cdf(self, rng):
         from scipy import stats as scipy_stats
@@ -201,15 +202,6 @@ class TestDerived:
     def test_total_mass(self):
         cdf = PiecewiseCDF([0.0, 1.0], [0.0, 0.8])
         assert cdf.total_mass == pytest.approx(0.8)
-
-    def test_normalized(self):
-        cdf = PiecewiseCDF([0.0, 1.0], [0.0, 0.8]).normalized()
-        assert cdf.total_mass == pytest.approx(1.0)
-
-    def test_normalized_zero_mass_rejected(self):
-        cdf = PiecewiseCDF([0.0, 1.0], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            cdf.normalized()
 
     def test_density_on_grid(self):
         cdf = PiecewiseCDF([0.0, 1.0], [0.0, 1.0])

@@ -75,14 +75,6 @@ class TestStatisticalBehaviour:
             widths[probes] = band.mean_width
         assert widths[96] < widths[12]
 
-    def test_contains_point(self, probe_world):
-        network, truth, summaries = probe_world
-        band = bootstrap_confidence_band(
-            summaries, network.domain, replicates=100, rng=np.random.default_rng(6)
-        )
-        # A wildly wrong point is rejected.
-        assert not band.contains_point(0.5, 0.0) or band.lower[band.grid.size // 2] == 0
-
 
 class TestEstimateWithConfidence:
     def test_returns_both(self, probe_world):

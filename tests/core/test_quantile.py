@@ -6,7 +6,6 @@ import pytest
 from repro.core.cdf import PiecewiseCDF
 from repro.core.quantile import (
     equi_depth_boundaries,
-    interquartile_range,
     median,
     quantile,
     quantiles,
@@ -33,13 +32,6 @@ class TestQuantile:
 
     def test_median(self):
         assert median(UNIFORM) == pytest.approx(1.0)
-
-    def test_iqr(self):
-        assert interquartile_range(UNIFORM) == pytest.approx(1.0)
-
-    def test_iqr_nonnegative_on_step(self):
-        step = PiecewiseCDF.from_samples([1.0, 1.0, 1.0])
-        assert interquartile_range(step) >= 0.0
 
 
 class TestEquiDepth:

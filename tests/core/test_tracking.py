@@ -20,7 +20,7 @@ def drift_network(network, dataset, towards_mean: float, updates: int, seed: int
         seed=seed,
     )
     for op in stream.ops(updates):
-        owner = network.owner_of_value(op.value)
+        owner = network.owner_of(network.data_hash(op.value))
         if op.kind == "insert":
             owner.store.insert(op.value)
         else:

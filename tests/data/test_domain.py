@@ -22,12 +22,6 @@ class TestDomain:
         assert d.contains(1.0)
         assert not d.contains(1.01)
 
-    def test_clamp(self):
-        d = Domain(0.0, 1.0)
-        assert d.clamp(-5.0) == 0.0
-        assert d.clamp(0.5) == 0.5
-        assert d.clamp(5.0) == 1.0
-
     def test_normalize_denormalize_round_trip(self):
         d = Domain(10.0, 20.0)
         values = np.array([10.0, 15.0, 20.0])

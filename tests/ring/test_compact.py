@@ -113,7 +113,7 @@ class TestRouting:
         assert [int(compact.ids[i]) for i in owner_idx] == expected_owner
         assert hops.tolist() == expected_hops
         # Same hops, same ledger: one bulk LOOKUP_HOP record.
-        assert compact.stats.as_dict() == network.stats.as_dict()
+        assert compact.stats.snapshot().by_type == network.stats.snapshot().by_type
 
     def test_route_batch_traffic_counts_every_hop(self):
         _network, compact = _pair(seed=11)

@@ -1,41 +1,14 @@
-"""Tests for consistent and order-preserving hashing."""
+"""Tests for order-preserving hashing."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ring.hashing import ConsistentHash, OrderPreservingHash
+from repro.ring.hashing import OrderPreservingHash
 from repro.ring.identifier import IdentifierSpace
 
 SPACE = IdentifierSpace(64)
-
-
-class TestConsistentHash:
-    def test_deterministic(self):
-        h = ConsistentHash(SPACE)
-        assert h("peer-1") == h("peer-1")
-
-    def test_in_range(self):
-        h = ConsistentHash(SPACE)
-        for key in range(100):
-            assert 0 <= h(key) < SPACE.size
-
-    def test_salt_changes_placement(self):
-        a = ConsistentHash(SPACE, salt="a")
-        b = ConsistentHash(SPACE, salt="b")
-        assert any(a(k) != b(k) for k in range(10))
-
-    def test_spread_is_roughly_uniform(self):
-        h = ConsistentHash(SPACE)
-        positions = np.array([h(f"peer-{i}") for i in range(2000)], dtype=float)
-        units = positions / SPACE.size
-        # Mean of U(0,1) is 0.5 with sd ~0.0065 at n=2000.
-        assert abs(units.mean() - 0.5) < 0.05
-
-    def test_hash_peer_alias(self):
-        h = ConsistentHash(SPACE)
-        assert h.hash_peer("x") == h("x")
 
 
 class TestOrderPreservingHash:
@@ -66,22 +39,6 @@ class TestOrderPreservingHash:
         recovered = h.to_value(ident)
         # to_value returns the left edge of the ident's value bucket.
         assert abs(recovered - u) < 1e-9
-
-    def test_unit_value_round_trip(self):
-        h = OrderPreservingHash(SPACE, 10.0, 20.0)
-        assert h.unit_to_value(0.0) == 10.0
-        assert h.unit_to_value(1.0) == 20.0
-        assert h.value_to_unit(15.0) == pytest.approx(0.5)
-
-    def test_unit_to_value_bounds(self):
-        h = OrderPreservingHash(SPACE, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            h.unit_to_value(1.5)
-
-    def test_value_to_unit_clamps(self):
-        h = OrderPreservingHash(SPACE, 0.0, 1.0)
-        assert h.value_to_unit(-3.0) == 0.0
-        assert h.value_to_unit(3.0) == 1.0
 
     def test_nonunit_domain(self):
         h = OrderPreservingHash(SPACE, 100.0, 200.0)

@@ -51,11 +51,6 @@ class TestIdentifierSpace:
         assert SMALL.distance(20, 10) == 246
         assert SMALL.distance(7, 7) == 0
 
-    def test_midpoint(self):
-        assert SMALL.midpoint(0, 100) == 50
-        # Wrapping arc from 200 to 100 has length 156 -> midpoint at 200+78.
-        assert SMALL.midpoint(200, 100) == SMALL.add(200, 78)
-
     def test_finger_target(self):
         assert SMALL.finger_target(0, 0) == 1
         assert SMALL.finger_target(0, 7) == 128
@@ -90,17 +85,6 @@ class TestIdentifierSpace:
         assert SMALL.in_half_open(123, 50, 50)
         assert SMALL.in_half_open(50, 50, 50)
 
-    def test_unit_round_trip_edges(self):
-        assert SMALL.to_unit(0) == 0.0
-        assert SMALL.from_unit(0.0) == 0
-        assert SMALL.from_unit(1.0) == 0  # 1.0 wraps to the origin
-
-    def test_from_unit_bounds(self):
-        with pytest.raises(ValueError):
-            SMALL.from_unit(-0.1)
-        with pytest.raises(ValueError):
-            SMALL.from_unit(1.1)
-
     @given(a=idents_small, b=idents_small)
     def test_distance_add_inverse(self, a, b):
         assert SMALL.add(a, SMALL.distance(a, b)) == b
@@ -129,7 +113,6 @@ class TestRingInterval:
     def test_length_plain(self):
         interval = RingInterval(SMALL, 10, 20)
         assert interval.length == 10
-        assert interval.unit_length == 10 / 256
 
     def test_length_wrapping(self):
         interval = RingInterval(SMALL, 250, 5)

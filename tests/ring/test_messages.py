@@ -37,11 +37,6 @@ class TestMessageStats:
         stats.reset()
         assert stats.messages == 0
 
-    def test_as_dict_omits_zeros(self):
-        stats = MessageStats()
-        stats.record(MessageType.JOIN)
-        assert stats.as_dict() == {"join": 1}
-
 
 class TestCostSnapshot:
     def test_delta(self):

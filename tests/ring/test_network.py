@@ -124,16 +124,6 @@ class TestOwnershipAndPlacement:
             assert node.store.min() >= previous_max - 1e-12
             previous_max = node.store.max()
 
-    def test_owner_of_value(self):
-        network, _ = make_loaded_network(n_peers=16, n_items=100)
-        owner = network.owner_of_value(0.5)
-        assert owner.owns(network.data_hash(0.5))
-
-    def test_clear_data(self):
-        network, _ = make_loaded_network(n_peers=8, n_items=100)
-        network.clear_data()
-        assert network.total_count == 0
-
 
 class TestGroundTruth:
     def test_all_values_sorted_and_complete(self):
@@ -151,7 +141,7 @@ class TestGroundTruth:
 
     def test_segment_lengths_sum_to_ring(self):
         network, _ = make_loaded_network(n_peers=16, n_items=10)
-        assert network.peer_segment_lengths().sum() == network.space.size
+        assert sum(node.segment_length for node in network.peers()) == network.space.size
 
 
 class TestLedger:

@@ -99,7 +99,7 @@ class TestRecovery:
         manager.replicate_round()
         victim = network.random_peer()
         fresh_value = 0.123456789
-        owner = network.owner_of_value(fresh_value)
+        owner = network.owner_of(network.data_hash(fresh_value))
         owner.store.insert(fresh_value)
         before = network.total_count
         chord.crash(network, owner.ident)

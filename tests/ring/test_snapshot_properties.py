@@ -40,7 +40,6 @@ def _assert_snapshot_exact(network):
     assert np.array_equal(snap.ids, ids)
     assert np.array_equal(snap.counts, counts)
     assert np.array_equal(snap.cum_counts, cum)
-    assert np.array_equal(snap.offsets, cum)
     assert np.array_equal(snap.values, values)
     assert np.array_equal(snap.sorted_values, sorted_values)
     assert snap.total_count == int(cum[-1])

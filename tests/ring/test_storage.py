@@ -79,8 +79,8 @@ class TestRangeOps:
 
     def test_count_range(self):
         store = LocalStore([1.0, 2.0, 3.0])
-        assert store.count_range(1.0, 3.0) == 2   # [1, 3) excludes 3
-        assert store.count_range(0.0, 10.0) == 3
+        assert store.values_in_range(1.0, 3.0) == [1.0, 2.0]   # [1, 3) excludes 3
+        assert len(store.values_in_range(0.0, 10.0)) == 3
 
 
 class TestRankQueries:

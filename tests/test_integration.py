@@ -44,9 +44,9 @@ class TestFullPipeline:
         stream = UpdateStream(data, insert_fraction=0.5, seed=7)
         for op in stream.ops(2_000):
             if op.kind == "insert":
-                network.owner_of_value(op.value).store.insert(op.value)
+                network.owner_of(network.data_hash(op.value)).store.insert(op.value)
             else:
-                network.owner_of_value(op.value).store.remove(op.value)
+                network.owner_of(network.data_hash(op.value)).store.remove(op.value)
 
         truth = empirical_cdf(network.all_values())
         estimate = DistributionFreeEstimator(probes=64).estimate(
