@@ -56,12 +56,12 @@ def test_cdf_sampling(benchmark, big_cdf):
 
 def test_mixture_assembly(benchmark):
     rng = np.random.default_rng(2)
-    components = [
-        PiecewiseCDF(np.sort(rng.uniform(size=10)), np.linspace(0, 1, 10))
-        for _ in range(64)
-    ]
+    # 64 components of 10 breakpoints each, as concatenated runs.
+    xs = np.sort(rng.uniform(size=(64, 10)), axis=1).ravel()
+    fs = np.tile(np.linspace(0, 1, 10), 64)
+    bounds = np.arange(0, 641, 10)
     weights = rng.uniform(size=64)
-    benchmark(PiecewiseCDF.mixture, components, weights)
+    benchmark(PiecewiseCDF.mixture, xs, fs, bounds, weights)
 
 
 def test_routed_lookup(benchmark, loaded_network):

@@ -5,12 +5,7 @@ global-CDF algorithms, and the estimator facade plus its baselines.
 """
 
 from repro.core.adaptive import AdaptiveDensityEstimator, allocate_refinement_probes
-from repro.core.byzantine import (
-    ByzantineBehavior,
-    corrupt_network,
-    fabricate_summary,
-    trim_outlier_summaries,
-)
+from repro.core.byzantine import ByzantineBehavior, corrupt_network, trim_outlier_replies
 from repro.core.cdf import PiecewiseCDF, empirical_cdf
 from repro.core.confidence import (
     ConfidenceBand,
@@ -26,7 +21,6 @@ from repro.core.cdf_sampling import (
     InterpolatedReconstruction,
     ProbeFailure,
     ProbeReplies,
-    ProbeResult,
     assemble_cdf,
     assemble_cdf_interpolated,
     collect_probes,
@@ -62,7 +56,7 @@ from repro.core.quantile import (
     quantiles,
 )
 from repro.core.rank_sampling import PrefixIndex, build_prefix_index, sample_by_rank
-from repro.core.synopsis import PeerSummary, SegmentSummary, summarize_peer
+from repro.core.synopsis import fabricate_summary, summarize_peer
 from repro.core.tracking import ContinuousEstimator, MaintenanceAction
 
 __all__ = [
@@ -78,13 +72,10 @@ __all__ = [
     "DistributionFreeEstimator",
     "ErrorReport",
     "ExactCdfEstimator",
-    "PeerSummary",
     "PiecewiseCDF",
     "PrefixIndex",
     "ProbeFailure",
     "ProbeReplies",
-    "ProbeResult",
-    "SegmentSummary",
     "InterpolatedReconstruction",
     "allocate_refinement_probes",
     "assemble_cdf",
@@ -120,6 +111,6 @@ __all__ = [
     "smoothed_density_from_cdf",
     "summarize_peer",
     "total_variation_binned",
-    "trim_outlier_summaries",
+    "trim_outlier_replies",
     "zero_evidence_estimate",
 ]

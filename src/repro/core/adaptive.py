@@ -26,14 +26,16 @@ from typing import Literal, Optional
 
 import numpy as np
 
+from repro.core.backend import RingBackend
+from repro.core.byzantine import trim_outlier_replies
 from repro.core.cdf_sampling import (
     assemble_cdf_interpolated,
     collect_probes,
     collect_probes_at,
     estimate_peer_count,
 )
-from repro.core.backend import RingBackend
 from repro.core.estimate import DensityEstimate, zero_evidence_estimate
+from repro.core.replies import ProbeReplies
 
 __all__ = ["AdaptiveDensityEstimator", "allocate_refinement_probes"]
 
@@ -130,14 +132,13 @@ class AdaptiveDensityEstimator:
             placement="stratified",
             synopsis_kind=self.synopsis_kind,
         )
-        scout_summaries = [r.summary for r in scout]
-        summaries = list(scout_summaries)
+        batches = [scout]
 
         data_hash = network.data_hash
         targets: list[int] = []
         try:
             coarse = assemble_cdf_interpolated(
-                summaries, network.domain, self.gap_interpolation
+                scout, network.domain, self.gap_interpolation
             )
         except ValueError:
             # Every scouted peer was empty (tiny or extremely skewed
@@ -147,15 +148,16 @@ class AdaptiveDensityEstimator:
             # whether any evidence was found at all.
             coarse = None
             if refine_budget > 0:
-                fallback = collect_probes(
-                    network,
-                    refine_budget,
-                    self.synopsis_buckets,
-                    rng=generator,
-                    placement="stratified",
-                    synopsis_kind=self.synopsis_kind,
+                batches.append(
+                    collect_probes(
+                        network,
+                        refine_budget,
+                        self.synopsis_buckets,
+                        rng=generator,
+                        placement="stratified",
+                        synopsis_kind=self.synopsis_kind,
+                    )
                 )
-                summaries.extend(r.summary for r in fallback)
         if coarse is not None:
             for gap_low, gap_high, count in allocate_refinement_probes(
                 coarse.gap_masses, refine_budget
@@ -165,26 +167,25 @@ class AdaptiveDensityEstimator:
                 for offset in offsets:
                     value = gap_low + offset * (gap_high - gap_low)
                     targets.append(data_hash(float(value)))
-        refine_latency = 0.0
+        refine_latency = 0
         if targets:
             refined = collect_probes_at(
                 network, targets, self.synopsis_buckets, self.synopsis_kind
             )
-            summaries.extend(r.summary for r in refined)
-            refine_latency = max(r.hops for r in refined) + 2
+            batches.append(refined)
+            refine_latency = int(refined.hops.max()) + 2
+        evidence = ProbeReplies.concat(batches)
 
         if self.trim_density_ratio is not None:
             # Trim only at the end: scouting untrimmed lets a liar's
             # claimed mass *attract* refinement probes, whose honest
             # replies then expose it as an isolated density spike —
             # refinement doubles as verification.
-            from repro.core.byzantine import trim_outlier_summaries
-
-            summaries = trim_outlier_summaries(summaries, self.trim_density_ratio)
+            evidence = trim_outlier_replies(evidence, self.trim_density_ratio)
 
         try:
             final = assemble_cdf_interpolated(
-                summaries, network.domain, self.gap_interpolation
+                evidence, network.domain, self.gap_interpolation
             )
         except ValueError:
             # No probed peer carried data: degrade to the explicit
@@ -198,7 +199,7 @@ class AdaptiveDensityEstimator:
             )
         cost = before.delta(network.stats.snapshot())
         # Two sequential phases, each internally parallel.
-        latency = (max(r.hops for r in scout) + 2) + refine_latency
+        latency = (int(scout.hops.max()) + 2) + refine_latency
         return DensityEstimate(
             cdf=final.cdf,
             domain=network.domain,
@@ -207,7 +208,7 @@ class AdaptiveDensityEstimator:
             # scout phase's probes feed it; refinement probes are biased
             # towards dense regions by construction.
             n_peers=estimate_peer_count(scout, network.space.size),
-            probes=len(summaries),
+            probes=len(evidence),
             cost=cost,
             method=self.name,
             latency_rounds=float(latency),

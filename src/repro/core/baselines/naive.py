@@ -51,30 +51,30 @@ class NaivePeerSamplingEstimator:
         """
         before = network.stats.snapshot()
         try:
-            results = collect_probes(
+            replies = collect_probes(
                 network, self.probes, self.synopsis_buckets, rng=rng, placement=self.placement
             )
-            summaries = [r.summary for r in results]
-            non_empty = sum(1 for s in summaries if s.local_count > 0)
+            occupied = replies.local_count > 0
+            non_empty = int(occupied.sum())
             if non_empty == 0:
                 raise ValueError("all probed peers were empty; cannot estimate a distribution")
-            weights = [1.0 / non_empty if s.local_count > 0 else 0.0 for s in summaries]
-            cdf = assemble_cdf(summaries, weights, network.domain, "linear")
+            weights = np.where(occupied, 1.0 / non_empty, 0.0)
+            cdf = assemble_cdf(replies, weights, network.domain, "linear")
         except (NetworkError, ValueError) as exc:
             return degraded_from_exception(
                 exc, network.domain, before.delta(network.stats.snapshot()), self.name, self.probes
             )
         cost = before.delta(network.stats.snapshot())
-        latency = max(r.hops for r in results) + 2
+        latency = int(replies.hops.max()) + 2
         # Naive volume extrapolation: average probed count times peer count.
-        n_peers = estimate_peer_count(results, network.space.size)
-        mean_count = float(np.mean([s.local_count for s in summaries]))
+        n_peers = estimate_peer_count(replies, network.space.size)
+        mean_count = float(np.mean(replies.local_count))
         return DensityEstimate(
             cdf=cdf,
             domain=network.domain,
             n_items=mean_count * n_peers,
             n_peers=n_peers,
-            probes=len(summaries),
+            probes=len(replies),
             cost=cost,
             method=self.name,
             latency_rounds=float(latency),

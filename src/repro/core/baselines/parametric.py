@@ -25,7 +25,7 @@ from repro.core.cdf_sampling import (
     ht_weights,
 )
 from repro.core.estimate import DensityEstimate, degraded_from_exception
-from repro.core.synopsis import PeerSummary
+from repro.core.replies import ProbeReplies
 from repro.data.distributions import TruncatedExponential, TruncatedNormal
 from repro.data.domain import Domain
 from repro.ring.network import NetworkError, RingNetwork
@@ -34,29 +34,31 @@ __all__ = ["ParametricEstimator", "weighted_moments"]
 
 
 def weighted_moments(
-    summaries: Sequence[PeerSummary], weights: Sequence[float]
+    replies: ProbeReplies, weights: Sequence[float]
 ) -> tuple[float, float]:
     """HT-weighted estimates of the global data mean and variance.
 
     Each peer's synopsis is read as mass at bucket midpoints; the weights
     are the same Horvitz–Thompson weights the distribution-free estimator
     uses, so the moments themselves are (asymptotically) unbiased — the
-    bias of this baseline lives entirely in the family assumption.
+    bias of this baseline lives entirely in the family assumption.  The
+    sums run reply by reply, segment by segment, each over the segment's
+    own buckets.
     """
     weight_arr = np.asarray(weights, dtype=float)
+    edges = replies.bucket_edges()
+    midpoints = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    width = replies.seg_counts.shape[1]
+    buckets = [width] * len(replies.seg_low) if replies.seg_buckets is None else replies.seg_buckets
     mean_acc = 0.0
     second_acc = 0.0
-    for summary, w in zip(summaries, weight_arr):
-        if w <= 0 or summary.local_count == 0:
+    for k, (probe, b) in enumerate(zip(replies.seg_probe.tolist(), buckets)):
+        w, count = weight_arr[probe], replies.local_count[probe]
+        if w <= 0 or count == 0 or not replies.seg_counts[k].any():
             continue
-        for segment in summary.segments:
-            if segment.total == 0:
-                continue
-            edges = segment.bucket_edges()
-            midpoints = 0.5 * (edges[:-1] + edges[1:])
-            probs = segment.counts / summary.local_count
-            mean_acc += w * float(np.sum(probs * midpoints))
-            second_acc += w * float(np.sum(probs * midpoints**2))
+        probs = replies.seg_counts[k, :b] / count
+        mean_acc += w * float(np.sum(probs * midpoints[k, :b]))
+        second_acc += w * float(np.sum(probs * midpoints[k, :b] ** 2))
     variance = max(second_acc - mean_acc**2, 1e-12)
     return mean_acc, variance
 
@@ -89,14 +91,13 @@ class ParametricEstimator:
         """
         before = network.stats.snapshot()
         try:
-            results = collect_probes(network, self.probes, self.synopsis_buckets, rng=rng)
-            summaries = [r.summary for r in results]
-            weights = ht_weights(results)
+            replies = collect_probes(network, self.probes, self.synopsis_buckets, rng=rng)
+            weights = ht_weights(replies)
         except (NetworkError, ValueError) as exc:
             return degraded_from_exception(
                 exc, network.domain, before.delta(network.stats.snapshot()), self.name, self.probes
             )
-        mean, variance = weighted_moments(summaries, weights)
+        mean, variance = weighted_moments(replies, weights)
 
         low, high = network.domain
         domain = Domain(low, high)
@@ -112,13 +113,13 @@ class ParametricEstimator:
         grid = domain.grid(self.grid_points)
         cdf = PiecewiseCDF(grid, np.asarray(fitted.cdf(grid), dtype=float), kind="linear")
         cost = before.delta(network.stats.snapshot())
-        latency = max(r.hops for r in results) + 2
+        latency = int(replies.hops.max()) + 2
         return DensityEstimate(
             cdf=cdf,
             domain=network.domain,
-            n_items=estimate_total_items(results, network.space.size),
-            n_peers=estimate_peer_count(results, network.space.size),
-            probes=len(summaries),
+            n_items=estimate_total_items(replies, network.space.size),
+            n_peers=estimate_peer_count(replies, network.space.size),
+            probes=len(replies),
             cost=cost,
             method=f"{self.name}-{self.family}",
             latency_rounds=float(latency),

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.cdf_sampling import assemble_cdf
 from repro.core.estimate import DensityEstimate, degraded_from_exception
+from repro.core.replies import ProbeReplies
 from repro.core.synopsis import summarize_peer
 from repro.ring.messages import MessageType
 from repro.ring.network import NetworkError, RingNetwork
@@ -212,11 +213,12 @@ class RandomWalkEstimator:
                     reply_payload=self.synopsis_buckets + 2,
                 )
                 summaries.append(summarize_peer(network, current, self.synopsis_buckets))
-            counts = np.asarray([s.local_count for s in summaries], dtype=float)
+            replies = ProbeReplies.from_summaries(summaries)
+            counts = replies.local_count.astype(float)
             if counts.sum() <= 0:
                 raise ValueError("all sampled peers were empty; cannot estimate a distribution")
             weights = counts / counts.sum()
-            cdf = assemble_cdf(summaries, weights, network.domain, "linear")
+            cdf = assemble_cdf(replies, weights, network.domain, "linear")
         except (NetworkError, ValueError) as exc:
             return degraded_from_exception(
                 exc, network.domain, before.delta(network.stats.snapshot()), self.name, self.probes
@@ -224,10 +226,10 @@ class RandomWalkEstimator:
         cost = before.delta(network.stats.snapshot())
         # The walk is one sequential chain: every step and every summary
         # exchange sits on the critical path.
-        latency = float(cost.hops + 2 * len(summaries))
+        latency = float(cost.hops + 2 * len(replies))
         # Uniform peer inclusion: mean segment length estimates ring/N,
         # mean count estimates n/N.
-        mean_length = float(np.mean([s.segment_length for s in summaries]))
+        mean_length = float(np.mean(replies.segment_length))
         n_peers = network.space.size / mean_length
         n_items = float(counts.mean()) * n_peers
         return DensityEstimate(
@@ -235,7 +237,7 @@ class RandomWalkEstimator:
             domain=network.domain,
             n_items=n_items,
             n_peers=n_peers,
-            probes=len(summaries),
+            probes=len(replies),
             cost=cost,
             method=self.name,
             latency_rounds=latency,

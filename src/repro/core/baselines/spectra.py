@@ -15,7 +15,7 @@ probe-based sampler:
   peers injects nothing (its neighbours, who can verify segment
   geometry, refuse to vouch for the claim).  This is the gossip-time
   analogue of the probe path's
-  :func:`~repro.core.byzantine.trim_outlier_summaries` — the same
+  :func:`~repro.core.byzantine.trim_outlier_replies` — the same
   threshold semantics, applied once at round zero instead of per probe
   batch — so an isolated liar claiming 100× is excluded outright, while
   honest heavy hitters on smoothly skewed data survive (the reference is
@@ -64,6 +64,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.core.baselines.gossip import _pass_setup
+from repro.core.byzantine import trim_outlier_replies
 from repro.core.cdf import PiecewiseCDF
 from repro.core.estimate import (
     DegradedEstimate,
@@ -71,6 +72,7 @@ from repro.core.estimate import (
     degraded_from_exception,
     zero_evidence_estimate,
 )
+from repro.core.replies import ProbeReplies
 from repro.core.synopsis import summarize_peer
 from repro.ring.events import EventEngine, schedule_gossip_push
 from repro.ring.messages import CostSnapshot
@@ -165,16 +167,14 @@ class SpectraEstimator:
         """Initial per-peer state: ``[count histogram, count, indicator]``.
 
         Byzantine peers report the same lie they feed the probe path — the
-        fabricated synopsis of :func:`repro.core.byzantine.fabricate_summary`,
+        fabricated synopsis of :func:`repro.core.synopsis.fabricate_summary`,
         binned onto the global grid — so the attack hits both estimator
         families identically.  Every claim then passes the neighbourhood
-        density screen (:func:`~repro.core.byzantine.trim_outlier_summaries`
+        density screen (:func:`~repro.core.byzantine.trim_outlier_replies`
         over the full peer population); screened-out peers inject zeros but
         keep relaying, exactly like an un-vouched-for peer in a deployed
         epidemic.
         """
-        from repro.core.byzantine import trim_outlier_summaries
-
         low, high = network.domain
         peer_ids, base_values, candidate_indices = _pass_setup(network, self.buckets)
         n = len(peer_ids)
@@ -183,45 +183,43 @@ class SpectraEstimator:
         counts = raw.sum(axis=1)
         states[:, : self.buckets] = raw
         states[:, self.buckets] = counts
-        liar_rows: list[int] = []
-        edges = np.linspace(low, high, self.buckets + 1)
-        for index, ident in enumerate(peer_ids):
-            node = network.node(ident)
-            if getattr(node, "byzantine", None) is None:
-                continue
-            liar_rows.append(index)
-            lie = summarize_peer(network, node, self.buckets)
-            hist = np.zeros(self.buckets, dtype=float)
-            for segment in lie.segments:
-                seg_edges = segment.bucket_edges()
-                centers = 0.5 * (seg_edges[:-1] + seg_edges[1:])
-                bucket_idx = np.clip(
-                    np.searchsorted(edges, centers, side="right") - 1,
-                    0,
-                    self.buckets - 1,
-                )
-                np.add.at(hist, bucket_idx, segment.counts.astype(float))
-            states[index, : self.buckets] = hist
-            states[index, self.buckets] = float(lie.local_count)
-        # The density screen sees every peer's *claimed* summary (fabricated
-        # for liars — summarize_peer applies the behaviour itself).  It is
-        # iterated to a fixed point: a *cluster* of adjacent liars can
-        # vouch for each other's neighbourhood median on the first pass,
-        # but once the screened majority of the cluster is removed the
-        # stragglers stand isolated against honest neighbours and fall on
-        # the next pass.  Honest peers only ever gain honest neighbours as
-        # liars are removed, so iteration never grows the false-positive
-        # set and terminates in at most n passes.
-        kept = [
-            summarize_peer(network, network.node(ident), self.buckets)
-            for ident in peer_ids
+        # Every peer's *claimed* summary: fabricated for liars, since
+        # summarize_peer applies the behaviour itself.
+        claims = ProbeReplies.from_summaries(
+            [summarize_peer(network, network.node(ident), self.buckets) for ident in peer_ids]
+        )
+        liar_rows = [
+            index
+            for index, ident in enumerate(peer_ids)
+            if getattr(network.node(ident), "byzantine", None) is not None
         ]
+        if liar_rows:
+            lies = np.isin(claims.seg_probe, liar_rows)
+            seg_edges = claims.bucket_edges()[lies]
+            centers = 0.5 * (seg_edges[:, :-1] + seg_edges[:, 1:])
+            edges = np.linspace(low, high, self.buckets + 1)
+            bucket_idx = np.clip(
+                np.searchsorted(edges, centers, side="right") - 1, 0, self.buckets - 1
+            )
+            hist = np.zeros((n, self.buckets), dtype=float)
+            rows = np.broadcast_to(claims.seg_probe[lies, None], bucket_idx.shape)
+            np.add.at(hist, (rows, bucket_idx), claims.seg_counts[lies].astype(float))
+            states[liar_rows, : self.buckets] = hist[liar_rows]
+            states[liar_rows, self.buckets] = claims.local_count[liar_rows].astype(float)
+        # The density screen is iterated to a fixed point: a *cluster* of
+        # adjacent liars can vouch for each other's neighbourhood median on
+        # the first pass, but once the screened majority of the cluster is
+        # removed the stragglers stand isolated against honest neighbours
+        # and fall on the next pass.  Honest peers only ever gain honest
+        # neighbours as liars are removed, so iteration never grows the
+        # false-positive set and terminates in at most n passes.
+        kept = claims
         while True:
-            survivors = trim_outlier_summaries(kept, self.trim_ratio)
+            survivors = trim_outlier_replies(kept, self.trim_ratio)
             if len(survivors) == len(kept):
                 break
             kept = survivors
-        kept_ids = {s.peer_id for s in kept}
+        kept_ids = set(kept.owner.tolist())
         for index, ident in enumerate(peer_ids):
             if ident not in kept_ids:
                 states[index, : self.buckets + 1] = 0.0

@@ -5,7 +5,8 @@ that: a lying peer reports an inflated item count with its claimed mass
 parked at an attacker-chosen value, dragging the Horvitz–Thompson weights
 (one reply with density 100× the honest level dominates the whole
 estimate).  This module implements the attacker — peers marked with a
-:class:`ByzantineBehavior` fabricate their probe replies — and the
+:class:`ByzantineBehavior` fabricate their probe replies (the reply itself
+is built by :func:`repro.core.synopsis.fabricate_summary`) — and the
 standard statistical defense: *density trimming*, which discards replies
 whose implied density is an extreme outlier against the probe batch's
 median.  The F17 experiment measures both sides: how badly the attack
@@ -16,19 +17,14 @@ data (where heavy peers are legitimately outliers).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.core.synopsis import PeerSummary, SegmentSummary
+from repro.core.replies import ProbeReplies
 from repro.ring.network import RingNetwork
 
-__all__ = [
-    "ByzantineBehavior",
-    "corrupt_network",
-    "fabricate_summary",
-    "trim_outlier_summaries",
-]
+__all__ = ["ByzantineBehavior", "corrupt_network", "trim_outlier_replies"]
 
 
 @dataclass(frozen=True)
@@ -79,86 +75,44 @@ def corrupt_network(
     return liars
 
 
-def fabricate_summary(honest: PeerSummary, behavior: ByzantineBehavior) -> PeerSummary:
-    """The lie a Byzantine peer sends instead of its honest summary.
-
-    Segment geometry (``ℓ``, value ranges) is kept honest — neighbours can
-    verify it — while counts are inflated and, optionally, concentrated in
-    the bucket nearest ``fake_mass_at``.
-    """
-    claimed_total = max(int(round(honest.local_count * behavior.count_multiplier)), 1)
-    segments: list[SegmentSummary] = []
-    remaining = claimed_total
-    for index, segment in enumerate(honest.segments):
-        if index == len(honest.segments) - 1:
-            claimed = remaining
-        else:
-            share = segment.total / max(honest.local_count, 1)
-            claimed = int(round(claimed_total * share))
-            remaining -= claimed
-        counts = np.zeros(segment.buckets, dtype=np.int64)
-        if behavior.fake_mass_at is not None:
-            edges = segment.bucket_edges()
-            target = int(np.searchsorted(edges, behavior.fake_mass_at, side="right")) - 1
-            target = min(max(target, 0), segment.buckets - 1)
-            counts[target] = claimed
-        elif segment.total > 0:
-            scaled = np.floor(segment.counts * claimed / segment.total).astype(np.int64)
-            scaled[-1] += claimed - int(scaled.sum())
-            counts = scaled
-        else:
-            counts[-1] = claimed
-        segments.append(
-            SegmentSummary(segment.value_low, segment.value_high, counts, edges=segment.edges)
-        )
-    return PeerSummary(
-        peer_id=honest.peer_id,
-        segment_length=honest.segment_length,
-        local_count=claimed_total,
-        segments=tuple(segments),
-    )
-
-
-def trim_outlier_summaries(
-    summaries: Sequence[PeerSummary],
+def trim_outlier_replies(
+    replies: ProbeReplies,
     max_density_ratio: float = 20.0,
     neighborhood: int = 4,
-) -> list[PeerSummary]:
+) -> ProbeReplies:
     """Drop replies whose density is wildly inconsistent with their ring
     neighbourhood.
 
     A *global* density threshold would throw away honest heavy hitters on
     skewed data (the head of a zipf ring legitimately has densities far
     above the median).  Honest density, however, varies smoothly along the
-    ring, while randomly placed liars are isolated spikes: each reply is
-    therefore compared against the **median density of its ``2·k`` ring-
-    nearest other replies** and discarded only when it exceeds
-    ``max_density_ratio`` times that local reference.
+    ring, while randomly placed liars are isolated spikes: each peer's
+    latest reply is therefore compared against the **median density of the
+    ``2·k`` ring-nearest other peers** (ordered by each reply's lowest
+    segment value) and every reply of the peer is discarded when it
+    exceeds ``max_density_ratio`` times that local reference.  Batches of
+    at most two peers pass through unchanged.
     """
     if max_density_ratio <= 1.0:
         raise ValueError(f"max_density_ratio must be > 1, got {max_density_ratio}")
     if neighborhood < 1:
         raise ValueError(f"neighborhood must be >= 1, got {neighborhood}")
-    unique: dict[int, PeerSummary] = {}
-    for summary in summaries:
-        unique[summary.peer_id] = summary
-    if len(unique) <= 2:
-        return list(summaries)
-    ordered = sorted(unique.values(), key=lambda s: min(seg.value_low for seg in s.segments))
-    count = len(ordered)
-    dropped: set[int] = set()
-    for index, summary in enumerate(ordered):
-        neighbors = []
-        for offset in range(1, neighborhood + 1):
-            neighbors.append(ordered[(index - offset) % count].density)
-            neighbors.append(ordered[(index + offset) % count].density)
-        reference = float(np.median(neighbors))
-        if reference <= 0:
-            # An all-empty neighbourhood gives no reference; fall back to
-            # the global median so a lone spike there is still caught.
-            reference = float(
-                np.median([s.density for s in ordered if s.local_count > 0] or [0.0])
-            )
-        if reference > 0 and summary.density > max_density_ratio * reference:
-            dropped.add(summary.peer_id)
-    return [s for s in summaries if s.peer_id not in dropped]
+    unique = replies.latest()
+    count = len(unique)
+    if count <= 2:
+        return replies
+    lowest = np.full(count, np.inf)
+    np.minimum.at(lowest, unique.seg_probe, unique.seg_low)
+    order = np.argsort(lowest, kind="stable")
+    density = unique.density[order]
+    offsets = np.arange(1, neighborhood + 1)
+    around = np.arange(count)[:, None] + np.stack((-offsets, offsets), axis=1).ravel()
+    reference = np.median(density[around % count], axis=1)
+    # An all-empty neighbourhood gives no reference; fall back to the
+    # global median so a lone spike there is still caught.
+    occupied = density[unique.local_count[order] > 0]
+    fallback = float(np.median(occupied)) if occupied.size else 0.0
+    reference = np.where(reference <= 0, fallback, reference)
+    dropped = (reference > 0) & (density > max_density_ratio * reference)
+    keep = ~np.isin(replies.owner, unique.owner[order][dropped])
+    return replies.take(np.flatnonzero(keep))

@@ -84,21 +84,27 @@ class PiecewiseCDF:
     @classmethod
     def mixture(
         cls,
-        components: Sequence["PiecewiseCDF"],
+        xs: NDArray[np.float64],
+        fs: NDArray[np.float64],
+        bounds: NDArray[np.int64],
         weights: Sequence[float],
         kind: Kind = "linear",
     ) -> "PiecewiseCDF":
-        """Weighted mixture ``F = Σ w_i F_i`` of piecewise CDFs.
+        """Weighted mixture ``F = Σ w_i F_i`` of piecewise CDFs given as runs.
 
+        Component ``i`` is the ``kind`` CDF with breakpoints
+        ``xs[bounds[i]:bounds[i + 1]]`` and values ``fs[...]`` (strictly
+        increasing breakpoints, values valid for a :class:`PiecewiseCDF`).
         This is how a global estimate is assembled from per-peer local CDFs:
-        breakpoints are merged and each component is evaluated everywhere.
-        ``kind`` sets the interpolation of the *result*; when all components
-        are steps, ``kind="step"`` reproduces the mixture exactly.
+        breakpoints are merged, and each component adds ``w_i F_i`` at every
+        merged breakpoint, component after component.  Off its support a
+        component adds ``0`` on the left and ``w_i F_i(∞)`` on the right, so
+        only the breakpoints inside its support are evaluated.
         """
-        if not components:
+        if bounds.size < 2:
             raise ValueError("mixture needs at least one component")
         weight_arr = np.asarray(weights, dtype=float)
-        if weight_arr.size != len(components):
+        if weight_arr.size != bounds.size - 1:
             raise ValueError("one weight per component required")
         if np.any(weight_arr < 0):
             raise ValueError("mixture weights must be non-negative")
@@ -106,12 +112,20 @@ class PiecewiseCDF:
         if total <= 0:
             raise ValueError("mixture weights must not all be zero")
         weight_arr = weight_arr / total
-        xs = np.unique(np.concatenate([c.xs for c in components]))
-        fs = np.zeros_like(xs)
-        for comp, w in zip(components, weight_arr):
-            if w > 0:
-                fs += w * comp(xs)
-        return cls(xs, fs, kind=kind)
+        grid = np.unique(xs)
+        values = np.zeros_like(grid)
+        for start, stop, w in zip(bounds[:-1].tolist(), bounds[1:].tolist(), weight_arr):
+            if w <= 0:
+                continue
+            cx, cf = xs[start:stop], fs[start:stop]
+            lo, hi = np.searchsorted(grid, (cx[0], cx[-1])).tolist()
+            if kind == "step":
+                inner = cf[np.searchsorted(cx, grid[lo:hi], side="right") - 1]
+            else:
+                inner = np.interp(grid[lo:hi], cx, cf)
+            values[lo:hi] += w * inner
+            values[hi:] += w * cf[-1]
+        return cls(grid, values, kind=kind)
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -162,11 +176,6 @@ class PiecewiseCDF:
     # ------------------------------------------------------------------
     # Derived quantities
     # ------------------------------------------------------------------
-    @property
-    def support(self) -> tuple[float, float]:
-        """Breakpoint range ``(xs[0], xs[-1])``."""
-        return (float(self.xs[0]), float(self.xs[-1]))
-
     @property
     def total_mass(self) -> float:
         """``F`` at the right end (1.0 for a proper CDF)."""

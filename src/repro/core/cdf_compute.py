@@ -23,7 +23,8 @@ import numpy as np
 
 from repro.core.cdf_sampling import assemble_cdf
 from repro.core.estimate import DensityEstimate
-from repro.core.synopsis import PeerSummary, summarize_peer
+from repro.core.replies import ProbeReplies
+from repro.core.synopsis import summarize_peer
 from repro.ring.messages import CostSnapshot, MessageType
 from repro.ring.network import RingNetwork
 from repro.ring.node import PeerNode
@@ -38,23 +39,27 @@ __all__ = [
 
 def _combine(
     network: RingNetwork,
-    summaries: list[PeerSummary],
+    peers: list[PeerNode],
+    buckets: int,
     cost: CostSnapshot,
     method: str,
     latency_rounds: float,
 ) -> DensityEstimate:
     """Exact-weight combination: every peer once, weight ∝ its count."""
-    counts = np.asarray([s.local_count for s in summaries], dtype=float)
+    replies = ProbeReplies.from_summaries(
+        [summarize_peer(network, peer, buckets) for peer in peers]
+    )
+    counts = replies.local_count.astype(float)
     total = counts.sum()
     if total <= 0:
         raise ValueError("network holds no data; nothing to estimate")
-    cdf = assemble_cdf(summaries, counts / total, network.domain, "linear")
+    cdf = assemble_cdf(replies, counts / total, network.domain, "linear")
     return DensityEstimate(
         cdf=cdf,
         domain=network.domain,
         n_items=float(total),
-        n_peers=float(len(summaries)),
-        probes=len(summaries),
+        n_peers=float(len(replies)),
+        probes=len(replies),
         cost=cost,
         method=method,
         latency_rounds=latency_rounds,
@@ -75,23 +80,23 @@ def compute_global_cdf_traversal(
     """
     before = network.stats.snapshot()
     origin = start if start is not None else network.random_peer()
-    summaries = [summarize_peer(network, origin, buckets)]
+    peers = [origin]
     for peer in successor_walk(network, origin, max(network.n_peers - 1, 0)):
         if peer.ident == origin.ident:
             break  # ring shrank under us; we're back at the start
-        summaries.append(summarize_peer(network, peer, buckets))
+        peers.append(peer)
     # One request/reply pair per visited peer, posted in bulk (totals are
     # identical to recording each exchange separately).
-    network.record(MessageType.PREFIX_REQUEST, count=len(summaries))
+    network.record(MessageType.PREFIX_REQUEST, count=len(peers))
     network.record(
         MessageType.PREFIX_REPLY,
-        count=len(summaries),
-        payload=(buckets + 2) * len(summaries),
+        count=len(peers),
+        payload=(buckets + 2) * len(peers),
     )
     cost = before.delta(network.stats.snapshot())
     # The walk is strictly sequential: one hop plus one exchange per peer.
-    latency = float(3 * len(summaries) - 1)
-    return _combine(network, summaries, cost, "exact-traversal", latency)
+    latency = float(3 * len(peers) - 1)
+    return _combine(network, peers, buckets, cost, "exact-traversal", latency)
 
 
 def compute_global_cdf_broadcast(
@@ -111,7 +116,7 @@ def compute_global_cdf_broadcast(
     before = network.stats.snapshot()
     origin = root if root is not None else network.random_peer()
     visited: set[int] = set()
-    summaries: list[PeerSummary] = []
+    peers: list[PeerNode] = []
     max_depth = 0
     delegations = 0
 
@@ -122,7 +127,7 @@ def compute_global_cdf_broadcast(
             return
         visited.add(node.ident)
         max_depth = max(max_depth, depth)
-        summaries.append(summarize_peer(network, node, buckets))
+        peers.append(node)
         # Distinct live fingers strictly inside the arc, in ring order.
         children: list[int] = []
         for finger_id in node.fingers:
@@ -154,7 +159,7 @@ def compute_global_cdf_broadcast(
     cost = before.delta(network.stats.snapshot())
     # Down the tree and back up the convergecast: 2 rounds per level.
     latency = float(2 * max_depth + 1)
-    return _combine(network, summaries, cost, "exact-broadcast", latency)
+    return _combine(network, peers, buckets, cost, "exact-broadcast", latency)
 
 
 @dataclass(frozen=True)

@@ -31,14 +31,7 @@ from numpy.typing import NDArray
 
 from repro.core.backend import RingBackend
 from repro.core.cdf import PiecewiseCDF
-from repro.core.replies import (
-    Evidence,
-    ProbeReplies,
-    ProbeResult,
-    _linspace_rows,
-    as_replies,
-    as_summaries,
-)
+from repro.core.replies import ProbeReplies
 from repro.core.synopsis import summarize_compact, summarize_peer
 from repro.ring.compact import CompactRing
 from repro.ring.messages import MessageType
@@ -49,7 +42,6 @@ if TYPE_CHECKING:  # runtime import stays local to avoid a module cycle
     from repro.ring.faults import RetryPolicy
 
 __all__ = [
-    "ProbeResult",
     "ProbeReplies",
     "ProbeFailure",
     "probe_positions",
@@ -295,58 +287,98 @@ def _exchange(
     return back
 
 
-def ht_weights(evidence: Evidence) -> NDArray[np.float64]:
+def ht_weights(replies: ProbeReplies) -> NDArray[np.float64]:
     """Normalised Horvitz–Thompson weights ``w_i ∝ c_i / ℓ_i``.
 
     Peers with no data get weight zero.  Raises if *all* probed peers are
     empty — there is then no evidence to build a distribution from.
     """
-    raw = as_replies(evidence).density
+    raw = replies.density
     total = raw.sum()
     if total <= 0:
         raise ValueError("all probed peers were empty; cannot estimate a distribution")
     return raw / total
 
 
-def estimate_total_items(evidence: Evidence, ring_size: int) -> float:
+def estimate_total_items(replies: ProbeReplies, ring_size: int) -> float:
     """Unbiased estimate of the global item count, ``n̂ = (2^m/s) Σ c/ℓ``."""
-    if not len(evidence):
+    if not len(replies):
         raise ValueError("need at least one probe summary")
-    return float(ring_size * as_replies(evidence).density.mean())
+    return float(ring_size * replies.density.mean())
 
 
-def estimate_peer_count(evidence: Evidence, ring_size: int) -> float:
+def estimate_peer_count(replies: ProbeReplies, ring_size: int) -> float:
     """Unbiased estimate of the live peer count, ``N̂ = (2^m/s) Σ 1/ℓ``."""
-    if not len(evidence):
+    if not len(replies):
         raise ValueError("need at least one probe summary")
-    return float(ring_size * as_replies(evidence).inverse_length.mean())
+    return float(ring_size * replies.inverse_length.mean())
+
+
+def _local_cdfs(
+    replies: ProbeReplies,
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.int64]]:
+    """Every reply's local CDF ``H_i`` as runs ``(xs, fs, bounds)``.
+
+    Reply ``i``'s breakpoints are ``xs[bounds[i]:bounds[i + 1]]``: the
+    bucket edges of its segments in value order, where ``H_i`` is its
+    running item count over ``max(c_i, 1)``.  Duplicate breakpoints
+    collapse to their *last* value, so point masses (zero-width
+    equi-depth buckets) keep their jump; the edges that pad a
+    lower-resolution segment repeat its last edge and value and collapse
+    away.  One pass over the ``(K, B)`` columns builds every reply.
+    Raises ``ValueError`` when a reply's segments overlap (its kept
+    breakpoints do not strictly increase), as a :class:`PiecewiseCDF`
+    built from them would.
+    """
+    order = np.lexsort((replies.seg_low, replies.seg_probe))
+    probe = replies.seg_probe[order]
+    counts = replies.seg_counts[order]
+    running = np.zeros((counts.shape[0], counts.shape[1] + 1), dtype=np.int64)
+    np.cumsum(counts, axis=1, out=running[:, 1:])
+    # A wrapping peer's second segment (in value order) starts at the
+    # first one's total.
+    follows = np.zeros(probe.size, dtype=bool)
+    follows[1:] = probe[1:] == probe[:-1]
+    running[follows] += running[np.flatnonzero(follows) - 1, -1:]
+    total = np.maximum(replies.local_count, 1)[probe]
+    xs = replies.bucket_edges()[order].ravel()
+    fs = (running / total[:, None]).ravel()
+    slots = np.bincount(probe, minlength=len(replies)) * running.shape[1]
+    ends = np.cumsum(slots)
+    keep = np.empty(xs.size, dtype=bool)
+    keep[:-1] = np.diff(xs) > 0
+    keep[ends - 1] = True
+    bounds = np.zeros(len(replies) + 1, dtype=np.int64)
+    np.cumsum(np.add.reduceat(keep.astype(np.int64), ends - slots), out=bounds[1:])
+    xs, fs = xs[keep], fs[keep]
+    descending = np.diff(xs) <= 0
+    descending[bounds[1:-1] - 1] = False  # one run's end to the next run's start
+    if descending.any():
+        raise ValueError("breakpoints must be strictly increasing")
+    return xs, fs, bounds
 
 
 def assemble_cdf(
-    evidence: Evidence,
+    replies: ProbeReplies,
     weights: Sequence[float],
     domain: tuple[float, float],
     interpolation: Literal["linear", "step"] = "linear",
 ) -> PiecewiseCDF:
     """Combine per-peer local CDFs into the global estimate ``Σ w_i H_i``.
 
-    The result is pinned to the domain: ``F̂(low) = 0`` and
-    ``F̂(high) = 1`` exactly, so downstream quantile/selectivity queries
-    behave at the edges even when no probe landed there.
+    Replies with zero weight or no data take no part.  The result is
+    pinned to the domain: ``F̂(low) = 0`` and ``F̂(high) = 1`` exactly, so
+    downstream quantile/selectivity queries behave at the edges even when
+    no probe landed there.
     """
-    summaries = as_summaries(evidence)
     weight_arr = np.asarray(weights, dtype=float)
-    if len(summaries) != weight_arr.size:
-        raise ValueError("one weight per summary required")
-    active = [
-        (summary, w)
-        for summary, w in zip(summaries, weight_arr)
-        if w > 0 and summary.local_count > 0
-    ]
-    if not active:
+    if len(replies) != weight_arr.size:
+        raise ValueError("one weight per reply required")
+    active = (weight_arr > 0) & (replies.local_count > 0)
+    if not active.any():
         raise ValueError("no probed peer carried any data")
-    components = [summary.local_cdf(kind=interpolation) for summary, _ in active]
-    mixture = PiecewiseCDF.mixture(components, [w for _, w in active], kind=interpolation)
+    xs, fs, bounds = _local_cdfs(replies.take(np.flatnonzero(active)))
+    mixture = PiecewiseCDF.mixture(xs, fs, bounds, weight_arr[active], kind=interpolation)
 
     low, high = domain
     xs = mixture.xs
@@ -446,10 +478,7 @@ class SegmentTable:
             raise ValueError("no probe evidence to reconstruct from")
         counts = replies.seg_counts.astype(float)
         width = counts.shape[1]
-        if replies.seg_edges is None:
-            edges = _linspace_rows(low, high, width + 1)
-        else:
-            edges = replies.seg_edges
+        edges = replies.bucket_edges()
         valid = None
         if replies.seg_buckets is not None:
             valid = np.arange(width) < replies.seg_buckets[:, None]
@@ -659,7 +688,7 @@ def assemble_rows(
 
 
 def assemble_cdf_interpolated(
-    evidence: Evidence,
+    replies: ProbeReplies,
     domain: tuple[float, float],
     gap_interpolation: Literal["linear", "log"] = "linear",
 ) -> InterpolatedReconstruction:
@@ -682,7 +711,7 @@ def assemble_cdf_interpolated(
     """
     if gap_interpolation not in ("linear", "log"):
         raise ValueError(f"unknown gap interpolation mode {gap_interpolation!r}")
-    table = SegmentTable.from_replies(as_replies(evidence).latest())
+    table = SegmentTable.from_replies(replies.latest())
     rows = assemble_rows(
         table, np.ones((1, table.size), dtype=bool), domain, gap_interpolation
     )

@@ -26,7 +26,7 @@ from repro.core.cdf_sampling import (
     estimate_peer_count,
 )
 from repro.core.estimate import DensityEstimate
-from repro.core.replies import Evidence, ProbeReplies, as_replies
+from repro.core.replies import ProbeReplies
 from repro.ring.network import RingNetwork
 
 __all__ = ["ConfidenceBand", "bootstrap_confidence_band", "estimate_with_confidence"]
@@ -65,7 +65,7 @@ class ConfidenceBand:
 
 
 def bootstrap_confidence_band(
-    evidence: Evidence,
+    replies: ProbeReplies,
     domain: tuple[float, float],
     level: float = 0.9,
     replicates: int = 200,
@@ -75,11 +75,11 @@ def bootstrap_confidence_band(
 ) -> ConfidenceBand:
     """Pointwise bootstrap band from probe evidence.
 
-    ``evidence`` must be the raw probe replies *with* repetitions — the
+    ``replies`` must be the raw probe replies *with* repetitions — the
     bootstrap resamples the probe design, so collapsing duplicates first
     would understate the variance.
 
-    Each replicate draws ``len(evidence)`` replies with replacement and is
+    Each replicate draws ``len(replies)`` replies with replacement and is
     reconstructed exactly as :func:`assemble_cdf_interpolated` would
     reconstruct that resample.  A replicate that cannot be reconstructed
     (every drawn peer was empty) is not redrawn: it copies the previous
@@ -90,7 +90,7 @@ def bootstrap_confidence_band(
     a chosen-segment mask, and only the final grid interpolation runs per
     replicate.
     """
-    if not len(evidence):
+    if not len(replies):
         raise ValueError("need at least one probe summary")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
@@ -102,7 +102,6 @@ def bootstrap_confidence_band(
     low, high = domain
     grid = np.linspace(low, high, grid_points)
 
-    replies = as_replies(evidence)
     count = len(replies)
     # One (replicates, count) draw: the same stream as one size-``count``
     # draw per replicate.

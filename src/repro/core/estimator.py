@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Literal, Optional, Protocol, runtime_checkable
 import numpy as np
 
 from repro.core.backend import RingBackend
+from repro.core.byzantine import trim_outlier_replies
 from repro.core.cdf_sampling import (
     assemble_cdf,
     assemble_cdf_interpolated,
@@ -26,14 +27,14 @@ from repro.core.cdf_sampling import (
     probe_positions,
 )
 from repro.core.estimate import DegradedEstimate, DensityEstimate, zero_evidence_estimate
-from repro.core.replies import Evidence, as_summaries
+from repro.core.replies import ProbeReplies
 from repro.core.robust import (
     RobustMethod,
     robust_assemble,
     validate_mom_groups,
     validate_robust_method,
     validate_trim_fraction,
-    winsorize_summaries,
+    winsorize_replies,
 )
 from repro.ring.faults import RetryPolicy
 
@@ -196,11 +197,9 @@ class DistributionFreeEstimator:
             placement=self.placement,
             synopsis_kind=self.synopsis_kind,
         )
-        evidence: Evidence = replies
+        evidence = replies
         if self.trim_density_ratio is not None:
-            from repro.core.byzantine import trim_outlier_summaries
-
-            evidence = trim_outlier_summaries(replies.summaries(), self.trim_density_ratio)
+            evidence = trim_outlier_replies(replies, self.trim_density_ratio)
         try:
             cdf, n_items = self._assemble(evidence, network)
         except ValueError:
@@ -230,7 +229,7 @@ class DistributionFreeEstimator:
         )
 
     def _assemble(
-        self, evidence: Evidence, network: RingBackend
+        self, evidence: ProbeReplies, network: RingBackend
     ) -> tuple["PiecewiseCDF", float]:
         """Assemble ``(F̂, n̂)`` from probe replies per the configured policy.
 
@@ -238,18 +237,17 @@ class DistributionFreeEstimator:
         operation order exactly — both estimation paths share this body, so
         the factoring is byte-neutral.  A configured robust method routes
         to :func:`repro.core.robust.robust_assemble` instead.  Raises
-        ``ValueError`` on zero usable evidence in every mode.  Only the
-        robust combiners and the mixture read :class:`PeerSummary` views;
-        the default reconstruction reads the reply columns.
+        ``ValueError`` on zero usable evidence in every mode.  Every
+        combiner reads the reply columns.
         """
         if self.robust == "winsorized":
             # Winsorization transforms the evidence, not the weights, so
             # it hardens whichever assembly is configured — including the
             # interpolated reconstruction the other combiners cannot use.
-            evidence = winsorize_summaries(as_summaries(evidence), self.trim_fraction)
+            evidence = winsorize_replies(evidence, self.trim_fraction)
         elif self.robust is not None:
             return robust_assemble(
-                as_summaries(evidence),
+                evidence,
                 network.domain,
                 network.space.size,
                 self.robust,
@@ -299,11 +297,9 @@ class DistributionFreeEstimator:
         replies, probe_failures = collect_probes_resilient(
             network, targets, self.synopsis_buckets, self.synopsis_kind, policy
         )
-        evidence: Evidence = replies
+        evidence = replies
         if self.trim_density_ratio is not None and len(replies):
-            from repro.core.byzantine import trim_outlier_summaries
-
-            evidence = trim_outlier_summaries(replies.summaries(), self.trim_density_ratio)
+            evidence = trim_outlier_replies(replies, self.trim_density_ratio)
         reasons = tuple(sorted({f.reason for f in probe_failures}))
         coverage = len(replies) / requested if requested else 0.0
         if not len(evidence):
@@ -359,7 +355,7 @@ class DistributionFreeEstimator:
 
     def _widened_band(
         self,
-        evidence: Evidence,
+        evidence: ProbeReplies,
         domain: tuple[float, float],
         rng: np.random.Generator,
         inflation: float,

@@ -4,38 +4,27 @@ A probe reply is a fixed-size record — the answering peer's segment length
 ``ℓ``, its local item count ``c``, and a constant-size histogram synopsis
 of each value segment it owns (two for the peer whose arc wraps the ring
 origin, one for every other peer).  :class:`ProbeReplies` holds a whole
-batch of replies as columns, so the estimator reads densities, segment
-bounds and bucket counts as arrays: the compact backend fills them with one
-gather from its synopsis plane, and no object per reply is built on the
-default estimation path.  :class:`~repro.core.synopsis.PeerSummary`
-survives as a lazy per-reply view for callers that want objects.
+batch of replies as columns, and it is the one reply format every
+estimator, combiner and baseline reads: densities, segment bounds, bucket
+edges and bucket counts are arrays.  The compact backend fills them with
+one gather from its synopsis plane; the object backend packs its per-peer
+reply records (:func:`~repro.core.synopsis.summarize_peer`) with
+:meth:`ProbeReplies.from_summaries`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence, Union, overload
+from dataclasses import dataclass
+from typing import Any, Optional, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-if TYPE_CHECKING:  # views are built lazily; a runtime import would be a cycle
-    from repro.core.synopsis import PeerSummary
-
-__all__ = ["ProbeResult", "ProbeReplies", "Evidence", "as_replies", "as_summaries"]
+__all__ = ["ProbeReplies"]
 
 #: Every integer up to ``2^53`` is exact in float64; beyond it ``float(ℓ)``
 #: may round, so ``c / ℓ`` there is computed with Python's int division.
 _EXACT_INT = 2**53
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """One answered probe: where it went, what came back, what it cost."""
-
-    target: int
-    summary: PeerSummary
-    hops: int
 
 
 def _linspace_rows(
@@ -62,8 +51,36 @@ def _length_column(lengths: Sequence[int]) -> NDArray[Any]:
     return np.asarray(lengths, dtype=np.uint64)
 
 
+def _edge_columns(
+    low: NDArray[np.float64],
+    high: NDArray[np.float64],
+    buckets: NDArray[np.int64],
+    edges: NDArray[np.float64],
+    implicit: NDArray[np.bool_],
+) -> tuple[Optional[NDArray[np.int64]], Optional[NDArray[np.float64]]]:
+    """The ``seg_buckets`` and ``seg_edges`` columns of a segment set.
+
+    Row ``k`` has resolution ``buckets[k]``; ``edges`` (one column more
+    than the widest row) holds the explicit edges of every row not in
+    ``implicit`` in its first ``buckets[k] + 1`` slots.  Implicit rows are
+    equi-width and are filled here, one ``np.linspace`` per resolution;
+    every row is then padded by repeating its last edge.  Both columns are
+    ``None`` when every row is equi-width at one resolution.
+    """
+    width = edges.shape[1] - 1
+    mixed = bool(buckets.size) and int(buckets.min()) < width
+    if not mixed and implicit.all():
+        return None, None
+    for b in np.unique(buckets[implicit]).tolist():
+        rows = implicit & (buckets == b)
+        edges[rows, : b + 1] = _linspace_rows(low[rows], high[rows], b + 1)
+    last = edges[np.arange(buckets.size), buckets]
+    edges = np.where(np.arange(width + 1) > buckets[:, None], last[:, None], edges)
+    return (buckets if mixed else None), edges
+
+
 @dataclass(frozen=True, eq=False)
-class ProbeReplies(Sequence[ProbeResult]):
+class ProbeReplies:
     """A batch of probe replies as columns, in probe order.
 
     Per probe ``i``: ``target[i]`` (the probed ring position), ``hops[i]``
@@ -84,11 +101,9 @@ class ProbeReplies(Sequence[ProbeResult]):
     (equi-depth) edges — equi-width rows are filled in, and rows are padded
     by repeating their last edge.
 
-    The batch is a ``Sequence[ProbeResult]``: indexing or iterating it
-    builds :class:`~repro.core.synopsis.PeerSummary` views on demand, once
-    per batch (see :meth:`summaries`).  Construction checks every reply
-    invariant at once: one or two segments per reply, ``low < high``,
-    counts ``>= 0``, ``ℓ > 0``, and synopsis total ``== c``.
+    Construction checks every reply invariant at once: one or two segments
+    per reply, ``low < high``, counts ``>= 0``, ``ℓ > 0``, and synopsis
+    total ``== c``.
     """
 
     target: NDArray[np.uint64]
@@ -102,7 +117,6 @@ class ProbeReplies(Sequence[ProbeResult]):
     seg_counts: NDArray[np.int64]
     seg_buckets: Optional[NDArray[np.int64]] = None
     seg_edges: Optional[NDArray[np.float64]] = None
-    _views: Optional[list[PeerSummary]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         n = self.target.size
@@ -128,59 +142,100 @@ class ProbeReplies(Sequence[ProbeResult]):
     @classmethod
     def from_summaries(
         cls,
-        summaries: Sequence[PeerSummary],
+        summaries: Sequence[Any],
         targets: Optional[ArrayLike] = None,
         hops: Optional[ArrayLike] = None,
     ) -> "ProbeReplies":
-        """Pack reply objects into columns; the objects stay as the views.
+        """Pack the object backend's reply records into columns.
 
+        ``summaries`` are :class:`~repro.core.synopsis.PeerSummary` records
+        (as :func:`~repro.core.synopsis.summarize_peer` builds them);
         ``targets`` and ``hops`` default to zeros for replies that were not
-        routed (hand-built or census summaries).
+        routed (census or hand-built replies).
         """
-        views = list(summaries)
-        n = len(views)
-        segments = [seg for summary in views for seg in summary.segments]
+        n = len(summaries)
+        segments = [seg for summary in summaries for seg in summary.segments]
         k = len(segments)
-        count_rows = [seg.counts for seg in segments]
-        buckets = np.fromiter(map(len, count_rows), dtype=np.int64, count=k)
+        buckets = np.fromiter((seg.counts.size for seg in segments), dtype=np.int64, count=k)
         width = int(buckets.max()) if k else 0
-        mixed = k > 0 and int(buckets.min()) < width
-        explicit = np.fromiter((seg.edges is not None for seg in segments), dtype=bool, count=k)
+        counts = np.zeros((k, width), dtype=np.int64)
+        edges = np.empty((k, width + 1))
+        implicit = np.ones(k, dtype=bool)
+        for index, seg in enumerate(segments):
+            counts[index, : seg.counts.size] = seg.counts
+            if seg.edges is not None:
+                edges[index, : seg.edges.size] = seg.edges
+                implicit[index] = False
         low = np.fromiter((seg.value_low for seg in segments), dtype=float, count=k)
         high = np.fromiter((seg.value_high for seg in segments), dtype=float, count=k)
-        counts = np.zeros((k, width), dtype=np.int64)
-        edges = np.empty((k, width + 1)) if mixed or explicit.any() else None
-        for b in np.unique(buckets).tolist():
-            rows = buckets == b
-            counts[rows, :b] = np.stack([count_rows[i] for i in np.flatnonzero(rows).tolist()])
-            if edges is None:
-                continue
-            if (rows & ~explicit).any():
-                edges[rows & ~explicit, : b + 1] = _linspace_rows(
-                    low[rows & ~explicit], high[rows & ~explicit], b + 1
-                )
-            chosen = np.flatnonzero(rows & explicit).tolist()
-            if chosen:
-                edges[rows & explicit, : b + 1] = np.stack([segments[i].edges for i in chosen])
-            edges[rows, b + 1 :] = edges[rows, b : b + 1]
+        seg_buckets, seg_edges = _edge_columns(low, high, buckets, edges, implicit)
         return cls(
             target=np.asarray(np.zeros(n) if targets is None else targets, dtype=np.uint64),
             hops=np.asarray(np.zeros(n) if hops is None else hops, dtype=np.int64),
-            owner=np.asarray([summary.peer_id for summary in views], dtype=np.uint64),
-            segment_length=_length_column([summary.segment_length for summary in views]),
-            local_count=np.asarray([summary.local_count for summary in views], dtype=np.int64),
+            owner=np.asarray([summary.peer_id for summary in summaries], dtype=np.uint64),
+            segment_length=_length_column([summary.segment_length for summary in summaries]),
+            local_count=np.asarray([summary.local_count for summary in summaries], dtype=np.int64),
             seg_probe=np.repeat(
-                np.arange(n, dtype=np.int64), [len(summary.segments) for summary in views]
+                np.arange(n, dtype=np.int64), [len(summary.segments) for summary in summaries]
             ),
             seg_low=low,
             seg_high=high,
             seg_counts=counts,
-            seg_buckets=buckets if mixed else None,
-            seg_edges=edges,
-            _views=views,
+            seg_buckets=seg_buckets,
+            seg_edges=seg_edges,
         )
 
-    # -- columns the estimators read -------------------------------------
+    @classmethod
+    def concat(cls, batches: Sequence["ProbeReplies"]) -> "ProbeReplies":
+        """The batches' replies one after another, as one batch.
+
+        Batches at different resolutions, or with and without explicit
+        edges, are padded exactly as :meth:`from_summaries` pads the
+        joined reply records.
+        """
+        low = np.concatenate([batch.seg_low for batch in batches])
+        buckets = np.concatenate(
+            [
+                np.full(batch.seg_low.size, batch.seg_counts.shape[1], dtype=np.int64)
+                if batch.seg_buckets is None
+                else batch.seg_buckets
+                for batch in batches
+            ]
+        )
+        width = int(buckets.max()) if buckets.size else 0
+        counts = np.zeros((low.size, width), dtype=np.int64)
+        edges = np.empty((low.size, width + 1))
+        implicit = np.ones(low.size, dtype=bool)
+        start = 0
+        for batch in batches:
+            rows = slice(start, start + batch.seg_low.size)
+            counts[rows, : batch.seg_counts.shape[1]] = batch.seg_counts[:, :width]
+            if batch.seg_edges is not None:
+                edges[rows, : batch.seg_edges.shape[1]] = batch.seg_edges[:, : width + 1]
+                implicit[rows] = False
+            start = rows.stop
+        high = np.concatenate([batch.seg_high for batch in batches])
+        seg_buckets, seg_edges = _edge_columns(low, high, buckets, edges, implicit)
+        offsets = np.cumsum([0] + [len(batch) for batch in batches[:-1]])
+        return cls(
+            target=np.concatenate([batch.target for batch in batches]),
+            hops=np.concatenate([batch.hops for batch in batches]),
+            owner=np.concatenate([batch.owner for batch in batches]),
+            segment_length=np.concatenate([batch.segment_length for batch in batches]),
+            local_count=np.concatenate([batch.local_count for batch in batches]),
+            seg_probe=np.concatenate(
+                [batch.seg_probe + offset for batch, offset in zip(batches, offsets.tolist())]
+            ),
+            seg_low=low,
+            seg_high=high,
+            seg_counts=counts,
+            seg_buckets=seg_buckets,
+            seg_edges=seg_edges,
+        )
+
+    def __len__(self) -> int:
+        return int(self.target.size)
+
     @property
     def density(self) -> NDArray[np.float64]:
         """Items per identifier, ``c / ℓ`` — the Horvitz–Thompson weight numerator.
@@ -202,6 +257,17 @@ class ProbeReplies(Sequence[ProbeResult]):
         """``1.0 / ℓ`` per probe, as Python's float-by-int division rounds it."""
         return 1.0 / self.segment_length.astype(np.float64)
 
+    def bucket_edges(self) -> NDArray[np.float64]:
+        """The ``B + 1`` bucket edges of every segment, one row each.
+
+        ``seg_edges`` when the batch carries it; otherwise every row is
+        equi-width, ``np.linspace(seg_low[k], seg_high[k], B + 1)`` bit for
+        bit.
+        """
+        if self.seg_edges is not None:
+            return self.seg_edges
+        return _linspace_rows(self.seg_low, self.seg_high, self.seg_counts.shape[1] + 1)
+
     def latest(self) -> "ProbeReplies":
         """One reply per peer: its last, in the order of its first probe.
 
@@ -213,16 +279,16 @@ class ProbeReplies(Sequence[ProbeResult]):
             return self
         last = np.zeros(owners.size, dtype=np.int64)
         np.maximum.at(last, inverse, np.arange(len(self)))
-        return self._take(last[np.argsort(first)])
+        return self.take(last[np.argsort(first)])
 
-    def _take(self, rows: NDArray[np.int64]) -> "ProbeReplies":
+    def take(self, rows: ArrayLike) -> "ProbeReplies":
         """The replies of probe ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
         per_probe = np.bincount(self.seg_probe, minlength=len(self))
         starts = np.cumsum(per_probe) - per_probe
         picked = per_probe[rows]
         offsets = np.arange(int(picked.sum())) - np.repeat(np.cumsum(picked) - picked, picked)
         segments = np.repeat(starts[rows], picked) + offsets
-        views = None if self._views is None else [self._views[i] for i in rows.tolist()]
         return ProbeReplies(
             target=self.target[rows],
             hops=self.hops[rows],
@@ -235,98 +301,5 @@ class ProbeReplies(Sequence[ProbeResult]):
             seg_counts=self.seg_counts[segments],
             seg_buckets=None if self.seg_buckets is None else self.seg_buckets[segments],
             seg_edges=None if self.seg_edges is None else self.seg_edges[segments],
-            _views=views,
         )
 
-    # -- the PeerSummary view at the API edge ----------------------------
-    def summaries(self) -> list[PeerSummary]:
-        """One :class:`~repro.core.synopsis.PeerSummary` per probe, in order.
-
-        Built on first use and kept on this batch only (never on the ring);
-        packed reply objects are returned as they were given.
-        """
-        return list(self._view_list())
-
-    def _view_list(self) -> list[PeerSummary]:
-        views = self._views
-        if views is None:
-            views = self._build_views()
-            object.__setattr__(self, "_views", views)
-        return views
-
-    def _build_views(self) -> list[PeerSummary]:
-        from repro.core.synopsis import PeerSummary, SegmentSummary
-
-        k, width = self.seg_counts.shape
-        buckets = [width] * k if self.seg_buckets is None else self.seg_buckets.tolist()
-        segments = [
-            SegmentSummary(
-                low,
-                high,
-                self.seg_counts[index, :b].copy(),
-                None if self.seg_edges is None else self.seg_edges[index, : b + 1].copy(),
-            )
-            for index, (low, high, b) in enumerate(
-                zip(self.seg_low.tolist(), self.seg_high.tolist(), buckets)
-            )
-        ]
-        ends = np.cumsum(np.bincount(self.seg_probe, minlength=len(self))).tolist()
-        return [
-            PeerSummary(
-                peer_id=owner,
-                segment_length=length,
-                local_count=count,
-                segments=tuple(segments[start:end]),
-            )
-            for owner, length, count, start, end in zip(
-                self.owner.tolist(),
-                self.segment_length.tolist(),
-                self.local_count.tolist(),
-                [0] + ends[:-1],
-                ends,
-            )
-        ]
-
-    def __len__(self) -> int:
-        return int(self.target.size)
-
-    @overload
-    def __getitem__(self, index: int) -> ProbeResult: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> list[ProbeResult]: ...
-
-    def __getitem__(self, index: Union[int, slice]) -> Union[ProbeResult, list[ProbeResult]]:
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        row = range(len(self))[index]
-        return ProbeResult(
-            target=int(self.target[row]), summary=self._view_list()[row], hops=int(self.hops[row])
-        )
-
-    def __iter__(self) -> Iterator[ProbeResult]:
-        return (
-            ProbeResult(target=target, summary=summary, hops=hops)
-            for target, summary, hops in zip(
-                self.target.tolist(), self._view_list(), self.hops.tolist()
-            )
-        )
-
-
-#: What the estimators accept as probe evidence: a reply batch, or reply
-#: objects (hand-built, trimmed or winsorized lists).
-Evidence = Union[ProbeReplies, Sequence["PeerSummary"]]
-
-
-def as_replies(evidence: Evidence) -> ProbeReplies:
-    """``evidence`` as columns (packing a list of reply objects)."""
-    if isinstance(evidence, ProbeReplies):
-        return evidence
-    return ProbeReplies.from_summaries(evidence)
-
-
-def as_summaries(evidence: Evidence) -> list[PeerSummary]:
-    """``evidence`` as reply objects (the views of a reply batch)."""
-    if isinstance(evidence, ProbeReplies):
-        return evidence.summaries()
-    return list(evidence)

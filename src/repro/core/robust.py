@@ -4,7 +4,7 @@ The Horvitz–Thompson mixture trusts every reply: weights are proportional
 to claimed density ``c_p / ℓ_p``, so one peer claiming a 100× count drags
 most of the estimate's mass to wherever it parked the lie (the pollution
 attack of :mod:`repro.core.byzantine`).  The neighbourhood density trim
-(:func:`~repro.core.byzantine.trim_outlier_summaries`) catches *isolated*
+(:func:`~repro.core.byzantine.trim_outlier_replies`) catches *isolated*
 spikes; this module adds the classical statistical hardening that needs no
 topology assumption at all:
 
@@ -48,14 +48,15 @@ pollution attack schedules.
 
 from __future__ import annotations
 
-from typing import Literal, Optional, Sequence, Tuple
+import dataclasses
+from typing import Literal, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.core.cdf import PiecewiseCDF
 from repro.core.cdf_sampling import assemble_cdf, estimate_total_items, ht_weights
-from repro.core.synopsis import PeerSummary, SegmentSummary
+from repro.core.replies import ProbeReplies
 
 __all__ = [
     "RobustMethod",
@@ -64,8 +65,7 @@ __all__ = [
     "validate_mom_groups",
     "validate_robust_method",
     "trimmed_ht_weights",
-    "trimmed_total_items",
-    "winsorize_summaries",
+    "winsorize_replies",
     "median_of_means_cdf",
     "robust_assemble",
 ]
@@ -95,7 +95,7 @@ def validate_mom_groups(value: int) -> int:
 
 
 def trimmed_ht_weights(
-    summaries: Sequence[PeerSummary], trim_fraction: float
+    replies: ProbeReplies, trim_fraction: float
 ) -> Tuple[NDArray[np.float64], NDArray[np.bool_]]:
     """Horvitz–Thompson weights after symmetric density-rank trimming.
 
@@ -109,9 +109,9 @@ def trimmed_ht_weights(
     caller's existing no-evidence degradation handles it.
     """
     validate_trim_fraction(trim_fraction)
-    if not summaries:
+    if not len(replies):
         raise ValueError("need at least one probe summary")
-    densities = np.asarray([s.density for s in summaries], dtype=float)
+    densities = replies.density
     count = densities.size
     per_side = int(np.ceil(trim_fraction * count)) if trim_fraction > 0.0 else 0
     kept = np.ones(count, dtype=bool)
@@ -126,23 +126,7 @@ def trimmed_ht_weights(
     return weights / total, kept
 
 
-def trimmed_total_items(
-    summaries: Sequence[PeerSummary],
-    kept: NDArray[np.bool_],
-    ring_size: int,
-) -> float:
-    """Total-items estimate from the trimmed batch, ``n̂ = 2^m · mean(c/ℓ)``.
-
-    The trimmed mean of the densities bounds a liar's pull on ``n̂`` the
-    same way the trimmed weights bound its pull on ``F̂``.
-    """
-    survivors = [s for s, keep in zip(summaries, kept) if keep]
-    return estimate_total_items(survivors, ring_size)
-
-
-def winsorize_summaries(
-    summaries: Sequence[PeerSummary], trim_fraction: float
-) -> list[PeerSummary]:
+def winsorize_replies(replies: ProbeReplies, trim_fraction: float) -> ProbeReplies:
     """Clamp over-dense replies to the batch's upper density quantile.
 
     A reply whose implied density ``c_p / ℓ_p`` exceeds the
@@ -157,33 +141,22 @@ def winsorize_summaries(
     Raises ``ValueError`` on an empty batch.
     """
     validate_trim_fraction(trim_fraction)
-    if not summaries:
+    if not len(replies):
         raise ValueError("need at least one probe summary")
     if trim_fraction <= 0.0:
-        return list(summaries)
-    densities = np.asarray([s.density for s in summaries], dtype=float)
+        return replies
+    densities = replies.density
     cap = float(np.quantile(densities, 1.0 - trim_fraction))
-    clamped: list[PeerSummary] = []
-    for summary, density in zip(summaries, densities):
-        if density <= cap or density <= 0.0:
-            clamped.append(summary)
-            continue
-        factor = cap / density
-        segments = []
-        for seg in summary.segments:
-            counts = np.floor(seg.counts * factor + 0.5).astype(np.int64)
-            segments.append(
-                SegmentSummary(seg.value_low, seg.value_high, counts, edges=seg.edges)
-            )
-        clamped.append(
-            PeerSummary(
-                peer_id=summary.peer_id,
-                segment_length=summary.segment_length,
-                local_count=int(sum(seg.total for seg in segments)),
-                segments=tuple(segments),
-            )
-        )
-    return clamped
+    clamped = (densities > cap) & (densities > 0.0)
+    if not clamped.any():
+        return replies
+    rows = clamped[replies.seg_probe]
+    factor = cap / densities[replies.seg_probe[rows]]
+    counts = replies.seg_counts.copy()
+    counts[rows] = np.floor(counts[rows] * factor[:, None] + 0.5).astype(np.int64)
+    local_count = np.zeros(len(replies), dtype=np.int64)
+    np.add.at(local_count, replies.seg_probe, counts.sum(axis=1))
+    return dataclasses.replace(replies, seg_counts=counts, local_count=local_count)
 
 
 def _group_slices(count: int, groups: int) -> list[NDArray[np.intp]]:
@@ -198,7 +171,7 @@ def _group_slices(count: int, groups: int) -> list[NDArray[np.intp]]:
 
 
 def median_of_means_cdf(
-    summaries: Sequence[PeerSummary],
+    replies: ProbeReplies,
     domain: tuple[float, float],
     groups: int,
     interpolation: Literal["linear", "step"] = "linear",
@@ -218,14 +191,14 @@ def median_of_means_cdf(
     validate_mom_groups(groups)
     if grid_points < 2:
         raise ValueError(f"grid_points must be >= 2, got {grid_points}")
-    if not summaries:
+    if not len(replies):
         raise ValueError("need at least one probe summary")
     low, high = domain
     grid = np.linspace(low, high, grid_points)
     curves: list[NDArray[np.float64]] = []
     totals: list[float] = []
-    for indices in _group_slices(len(summaries), groups):
-        group = [summaries[int(i)] for i in indices]
+    for indices in _group_slices(len(replies), groups):
+        group = replies.take(indices)
         try:
             weights = ht_weights(group)
         except ValueError:
@@ -233,7 +206,7 @@ def median_of_means_cdf(
             continue
         cdf = assemble_cdf(group, weights, domain, interpolation)
         curves.append(np.asarray(cdf(grid), dtype=float))
-        totals.append(np.mean(np.asarray([s.density for s in group], dtype=float)))
+        totals.append(np.mean(group.density))
     if not curves:
         raise ValueError("all probed peers were empty; cannot estimate a distribution")
     stacked = np.stack(curves, axis=0)
@@ -248,7 +221,7 @@ def median_of_means_cdf(
 
 
 def robust_assemble(
-    summaries: Sequence[PeerSummary],
+    replies: ProbeReplies,
     domain: tuple[float, float],
     ring_size: int,
     method: RobustMethod,
@@ -261,24 +234,26 @@ def robust_assemble(
     The robust combiners operate on Horvitz–Thompson weights, so assembly
     is always the mixture family (the interpolated reconstruction has no
     per-reply weight to harden — its pollution defense is the density
-    trim, which composes with this path by running first).
+    trim, which composes with this path by running first).  The trimmed
+    ``n̂`` is the mean density of the replies the trim kept, which bounds
+    a liar's pull on ``n̂`` as the trimmed weights bound it on ``F̂``.
 
     Raises ``ValueError`` on zero surviving evidence; callers map that to
     their zero-evidence degraded estimate exactly as the trusting path
     does.
     """
     if method == "trimmed":
-        weights, kept = trimmed_ht_weights(summaries, trim_fraction)
-        cdf = assemble_cdf(summaries, weights, domain, interpolation)
-        return cdf, trimmed_total_items(summaries, kept, ring_size)
+        weights, kept = trimmed_ht_weights(replies, trim_fraction)
+        cdf = assemble_cdf(replies, weights, domain, interpolation)
+        return cdf, estimate_total_items(replies.take(np.flatnonzero(kept)), ring_size)
     if method == "winsorized":
-        clamped = winsorize_summaries(summaries, trim_fraction)
+        clamped = winsorize_replies(replies, trim_fraction)
         weights = ht_weights(clamped)
         cdf = assemble_cdf(clamped, weights, domain, interpolation)
         return cdf, estimate_total_items(clamped, ring_size)
     if method == "median-of-means":
         cdf, ring_units = median_of_means_cdf(
-            summaries, domain, mom_groups, interpolation
+            replies, domain, mom_groups, interpolation
         )
         return cdf, float(ring_size) * ring_units
     raise ValueError(f"unknown robust method {method!r}")

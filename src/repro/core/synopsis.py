@@ -1,15 +1,19 @@
-"""Per-peer summaries: what one probe reply carries.
+"""Per-peer summaries: the producers of probe replies.
 
 A probe that lands on a peer gets back the peer's segment length, its item
-count, and a constant-size histogram synopsis of its local data — one
-:class:`PeerSummary` as an object, one row of a
-:class:`~repro.core.replies.ProbeReplies` batch as columns.  Its size
+count, and a constant-size histogram synopsis of its local data.  Its size
 bounds per-probe bandwidth, which is why the synopsis bucket count ``B`` is
-an explicit, ablatable parameter.
+an explicit, ablatable parameter.  Every consumer reads replies as the
+columns of a :class:`~repro.core.replies.ProbeReplies` batch: the compact
+backend gathers them from its synopsis plane (:func:`summarize_compact`);
+the object backend builds one :class:`PeerSummary` record per peer
+(:func:`summarize_peer`, memoized on the node) and packs a batch of them
+with :meth:`~repro.core.replies.ProbeReplies.from_summaries`.
 
 A peer whose ownership arc wraps the ring origin holds items from two
 disjoint value ranges; its summary then carries two :class:`SegmentSummary`
-pieces.  All other peers carry exactly one.
+pieces.  All other peers carry exactly one.  A Byzantine peer answers with
+a fabricated summary (:func:`fabricate_summary`).
 """
 
 from __future__ import annotations
@@ -20,23 +24,23 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.core.cdf import PiecewiseCDF
+from repro.core.byzantine import ByzantineBehavior
 from repro.core.replies import ProbeReplies
 from repro.ring.compact import CompactRing
 from repro.ring.network import RingNetwork
 from repro.ring.node import PeerNode
 
-__all__ = ["SegmentSummary", "PeerSummary", "summarize_peer", "summarize_compact"]
+__all__ = ["summarize_peer", "summarize_compact", "fabricate_summary"]
 
 
 @dataclass(frozen=True)
 class SegmentSummary:
     """Bucket synopsis of one contiguous value range of a peer.
 
-    Buckets may be equi-width (the classic histogram, the default built by
-    :meth:`equi_width`) or arbitrary — in particular the *equi-depth*
-    buckets of :meth:`from_quantiles`, where bucket edges are local
-    quantiles and counts are (nearly) equal.  Both carry the same payload
+    Buckets may be equi-width (the classic histogram, ``edges=None``) or
+    arbitrary — in particular the *equi-depth* buckets of
+    :meth:`from_quantiles`, where bucket edges are local quantiles and
+    counts are (nearly) equal.  Both carry the same payload
     (B+1 edges + B counts, with equi-width edges compressible to 2 values),
     but equi-depth buckets adapt their resolution to where the peer's data
     actually sits.
@@ -64,13 +68,6 @@ class SegmentSummary:
                 and abs(self.edges[-1] - self.value_high) < 1e-12
             ):
                 raise ValueError("edges must span exactly [value_low, value_high]")
-
-    @classmethod
-    def equi_width(
-        cls, value_low: float, value_high: float, counts: NDArray[np.int64]
-    ) -> "SegmentSummary":
-        """The classic equi-width histogram segment."""
-        return cls(value_low, value_high, counts)
 
     @classmethod
     def from_quantiles(
@@ -108,37 +105,10 @@ class SegmentSummary:
         return int(self.counts.size)
 
     def bucket_edges(self) -> NDArray[np.float64]:
-        """The ``B + 1`` bucket boundary values (memoized; treat as
-        read-only — :meth:`count_leq` and local CDFs ask for the same
-        edges on every call)."""
+        """The ``B + 1`` bucket boundary values."""
         if self.edges is not None:
             return self.edges
-        cached = self.__dict__.get("_edges_cache")
-        if cached is None:
-            cached = np.linspace(self.value_low, self.value_high, self.buckets + 1)
-            object.__setattr__(self, "_edges_cache", cached)
-        return cached
-
-    def count_leq(self, x: float) -> float:
-        """Estimated number of summarised items ``<= x``.
-
-        Exact at bucket edges; linear (uniform-within-bucket) inside.
-        Zero-width buckets (point masses in an equi-depth synopsis) count
-        fully once ``x`` reaches them.
-        """
-        if x < self.value_low:
-            return 0.0
-        if x >= self.value_high:
-            return float(self.total)
-        edges = self.bucket_edges()
-        index = int(np.searchsorted(edges, x, side="right")) - 1
-        index = min(max(index, 0), self.buckets - 1)
-        acc = float(self.counts[:index].sum())
-        width = edges[index + 1] - edges[index]
-        if width <= 0:
-            return acc + float(self.counts[index])
-        frac = (x - edges[index]) / width
-        return acc + frac * float(self.counts[index])
+        return np.linspace(self.value_low, self.value_high, self.buckets + 1)
 
 
 @dataclass(frozen=True)
@@ -162,59 +132,6 @@ class PeerSummary:
             raise ValueError(
                 f"synopsis covers {summarised} items but peer holds {self.local_count}"
             )
-
-    @property
-    def density(self) -> float:
-        """Items per identifier, ``c_p / ℓ_p`` — the HT weight numerator."""
-        return self.local_count / self.segment_length
-
-    def count_leq(self, x: float) -> float:
-        """Estimated count of this peer's items ``<= x``."""
-        return sum(seg.count_leq(x) for seg in self.segments)
-
-    def local_cdf(self, kind: str = "linear") -> PiecewiseCDF:
-        """This peer's local data CDF (``H_p``), from the synopsis.
-
-        A peer with no items contributes a degenerate CDF that is 0 across
-        its segment and jumps to 1 at the right edge; estimators give such
-        peers zero weight so the shape never matters.
-
-        The summary is immutable, so the constructed CDF is memoized per
-        ``kind``: assembling repeated estimates from memoized summaries
-        (cache-hit probes, exact-census repetitions) reuses the same
-        :class:`PiecewiseCDF` objects instead of rebuilding them.
-        """
-        cache = self.__dict__.get("_local_cdf_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_local_cdf_cache", cache)
-        cached = cache.get(kind)
-        if cached is not None:
-            return cached
-        cdf = self._build_local_cdf(kind)
-        cache[kind] = cdf
-        return cdf
-
-    def _build_local_cdf(self, kind: str) -> PiecewiseCDF:
-        """Uncached :meth:`local_cdf` construction."""
-        xs_parts: list[NDArray[np.float64]] = []
-        fs_parts: list[NDArray[np.float64]] = []
-        running = 0.0
-        total = max(self.local_count, 1)
-        for seg in sorted(self.segments, key=lambda s: s.value_low):
-            edges = seg.bucket_edges()
-            cumulative = running + np.concatenate(([0.0], np.cumsum(seg.counts)))
-            xs_parts.append(edges)
-            fs_parts.append(cumulative / total)
-            running += seg.total
-        xs = np.concatenate(xs_parts)
-        fs = np.concatenate(fs_parts)
-        # Collapse duplicate breakpoints keeping the *last* value at each x
-        # so point masses (zero-width equi-depth buckets) keep their jump.
-        keep = np.concatenate((np.diff(xs) > 0, [True]))
-        if kind == "step":
-            return PiecewiseCDF(xs[keep], fs[keep], kind="step")
-        return PiecewiseCDF(xs[keep], fs[keep], kind="linear")
 
 
 def summarize_peer(
@@ -299,9 +216,7 @@ def _build_summary(
             hi = node.store.rank_of(r_high)
             values = node.store.as_array()[lo:hi]
             return SegmentSummary.from_quantiles(r_low, r_high, values, buckets)
-        return SegmentSummary.equi_width(
-            r_low, r_high, node.store.histogram_range(r_low, r_high, buckets)
-        )
+        return SegmentSummary(r_low, r_high, node.store.histogram_range(r_low, r_high, buckets))
 
     segments = tuple(build_segment(r_low, r_high) for r_low, r_high in ranges)
     # Items can sit outside the computed ranges only through float edge
@@ -319,8 +234,6 @@ def _build_summary(
     if node.byzantine is not None:
         # A lying peer answers with a fabricated reply (same geometry,
         # false counts) — see repro.core.byzantine.
-        from repro.core.byzantine import fabricate_summary
-
         return fabricate_summary(summary, node.byzantine)
     return summary
 
@@ -385,6 +298,46 @@ def summarize_compact(
         seg_low=seg_low,
         seg_high=seg_high,
         seg_counts=seg_counts,
+    )
+
+
+def fabricate_summary(honest: PeerSummary, behavior: ByzantineBehavior) -> PeerSummary:
+    """The lie a Byzantine peer sends instead of its honest summary.
+
+    Segment geometry (``ℓ``, value ranges) is kept honest — neighbours can
+    verify it — while counts are inflated and, optionally, concentrated in
+    the bucket nearest ``fake_mass_at``.
+    """
+    claimed_total = max(int(round(honest.local_count * behavior.count_multiplier)), 1)
+    segments: list[SegmentSummary] = []
+    remaining = claimed_total
+    for index, segment in enumerate(honest.segments):
+        if index == len(honest.segments) - 1:
+            claimed = remaining
+        else:
+            share = segment.total / max(honest.local_count, 1)
+            claimed = int(round(claimed_total * share))
+            remaining -= claimed
+        counts = np.zeros(segment.buckets, dtype=np.int64)
+        if behavior.fake_mass_at is not None:
+            edges = segment.bucket_edges()
+            target = int(np.searchsorted(edges, behavior.fake_mass_at, side="right")) - 1
+            target = min(max(target, 0), segment.buckets - 1)
+            counts[target] = claimed
+        elif segment.total > 0:
+            scaled = np.floor(segment.counts * claimed / segment.total).astype(np.int64)
+            scaled[-1] += claimed - int(scaled.sum())
+            counts = scaled
+        else:
+            counts[-1] = claimed
+        segments.append(
+            SegmentSummary(segment.value_low, segment.value_high, counts, edges=segment.edges)
+        )
+    return PeerSummary(
+        peer_id=honest.peer_id,
+        segment_length=honest.segment_length,
+        local_count=claimed_total,
+        segments=tuple(segments),
     )
 
 

@@ -83,15 +83,14 @@ def run_synopsis_ablation(scale: float = 1.0, seed: int = 0) -> ResultTable:
 
 def _census_error(fixture, buckets: int, grid_points: int):
     """Synopsis-only error: every peer summarised, exact count weights."""
-    from repro.core.cdf_sampling import assemble_cdf_interpolated
+    from repro.core.cdf_sampling import ProbeReplies, assemble_cdf_interpolated
     from repro.core.metrics import evaluate_estimate
     from repro.core.synopsis import summarize_peer
 
-    summaries = [
-        summarize_peer(fixture.network, node, buckets)
-        for node in fixture.network.peers()
-    ]
-    reconstruction = assemble_cdf_interpolated(summaries, fixture.domain)
+    replies = ProbeReplies.from_summaries(
+        [summarize_peer(fixture.network, node, buckets) for node in fixture.network.peers()]
+    )
+    reconstruction = assemble_cdf_interpolated(replies, fixture.domain)
     return evaluate_estimate(
         reconstruction.cdf, fixture.truth, fixture.domain, grid_points
     )

@@ -199,10 +199,6 @@ class LocalStore:
         """Number of stored items strictly less than ``value``."""
         return bisect.bisect_left(self._list, value)
 
-    def count_leq(self, value: float) -> int:
-        """Number of stored items ``<= value`` — the local CDF numerator."""
-        return bisect.bisect_right(self._list, value)
-
     def values_in_range(self, low: float, high: float) -> list[float]:
         """All items with ``low <= v < high``, in sorted order.
 

@@ -120,11 +120,6 @@ class AdaptiveRefreshPolicy:
         if self.rate_floor < 0:
             raise ValueError(f"rate_floor must be >= 0, got {self.rate_floor}")
 
-    @property
-    def drift_rate(self) -> Optional[float]:
-        """Learned drift per version bump (``None`` before any check)."""
-        return self._rate
-
     def predicted_error(self, bumps: int) -> float:
         """Predicted staleness error after ``bumps`` version increments."""
         if bumps <= 0:

@@ -1,16 +1,19 @@
 """Guard against a test-only surface growing back in ``src/repro``.
 
-Every public module-level function and class must be referenced from a
-program file: a module under ``src/``, ``benchmarks/``, ``perfbench/`` or
+Every public module-level function and class, and every public method
+and property of a module-level class, must be referenced from a program
+file: a module under ``src/``, ``benchmarks/``, ``perfbench/`` or
 ``examples/``, or a ``pyproject.toml`` script entry.  Code that only tests
 call still costs reading, typing and upkeep, so it either earns a caller
-or goes.
+or goes.  Methods are matched by attribute name alone: any program
+reference to ``.name`` keeps every method called ``name`` alive.
 
 A reference is a name, an attribute or a string constant whose last dotted
 component spells the symbol (``perfbench/`` patches methods by name, and
 the parity rule names its protocol by dotted path).  The symbol's own
 definition, ``__all__`` lists and imports do not count, so a package
-re-export keeps nothing alive.  Classes registered by decorator (the lint
+re-export keeps nothing alive; neither does a method's reference to
+itself.  Classes registered by decorator (the lint
 rules) are entry points.
 """
 
@@ -42,6 +45,48 @@ ALLOWED = {
     "repro.experiments.registry.run_all": "docs/PERFORMANCE.md: whole-registry runs",
     "repro.ring.serialization.load_network": "README.md and DESIGN.md: JSON checkpointing",
     "repro.ring.serialization.save_network": "README.md and DESIGN.md: JSON checkpointing",
+    # Methods kept as test oracles: each states a fact the program computes
+    # another way, and the tests check the program against it.
+    "repro.ring.identifier.IdentifierSpace.finger_target": (
+        "finger-table oracle: test_network and test_chord check every finger against it"
+    ),
+    "repro.ring.node.PeerNode.finger_target": (
+        "finger-table oracle: test_network and test_chord check every finger against it"
+    ),
+    "repro.ring.snapshot.RingSnapshot.finger_scan_tables": (
+        "test_compact checks the compact ring's scan matrices against the object ring's"
+    ),
+    "repro.data.workload.RangeQuery.true_selectivity": (
+        "ground-truth selectivity the range-query estimates are tested against"
+    ),
+    "repro.ring.network.RingNetwork.owner_of": (
+        "CONTRIBUTING.md: the ownership oracle routed lookups are tested against"
+    ),
+    "repro.ring.faults.FaultPlane.heal": "docs/ROBUSTNESS.md: ends a partition in fault tests",
+    "repro.ring.faults.FaultPlane.crash_burst": "docs/ROBUSTNESS.md: correlated-crash fault tests",
+    "repro.ring.events.EventEngine.trace_bytes": (
+        "the event-engine determinism tests compare delivery traces byte for byte"
+    ),
+    "repro.ring.node.PeerNode.owns": (
+        "ownership oracle: the routing and Chord tests check every lookup's owner against it"
+    ),
+    "repro.ring.snapshot.RingSnapshot.cum_counts": (
+        "the plane layout the module docstring documents; test_snapshot_properties checks it"
+    ),
+    **{
+        f"repro.data.distributions.{name}.pdf": (
+            "the density test_distributions checks each distribution's CDF derivative against"
+        )
+        for name in (
+            "Distribution",
+            "UniformDistribution",
+            "TruncatedNormal",
+            "TruncatedExponential",
+            "BoundedPareto",
+            "MixtureDistribution",
+            "DiscreteZipf",
+        )
+    },
 }
 
 
@@ -63,7 +108,8 @@ def _script_targets() -> set[str]:
 
 def _references(tree: ast.Module) -> set[str]:
     """Names a module uses outside ``__all__`` and outside each top-level
-    definition's own body (a recursive call does not keep a symbol alive)."""
+    definition's own body (a recursive call does not keep a symbol alive);
+    a method's body does not keep that method alive either."""
     skipped: set[int] = set()
     owner: dict[int, str] = {}
     for stmt in tree.body:
@@ -74,6 +120,11 @@ def _references(tree: ast.Module) -> set[str]:
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             for node in ast.walk(stmt):
                 owner[id(node)] = stmt.name
+            if isinstance(stmt, ast.ClassDef):
+                for method in stmt.body:
+                    if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        for node in ast.walk(method):
+                            owner[id(node)] = method.name
     names: set[str] = set()
     for node in ast.walk(tree):
         if id(node) in skipped:
@@ -111,6 +162,11 @@ def _unreferenced(graph: ProjectGraph) -> dict[str, int]:
             )
             if not name.startswith("_") and not registered and name not in used:
                 found[f"{info.name}.{name}"] = cls.node.lineno
+            for member in cls.members.values():
+                if name.startswith("_") or member.kind == "attribute" or member.name.startswith("_"):
+                    continue
+                if member.name not in used:
+                    found[f"{cls.dotted}.{member.name}"] = getattr(member.node, "lineno", 0)
     return found
 
 
@@ -135,3 +191,14 @@ def test_references_skip_definitions_all_and_imports():
         "HOOK = 'pkg.mod.patched'\n"
     )
     assert _references(tree) == {"n", "HOOK", "patched"}
+
+
+def test_method_references_skip_the_method_itself():
+    tree = ast.parse(
+        "class Walker:\n"
+        "    def step(self):\n"
+        "        return self.step() + self.jump()\n"
+        "    def jump(self):\n"
+        "        return 0\n"
+    )
+    assert _references(tree) == {"self", "jump"}

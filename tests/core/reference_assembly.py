@@ -1,10 +1,13 @@
-"""Scalar reference implementations of CDF reconstruction and its bootstrap.
+"""Scalar reference implementations of every reply consumer.
 
-These are the per-segment Python loops that the columnar kernel in
-:mod:`repro.core.cdf_sampling` replaced.  They define the semantics the
-kernel must reproduce bit for bit: breakpoints, cumulative masses, gap
-masses, and (for the bootstrap) the generator's stream.  They live here,
-as test oracles only.
+These are the per-reply, per-segment Python loops over
+:class:`~repro.core.synopsis.PeerSummary` records that the columnar code
+replaced: the interpolated reconstruction and its bootstrap, the local
+CDFs and their HT mixture, the density trim, winsorization, and the
+parametric baseline's moments.  They define the semantics the columns
+must reproduce bit for bit: breakpoints, cumulative masses, gap masses,
+the order of every float addition, and (for the bootstrap) the
+generator's stream.  They live here, as test oracles only.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 
 from repro.core.cdf import PiecewiseCDF
 from repro.core.cdf_sampling import InterpolatedReconstruction
+from repro.core.replies import ProbeReplies
 from repro.core.synopsis import PeerSummary, SegmentSummary
 
 
@@ -181,7 +185,7 @@ def peer_summary(
 ) -> PeerSummary:
     """A hand-built reply: one equi-width segment per ``(low, high)`` range."""
     segments = tuple(
-        SegmentSummary.equi_width(low, high, np.asarray(c, dtype=np.int64))
+        SegmentSummary(low, high, np.asarray(c, dtype=np.int64))
         for (low, high), c in zip(ranges, counts)
     )
     return PeerSummary(
@@ -234,8 +238,8 @@ def reference_segment_table(summaries: Sequence[PeerSummary]) -> dict[str, np.nd
 
 
 def reference_ht_weights(summaries: Sequence[PeerSummary]) -> np.ndarray:
-    """``w_i ∝ c_i / ℓ_i`` from each reply object's ``density``."""
-    raw = np.asarray([s.density for s in summaries], dtype=float)
+    """``w_i ∝ c_i / ℓ_i`` from each reply object's density."""
+    raw = np.asarray([density(s) for s in summaries], dtype=float)
     total = raw.sum()
     if total <= 0:
         raise ValueError("all probed peers were empty; cannot estimate a distribution")
@@ -244,10 +248,202 @@ def reference_ht_weights(summaries: Sequence[PeerSummary]) -> np.ndarray:
 
 def reference_total_items(summaries: Sequence[PeerSummary], ring_size: int) -> float:
     """``n̂ = (2^m/s) Σ c/ℓ`` from the reply objects."""
-    return float(ring_size * np.asarray([s.density for s in summaries], dtype=float).mean())
+    return float(ring_size * np.asarray([density(s) for s in summaries], dtype=float).mean())
 
 
 def reference_peer_count(summaries: Sequence[PeerSummary], ring_size: int) -> float:
     """``N̂ = (2^m/s) Σ 1/ℓ`` from the reply objects."""
     inverse = np.asarray([1.0 / s.segment_length for s in summaries], dtype=float)
     return float(ring_size * inverse.mean())
+
+
+def density(summary: PeerSummary) -> float:
+    """Items per identifier, ``c / ℓ``, as Python's int division rounds it."""
+    return summary.local_count / summary.segment_length
+
+
+def local_cdf(summary: PeerSummary, kind: str = "linear") -> PiecewiseCDF:
+    """A peer's local data CDF ``H_p``, built one segment at a time.
+
+    Segments in value order, bucket edges as breakpoints, the running item
+    count over ``max(c_p, 1)`` as values; duplicate breakpoints keep their
+    *last* value so point masses keep their jump.
+    """
+    xs_parts: list[np.ndarray] = []
+    fs_parts: list[np.ndarray] = []
+    running = 0.0
+    total = max(summary.local_count, 1)
+    for seg in sorted(summary.segments, key=lambda s: s.value_low):
+        cumulative = running + np.concatenate(([0.0], np.cumsum(seg.counts)))
+        xs_parts.append(seg.bucket_edges())
+        fs_parts.append(cumulative / total)
+        running += seg.total
+    xs = np.concatenate(xs_parts)
+    fs = np.concatenate(fs_parts)
+    keep = np.concatenate((np.diff(xs) > 0, [True]))
+    return PiecewiseCDF(xs[keep], fs[keep], kind="step" if kind == "step" else "linear")
+
+
+def reference_assemble_cdf(
+    summaries: Sequence[PeerSummary],
+    weights: Sequence[float],
+    domain: tuple[float, float],
+    interpolation: str = "linear",
+) -> PiecewiseCDF:
+    """The HT mixture ``Σ w_i H_i``: every component evaluated everywhere.
+
+    Components are added one after another on the merged breakpoints, and
+    the result is pinned to 0 and 1 at the domain edges.
+    """
+    active = [
+        (summary, w)
+        for summary, w in zip(summaries, np.asarray(weights, dtype=float))
+        if w > 0 and summary.local_count > 0
+    ]
+    if not active:
+        raise ValueError("no probed peer carried any data")
+    components = [local_cdf(summary, interpolation) for summary, _ in active]
+    weight_arr = np.asarray([w for _, w in active], dtype=float)
+    weight_arr = weight_arr / weight_arr.sum()
+    xs = np.unique(np.concatenate([c.xs for c in components]))
+    fs = np.zeros_like(xs)
+    for component, w in zip(components, weight_arr):
+        if w > 0:
+            fs += w * component(xs)
+    kind = "step" if interpolation == "step" else "linear"
+    mixture = PiecewiseCDF(xs, fs, kind=kind)
+    low, high = domain
+    xs, fs = mixture.xs, mixture.fs
+    if xs[0] > low:
+        xs = np.concatenate(([low], xs))
+        fs = np.concatenate(([0.0], fs))
+    if xs[-1] < high:
+        xs = np.concatenate((xs, [high]))
+        fs = np.concatenate((fs, [1.0]))
+    fs = fs / fs[-1] if fs[-1] > 0 else fs
+    return PiecewiseCDF(xs, fs, kind=kind)
+
+
+def trim_outlier_summaries(
+    summaries: Sequence[PeerSummary],
+    max_density_ratio: float = 20.0,
+    neighborhood: int = 4,
+) -> list[PeerSummary]:
+    """The neighbourhood density trim, one reply at a time.
+
+    Each peer's last reply is compared with the median density of its
+    ``2·k`` ring-nearest peers (ordered by lowest segment value); every
+    reply of a peer above ``max_density_ratio`` times that reference is
+    dropped.  Batches of at most two peers pass through.
+    """
+    unique: dict[int, PeerSummary] = {}
+    for summary in summaries:
+        unique[summary.peer_id] = summary
+    if len(unique) <= 2:
+        return list(summaries)
+    ordered = sorted(unique.values(), key=lambda s: min(seg.value_low for seg in s.segments))
+    count = len(ordered)
+    dropped: set[int] = set()
+    for index, summary in enumerate(ordered):
+        neighbors = []
+        for offset in range(1, neighborhood + 1):
+            neighbors.append(density(ordered[(index - offset) % count]))
+            neighbors.append(density(ordered[(index + offset) % count]))
+        reference = float(np.median(neighbors))
+        if reference <= 0:
+            reference = float(
+                np.median([density(s) for s in ordered if s.local_count > 0] or [0.0])
+            )
+        if reference > 0 and density(summary) > max_density_ratio * reference:
+            dropped.add(summary.peer_id)
+    return [s for s in summaries if s.peer_id not in dropped]
+
+
+def winsorize_summaries(
+    summaries: Sequence[PeerSummary], trim_fraction: float
+) -> list[PeerSummary]:
+    """Scale every reply denser than the ``1 - trim_fraction`` density
+    quantile down to it, bucket by bucket (round half up)."""
+    if trim_fraction <= 0.0:
+        return list(summaries)
+    densities = np.asarray([density(s) for s in summaries], dtype=float)
+    cap = float(np.quantile(densities, 1.0 - trim_fraction))
+    clamped: list[PeerSummary] = []
+    for summary, value in zip(summaries, densities):
+        if value <= cap or value <= 0.0:
+            clamped.append(summary)
+            continue
+        factor = cap / value
+        segments = tuple(
+            SegmentSummary(
+                seg.value_low,
+                seg.value_high,
+                np.floor(seg.counts * factor + 0.5).astype(np.int64),
+                edges=seg.edges,
+            )
+            for seg in summary.segments
+        )
+        clamped.append(
+            PeerSummary(
+                peer_id=summary.peer_id,
+                segment_length=summary.segment_length,
+                local_count=int(sum(seg.total for seg in segments)),
+                segments=segments,
+            )
+        )
+    return clamped
+
+
+def weighted_moments(
+    summaries: Sequence[PeerSummary], weights: Sequence[float]
+) -> tuple[float, float]:
+    """HT-weighted mean and variance, reading each synopsis as mass at its
+    bucket midpoints — reply by reply, segment by segment."""
+    mean_acc = 0.0
+    second_acc = 0.0
+    for summary, w in zip(summaries, np.asarray(weights, dtype=float)):
+        if w <= 0 or summary.local_count == 0:
+            continue
+        for segment in summary.segments:
+            if segment.total == 0:
+                continue
+            edges = segment.bucket_edges()
+            midpoints = 0.5 * (edges[:-1] + edges[1:])
+            probs = segment.counts / summary.local_count
+            mean_acc += w * float(np.sum(probs * midpoints))
+            second_acc += w * float(np.sum(probs * midpoints**2))
+    variance = max(second_acc - mean_acc**2, 1e-12)
+    return mean_acc, variance
+
+
+def to_summaries(replies: ProbeReplies) -> list[PeerSummary]:
+    """One :class:`PeerSummary` record per reply row, for the oracles above."""
+    k, width = replies.seg_counts.shape
+    buckets = [width] * k if replies.seg_buckets is None else replies.seg_buckets.tolist()
+    segments = [
+        SegmentSummary(
+            low,
+            high,
+            replies.seg_counts[index, :b].copy(),
+            None if replies.seg_edges is None else replies.seg_edges[index, : b + 1].copy(),
+        )
+        for index, (low, high, b) in enumerate(
+            zip(replies.seg_low.tolist(), replies.seg_high.tolist(), buckets)
+        )
+    ]
+    ends = np.cumsum(np.bincount(replies.seg_probe, minlength=len(replies))).tolist()
+    return [
+        PeerSummary(
+            peer_id=owner,
+            segment_length=length,
+            local_count=count,
+            segments=tuple(segments[start:end]),
+        )
+        for owner, length, count, start, end in zip(
+            replies.owner.tolist(),
+            replies.segment_length.tolist(),
+            replies.local_count.tolist(),
+            [0] + ends[:-1],
+            ends,
+        )
+    ]

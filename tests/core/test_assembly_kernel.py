@@ -20,9 +20,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cdf_sampling import assemble_cdf_interpolated
-from repro.core.synopsis import PeerSummary, SegmentSummary
+from repro.core.replies import ProbeReplies
 
 from tests.core.reference_assembly import peer_summary, reference_assemble
+from tests.core.reply_samples import probe_samples
 
 # Sub-ulp buckets in the synthetic rings can overflow a density to inf; both
 # implementations then warn identically, and the comparison still holds.
@@ -35,98 +36,9 @@ SETTINGS = settings(
 )
 
 
-def nonempty(low: float, high: float) -> tuple[float, float]:
-    """Widen a degenerate range by one ulp, as `_build_summary` does."""
-    if low < high:
-        return (low, high)
-    return (low, float(np.nextafter(low, np.inf)))
-
-
-@st.composite
-def segment(draw, low: float, high: float, buckets: int, kind: str, flat: bool):
-    """One segment synopsis over ``[low, high)``."""
-    if kind == "equi-depth":
-        # Items on a few fixed points: repeats make zero-width buckets.
-        points = [low + (high - low) * j / 4 for j in range(4)]
-        values = draw(st.lists(st.sampled_from(points), max_size=12))
-        return SegmentSummary.from_quantiles(low, high, np.asarray(values), buckets)
-    if flat:
-        count = draw(st.integers(0, 3))
-        counts = [count] * buckets
-    else:
-        counts = draw(st.lists(st.integers(0, 6), min_size=buckets, max_size=buckets))
-    return SegmentSummary.equi_width(low, high, np.asarray(counts, dtype=np.int64))
-
-
-@st.composite
-def probe_samples(draw, mixed_buckets: bool = False):
-    """A synthetic ring, and a probe sample of its peers' summaries."""
-    low = draw(st.sampled_from([0.0, -3.5, 10.0]))
-    span = draw(st.sampled_from([1.0, 7.25, 1e-3]))
-    high = low + span
-    n_peers = draw(st.integers(2, 10))
-    kind = draw(st.sampled_from(["equi-width", "equi-depth"]))
-    flat = draw(st.booleans())  # equal densities: the log-mean's flat branch
-    fractions = sorted(
-        draw(
-            st.lists(
-                st.floats(0.0, 1.0, exclude_max=True, allow_nan=False),
-                min_size=n_peers,
-                max_size=n_peers,
-            )
-        )
-    )
-    cuts = [low + span * f for f in fractions]
-    # Degenerate arcs: a peer whose range is empty gets the one-ulp widened
-    # segment, which then ties with its neighbour's start.
-    for index in draw(st.sets(st.integers(1, n_peers - 1), max_size=2)):
-        cuts[index] = cuts[index - 1]
-    aligned = draw(st.booleans())  # peer 0 starts at the domain low
-    if aligned:
-        cuts[0] = low
-
-    bucket_choices = st.integers(1, 5)
-    base_buckets = draw(bucket_choices)
-    peers: list[PeerSummary] = []
-    for index in range(n_peers):
-        buckets = draw(bucket_choices) if mixed_buckets else base_buckets
-        if index < n_peers - 1:
-            ranges = [nonempty(cuts[index], cuts[index + 1])]
-        elif aligned:
-            ranges = [nonempty(cuts[index], high)]
-        else:
-            # The origin-wrapping peer: the domain's top, then its bottom.
-            ranges = [nonempty(cuts[index], high), nonempty(low, cuts[0])]
-        segments = tuple(
-            draw(segment(r_low, r_high, buckets, kind, flat)) for r_low, r_high in ranges
-        )
-        peers.append(
-            PeerSummary(
-                peer_id=1000 + index,
-                segment_length=draw(st.integers(1, 1 << 20)),
-                local_count=sum(seg.total for seg in segments),
-                segments=segments,
-            )
-        )
-    picks = draw(st.lists(st.integers(0, n_peers - 1), min_size=1, max_size=2 * n_peers))
-    summaries = [peers[i] for i in picks]
-    if draw(st.booleans()):
-        # A later reply from an already-probed peer replaces the earlier one.
-        old = summaries[0]
-        counts = [np.zeros_like(seg.counts) for seg in old.segments]
-        counts[-1][-1] = 3
-        summaries.append(
-            PeerSummary(
-                peer_id=old.peer_id,
-                segment_length=old.segment_length,
-                local_count=3,
-                segments=tuple(
-                    SegmentSummary(seg.value_low, seg.value_high, c, edges=seg.edges)
-                    for seg, c in zip(old.segments, counts)
-                ),
-            )
-        )
-    return summaries, (low, high)
+def assemble_columns(summaries, domain, mode):
+    """The kernel on the packed reply records."""
+    return assemble_cdf_interpolated(ProbeReplies.from_summaries(summaries), domain, mode)
 
 
 def outcome(assemble, summaries, domain, mode):
@@ -146,7 +58,7 @@ def outcome(assemble, summaries, domain, mode):
 
 
 def assert_matches_reference(summaries, domain, mode):
-    kernel = outcome(assemble_cdf_interpolated, summaries, domain, mode)
+    kernel = outcome(assemble_columns, summaries, domain, mode)
     reference = outcome(reference_assemble, summaries, domain, mode)
     assert kernel == reference
 
@@ -174,7 +86,7 @@ class TestBranches:
         middle = peer_summary(2, [(0.4, 0.5)], [[2, 5]])
         summaries = [middle, wrap, middle]
         assert_matches_reference(summaries, (0.0, 1.0), mode)
-        result = assemble_cdf_interpolated(summaries, (0.0, 1.0), mode)
+        result = assemble_columns(summaries, (0.0, 1.0), mode)
         # No lead or trail gap: the wrap peer covers both domain ends.
         assert [(a, b) for a, b, _ in result.gap_masses] == [(0.1, 0.4), (0.5, 0.8)]
 
@@ -182,7 +94,7 @@ class TestBranches:
     def test_lead_and_trail_gaps(self, mode):
         summaries = [peer_summary(1, [(0.3, 0.6)], [[4, 4, 1]])]
         assert_matches_reference(summaries, (0.0, 1.0), mode)
-        result = assemble_cdf_interpolated(summaries, (0.0, 1.0), mode)
+        result = assemble_columns(summaries, (0.0, 1.0), mode)
         assert [(a, b) for a, b, _ in result.gap_masses] == [(0.0, 0.3), (0.6, 1.0)]
 
     def test_zero_density_edge_takes_linear_rule_in_log_mode(self):
@@ -222,10 +134,10 @@ class TestBranches:
     def test_all_empty_raises_like_reference(self):
         summaries = [peer_summary(1, [(0.1, 0.2)], [[0, 0]]), peer_summary(2, [(0.6, 0.9)], [[0]])]
         with pytest.raises(ValueError, match="all probed peers were empty"):
-            assemble_cdf_interpolated(summaries, (0.0, 1.0))
+            assemble_columns(summaries, (0.0, 1.0), "linear")
         assert_matches_reference(summaries, (0.0, 1.0), "linear")
 
     def test_no_evidence_raises_like_reference(self):
-        assert outcome(assemble_cdf_interpolated, [], (0.0, 1.0), "linear") == outcome(
+        assert outcome(assemble_columns, [], (0.0, 1.0), "linear") == outcome(
             reference_assemble, [], (0.0, 1.0), "linear"
         )

@@ -10,6 +10,7 @@ from repro.core.baselines.random_walk import RandomWalkEstimator, metropolis_has
 from repro.core.cdf import empirical_cdf
 from repro.core.estimator import DistributionFreeEstimator
 from repro.core.metrics import evaluate_estimate
+from repro.core.replies import ProbeReplies
 from repro.core.synopsis import summarize_peer
 from repro.ring.messages import MessageType
 
@@ -175,7 +176,7 @@ class TestParametric:
         network, _ = normal_world
         summaries = [summarize_peer(network, n, 16) for n in network.peers()]
         counts = np.asarray([s.local_count for s in summaries], dtype=float)
-        mean, variance = weighted_moments(summaries, counts / counts.sum())
+        mean, variance = weighted_moments(ProbeReplies.from_summaries(summaries), counts / counts.sum())
         values = network.all_values()
         assert mean == pytest.approx(float(values.mean()), abs=0.02)
         assert variance == pytest.approx(float(values.var()), rel=0.2)

@@ -20,17 +20,18 @@ from repro.core.cdf_sampling import collect_probes
 from repro.core.confidence import ConfidenceBand, bootstrap_confidence_band
 from repro.core.estimate import DegradedEstimate
 from repro.core.estimator import DistributionFreeEstimator
-from repro.core.replies import as_summaries
+from repro.core.replies import ProbeReplies
 from repro.ring.faults import RetryPolicy, plane_from_profile
 
 from tests.conftest import make_loaded_network
-from tests.core.reference_assembly import peer_summary, reference_band
+from tests.core.reference_assembly import peer_summary, reference_band, to_summaries
 
 
 def assert_band_matches_oracle(summaries, domain, seed, **kwargs):
     batched_rng = np.random.default_rng(seed)
     oracle_rng = np.random.default_rng(seed)
-    band = bootstrap_confidence_band(summaries, domain, rng=batched_rng, **kwargs)
+    replies = ProbeReplies.from_summaries(summaries)
+    band = bootstrap_confidence_band(replies, domain, rng=batched_rng, **kwargs)
     lower, upper = reference_band(summaries, domain, rng=oracle_rng, **kwargs)
     assert band.lower.tobytes() == lower.tobytes()
     assert band.upper.tobytes() == upper.tobytes()
@@ -41,7 +42,7 @@ def assert_band_matches_oracle(summaries, domain, seed, **kwargs):
 def probed():
     network, _ = make_loaded_network(n_peers=96, n_items=6_000)
     results = collect_probes(network, 48, buckets=8, rng=np.random.default_rng(0))
-    return network.domain, [r.summary for r in results]
+    return network.domain, to_summaries(results)
 
 
 @pytest.mark.parametrize("mode", ["linear", "log"])
@@ -65,7 +66,7 @@ def test_equi_depth_band_matches_per_replicate_loop():
     results = collect_probes(
         network, 24, buckets=6, rng=np.random.default_rng(3), synopsis_kind="equi-depth"
     )
-    summaries = [r.summary for r in results]
+    summaries = to_summaries(results)
     for mode in ("linear", "log"):
         assert_band_matches_oracle(
             summaries, network.domain, 4, replicates=40, gap_interpolation=mode
@@ -99,7 +100,9 @@ class TestEmptyReplicates:
         assert_band_matches_oracle(summaries, (0.0, 1.0), seed, replicates=replicates)
 
     def test_every_replicate_empty_gives_zero_band(self):
-        band = bootstrap_confidence_band(self.EMPTY, (0.0, 1.0), replicates=4)
+        band = bootstrap_confidence_band(
+            ProbeReplies.from_summaries(self.EMPTY), (0.0, 1.0), replicates=4
+        )
         assert not band.lower.any() and not band.upper.any()
         assert_band_matches_oracle(self.EMPTY, (0.0, 1.0), 0, replicates=4)
 
@@ -141,9 +144,9 @@ def test_degraded_estimate_band_matches_scalar_bootstrap(monkeypatch):
 
     def scalar_bootstrap(evidence, domain, level=0.9, replicates=200,
                          grid_points=128, rng=None, gap_interpolation="linear"):
-        # The estimator hands over its reply batch; the oracle reads views.
+        # The estimator hands over its reply batch; the oracle reads records.
         lower, upper = reference_band(
-            as_summaries(evidence), domain, level, replicates, grid_points, rng,
+            to_summaries(evidence), domain, level, replicates, grid_points, rng,
             gap_interpolation,
         )
         return ConfidenceBand(

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.byzantine import (
-    ByzantineBehavior,
-    corrupt_network,
-    fabricate_summary,
-    trim_outlier_summaries,
-)
-from repro.core.synopsis import summarize_peer
+from repro.core.byzantine import ByzantineBehavior, corrupt_network, trim_outlier_replies
+from repro.core.replies import ProbeReplies
+from repro.core.synopsis import fabricate_summary, summarize_peer
 
 from tests.conftest import make_loaded_network
 
@@ -78,15 +74,16 @@ class TestFabrication:
 
 class TestTrimming:
     def test_validation(self):
+        empty = ProbeReplies.from_summaries([])
         with pytest.raises(ValueError):
-            trim_outlier_summaries([], max_density_ratio=1.0)
+            trim_outlier_replies(empty, max_density_ratio=1.0)
         with pytest.raises(ValueError):
-            trim_outlier_summaries([], neighborhood=0)
+            trim_outlier_replies(empty, neighborhood=0)
 
     def test_keeps_honest_batch_intact(self):
         network, _ = make_loaded_network(n_peers=32, n_items=2_000)
         summaries = [summarize_peer(network, n, 8) for n in network.peers()]
-        kept = trim_outlier_summaries(summaries, 20.0)
+        kept = trim_outlier_replies(ProbeReplies.from_summaries(summaries), 20.0)
         assert len(kept) >= len(summaries) - 1  # smooth data: nothing to trim
 
     def test_drops_isolated_spike(self):
@@ -94,15 +91,16 @@ class TestTrimming:
         liar = network.random_peer()
         liar.byzantine = ByzantineBehavior(count_multiplier=500.0)
         summaries = [summarize_peer(network, n, 8) for n in network.peers()]
-        kept = trim_outlier_summaries(summaries, 20.0)
-        kept_ids = {s.peer_id for s in kept}
+        kept = trim_outlier_replies(ProbeReplies.from_summaries(summaries), 20.0)
+        kept_ids = set(kept.owner.tolist())
         assert liar.ident not in kept_ids
         liar.byzantine = None
 
     def test_tiny_batches_untouched(self):
         network, _ = make_loaded_network(n_peers=8, n_items=100)
         summaries = [summarize_peer(network, n, 4) for n in list(network.peers())[:2]]
-        assert trim_outlier_summaries(summaries, 20.0) == summaries
+        replies = ProbeReplies.from_summaries(summaries + summaries)
+        assert trim_outlier_replies(replies, 20.0) is replies
 
 
 class TestEndToEnd:

@@ -157,48 +157,75 @@ class TestSampling:
             PiecewiseCDF([0.0, 1.0], [0.0, 1.0]).sample(-1, rng)
 
 
+def mixture(components, weights, kind="linear"):
+    """``PiecewiseCDF.mixture`` over the components' concatenated runs."""
+    sizes = [c.xs.size for c in components]
+    return PiecewiseCDF.mixture(
+        np.concatenate([c.xs for c in components] + [np.empty(0)]),
+        np.concatenate([c.fs for c in components] + [np.empty(0)]),
+        np.cumsum([0] + sizes),
+        weights,
+        kind=kind,
+    )
+
+
 class TestMixture:
     def test_two_component_mixture(self):
         a = PiecewiseCDF([0.0, 1.0], [0.0, 1.0])
         b = PiecewiseCDF([1.0, 2.0], [0.0, 1.0])
-        mix = PiecewiseCDF.mixture([a, b], [0.5, 0.5])
+        mix = mixture([a, b], [0.5, 0.5])
         assert mix(1.0) == pytest.approx(0.5)
         assert mix(2.0) == pytest.approx(1.0)
 
     def test_weights_normalised(self):
         a = PiecewiseCDF([0.0, 1.0], [0.0, 1.0])
-        mix = PiecewiseCDF.mixture([a, a], [2.0, 2.0])
+        mix = mixture([a, a], [2.0, 2.0])
         assert mix(1.0) == pytest.approx(1.0)
 
     def test_zero_weight_component_ignored(self):
         a = PiecewiseCDF([0.0, 1.0], [0.0, 1.0])
         b = PiecewiseCDF([5.0, 6.0], [0.0, 1.0])
-        mix = PiecewiseCDF.mixture([a, b], [1.0, 0.0])
+        mix = mixture([a, b], [1.0, 0.0])
         assert mix(1.0) == pytest.approx(1.0)
 
     def test_validation(self):
         a = PiecewiseCDF([0.0, 1.0], [0.0, 1.0])
         with pytest.raises(ValueError):
-            PiecewiseCDF.mixture([], [])
+            mixture([], [])
         with pytest.raises(ValueError):
-            PiecewiseCDF.mixture([a], [1.0, 2.0])
+            mixture([a], [1.0, 2.0])
         with pytest.raises(ValueError):
-            PiecewiseCDF.mixture([a], [-1.0])
+            mixture([a], [-1.0])
         with pytest.raises(ValueError):
-            PiecewiseCDF.mixture([a, a], [0.0, 0.0])
+            mixture([a, a], [0.0, 0.0])
 
     def test_step_mixture_kind(self):
         a = PiecewiseCDF([0.0, 1.0], [0.5, 1.0], kind="step")
-        mix = PiecewiseCDF.mixture([a, a], [0.5, 0.5], kind="step")
+        mix = mixture([a, a], [0.5, 0.5], kind="step")
         assert mix.kind == "step"
         assert mix(0.5) == pytest.approx(0.5)
 
+    @given(
+        st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=1, max_size=6, unique=True),
+        st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=1, max_size=6, unique=True),
+        st.sampled_from(["linear", "step"]),
+    )
+    def test_matches_evaluating_every_component_everywhere(self, left, right, kind):
+        components = [
+            PiecewiseCDF(sorted(xs), np.linspace(0.2, 1.0, len(xs)), kind=kind)
+            for xs in (left, right)
+        ]
+        weights = [0.3, 0.7]
+        grid = np.unique(np.concatenate([c.xs for c in components]))
+        expected = np.zeros_like(grid)
+        for component, w in zip(components, weights):
+            expected += w * component(grid)
+        mix = mixture(components, weights, kind=kind)
+        assert mix.xs.tobytes() == grid.tobytes()
+        assert mix.fs.tobytes() == np.maximum.accumulate(np.clip(expected, 0, 1)).tobytes()
+
 
 class TestDerived:
-    def test_support(self):
-        cdf = PiecewiseCDF([2.0, 5.0], [0.0, 1.0])
-        assert cdf.support == (2.0, 5.0)
-
     def test_total_mass(self):
         cdf = PiecewiseCDF([0.0, 1.0], [0.0, 0.8])
         assert cdf.total_mass == pytest.approx(0.8)

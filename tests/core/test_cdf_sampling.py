@@ -15,10 +15,18 @@ from repro.core.cdf_sampling import (
     probe_positions,
 )
 from repro.core.metrics import ks_distance
+from repro.core.replies import ProbeReplies
 from repro.core.synopsis import summarize_peer
 from repro.ring.messages import MessageType
 
 from tests.conftest import make_loaded_network
+
+
+def census(network, buckets: int) -> ProbeReplies:
+    """Every peer's reply, packed in ring order."""
+    return ProbeReplies.from_summaries(
+        [summarize_peer(network, node, buckets) for node in network.peers()]
+    )
 
 
 class TestProbePositions:
@@ -77,14 +85,14 @@ class TestCollectProbes:
     def test_probe_lands_on_owner(self):
         network, _ = make_loaded_network(n_peers=64, n_items=500)
         results = collect_probes(network, 20, buckets=4, rng=np.random.default_rng(1))
-        for result in results:
-            assert network.owner_of(result.target).ident == result.summary.peer_id
+        for target, owner in zip(results.target.tolist(), results.owner.tolist()):
+            assert network.owner_of(target).ident == owner
 
     def test_explicit_targets(self):
         network, _ = make_loaded_network(n_peers=16, n_items=100)
         targets = [0, network.space.size // 2]
         results = collect_probes_at(network, targets, buckets=4)
-        assert [r.target for r in results] == targets
+        assert results.target.tolist() == targets
 
     def test_duplicates_kept(self):
         network, _ = make_loaded_network(n_peers=4, n_items=100)
@@ -95,24 +103,22 @@ class TestCollectProbes:
 class TestHtWeights:
     def test_weights_normalised(self):
         network, _ = make_loaded_network(n_peers=32, n_items=1_000)
-        summaries = [summarize_peer(network, n, 4) for n in network.peers()]
-        weights = ht_weights(summaries)
+        replies = census(network, 4)
+        weights = ht_weights(replies)
         assert weights.sum() == pytest.approx(1.0)
         assert np.all(weights >= 0)
 
     def test_empty_peer_gets_zero(self):
         network, _ = make_loaded_network(n_peers=64, n_items=30)
-        summaries = [summarize_peer(network, n, 4) for n in network.peers()]
-        weights = ht_weights(summaries)
-        for summary, weight in zip(summaries, weights):
-            if summary.local_count == 0:
-                assert weight == 0.0
+        replies = census(network, 4)
+        weights = ht_weights(replies)
+        assert (weights[replies.local_count == 0] == 0.0).all()
 
     def test_all_empty_rejected(self):
         network, _ = make_loaded_network(n_peers=8, n_items=0)
-        summaries = [summarize_peer(network, n, 4) for n in network.peers()]
+        replies = census(network, 4)
         with pytest.raises(ValueError):
-            ht_weights(summaries)
+            ht_weights(replies)
 
 
 class TestTotalsEstimation:
@@ -120,11 +126,11 @@ class TestTotalsEstimation:
         """Probing every peer once with HT weights is exact for N (and for
         n when weighted by inclusion = 1, i.e. the census estimator)."""
         network, dataset = make_loaded_network(n_peers=32, n_items=1_000)
-        summaries = [summarize_peer(network, n, 4) for n in network.peers()]
+        replies = census(network, 4)
         # Census of 1/l over all peers: sum(l * 1/l)/ring * ring = N exactly
         # only under the probe design; here we check the plug-in form is in
         # the right ballpark instead.
-        n_hat = estimate_peer_count(summaries, network.space.size)
+        n_hat = estimate_peer_count(replies, network.space.size)
         assert n_hat > 0
 
     def test_unbiased_over_many_designs(self):
@@ -135,26 +141,26 @@ class TestTotalsEstimation:
             results = collect_probes(
                 network, 32, buckets=4, rng=np.random.default_rng(rep)
             )
-            summaries = [r.summary for r in results]
-            n_hats.append(estimate_total_items(summaries, network.space.size))
-            size_hats.append(estimate_peer_count(summaries, network.space.size))
+            replies = results
+            n_hats.append(estimate_total_items(replies, network.space.size))
+            size_hats.append(estimate_peer_count(replies, network.space.size))
         assert np.mean(n_hats) == pytest.approx(dataset.size, rel=0.15)
         assert np.mean(size_hats) == pytest.approx(64, rel=0.15)
 
     def test_empty_summaries_rejected(self):
         with pytest.raises(ValueError):
-            estimate_total_items([], 100)
+            estimate_total_items(ProbeReplies.from_summaries([]), 100)
         with pytest.raises(ValueError):
-            estimate_peer_count([], 100)
+            estimate_peer_count(ProbeReplies.from_summaries([]), 100)
 
 
 class TestAssembleCdf:
     def test_census_assembly_matches_truth(self):
         """All peers, exact count weights, many buckets => ≈ empirical CDF."""
         network, _ = make_loaded_network(n_peers=32, n_items=2_000)
-        summaries = [summarize_peer(network, n, 64) for n in network.peers()]
-        counts = np.asarray([s.local_count for s in summaries], dtype=float)
-        cdf = assemble_cdf(summaries, counts / counts.sum(), network.domain)
+        replies = census(network, 64)
+        counts = replies.local_count.astype(float)
+        cdf = assemble_cdf(replies, counts / counts.sum(), network.domain)
         truth = empirical_cdf(network.all_values())
         grid = np.linspace(*network.domain, 400)
         assert ks_distance(cdf, truth, grid) < 0.02
@@ -162,30 +168,30 @@ class TestAssembleCdf:
     def test_pinned_to_domain(self):
         network, _ = make_loaded_network(n_peers=16, n_items=500)
         results = collect_probes(network, 8, buckets=4, rng=np.random.default_rng(3))
-        summaries = [r.summary for r in results]
-        cdf = assemble_cdf(summaries, ht_weights(summaries), network.domain)
+        replies = results
+        cdf = assemble_cdf(replies, ht_weights(replies), network.domain)
         low, high = network.domain
         assert float(cdf(low)) == pytest.approx(0.0, abs=1e-9)
         assert float(cdf(high)) == pytest.approx(1.0, abs=1e-9)
 
     def test_weight_mismatch_rejected(self):
         network, _ = make_loaded_network(n_peers=8, n_items=100)
-        summaries = [summarize_peer(network, n, 4) for n in network.peers()]
+        replies = census(network, 4)
         with pytest.raises(ValueError):
-            assemble_cdf(summaries, [1.0], network.domain)
+            assemble_cdf(replies, [1.0], network.domain)
 
     def test_no_data_rejected(self):
         network, _ = make_loaded_network(n_peers=8, n_items=0)
-        summaries = [summarize_peer(network, n, 4) for n in network.peers()]
+        replies = census(network, 4)
         with pytest.raises(ValueError):
-            assemble_cdf(summaries, [1.0 / 8] * 8, network.domain)
+            assemble_cdf(replies, [1.0 / 8] * 8, network.domain)
 
 
 class TestAssembleInterpolated:
     def test_census_is_near_exact(self):
         network, _ = make_loaded_network(n_peers=32, n_items=2_000)
-        summaries = [summarize_peer(network, n, 32) for n in network.peers()]
-        reconstruction = assemble_cdf_interpolated(summaries, network.domain)
+        replies = census(network, 32)
+        reconstruction = assemble_cdf_interpolated(replies, network.domain)
         truth = empirical_cdf(network.all_values())
         grid = np.linspace(*network.domain, 400)
         assert ks_distance(reconstruction.cdf, truth, grid) < 0.02
@@ -199,7 +205,7 @@ class TestAssembleInterpolated:
                 network, 24, buckets=8, rng=np.random.default_rng(rep)
             )
             reconstruction = assemble_cdf_interpolated(
-                [r.summary for r in results], network.domain
+                results, network.domain
             )
             estimates.append(reconstruction.total_items)
         assert np.mean(estimates) == pytest.approx(dataset.size, rel=0.25)
@@ -208,7 +214,7 @@ class TestAssembleInterpolated:
         network, _ = make_loaded_network(n_peers=64, n_items=1_000)
         results = collect_probes(network, 4, buckets=4, rng=np.random.default_rng(7))
         reconstruction = assemble_cdf_interpolated(
-            [r.summary for r in results], network.domain
+            results, network.domain
         )
         assert len(reconstruction.gap_masses) >= 1
         for gap_low, gap_high, mass in reconstruction.gap_masses:
@@ -217,25 +223,27 @@ class TestAssembleInterpolated:
 
     def test_duplicates_collapsed(self):
         network, _ = make_loaded_network(n_peers=4, n_items=200)
-        summaries = [summarize_peer(network, n, 4) for n in network.peers()]
-        once = assemble_cdf_interpolated(summaries, network.domain)
-        twice = assemble_cdf_interpolated(summaries + summaries, network.domain)
+        replies = census(network, 4)
+        once = assemble_cdf_interpolated(replies, network.domain)
+        twice = assemble_cdf_interpolated(
+            ProbeReplies.concat([replies, replies]), network.domain
+        )
         assert twice.total_items == pytest.approx(once.total_items)
 
     def test_log_gap_mode(self):
         network, _ = make_loaded_network(n_peers=32, n_items=1_000)
         results = collect_probes(network, 8, buckets=4, rng=np.random.default_rng(9))
-        summaries = [r.summary for r in results]
-        linear = assemble_cdf_interpolated(summaries, network.domain, "linear")
-        log = assemble_cdf_interpolated(summaries, network.domain, "log")
+        replies = results
+        linear = assemble_cdf_interpolated(replies, network.domain, "linear")
+        log = assemble_cdf_interpolated(replies, network.domain, "log")
         assert linear.total_items > 0 and log.total_items > 0
 
     def test_unknown_gap_mode_rejected(self):
         network, _ = make_loaded_network(n_peers=8, n_items=100)
-        summaries = [summarize_peer(network, n, 4) for n in network.peers()]
+        replies = census(network, 4)
         with pytest.raises(ValueError):
-            assemble_cdf_interpolated(summaries, network.domain, "cubic")
+            assemble_cdf_interpolated(replies, network.domain, "cubic")
 
     def test_empty_evidence_rejected(self):
         with pytest.raises(ValueError):
-            assemble_cdf_interpolated([], (0.0, 1.0))
+            assemble_cdf_interpolated(ProbeReplies.from_summaries([]), (0.0, 1.0))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.cdf_sampling import collect_probes
+from repro.core.replies import ProbeReplies
 from repro.core.confidence import (
     ConfidenceBand,
     bootstrap_confidence_band,
@@ -20,7 +21,7 @@ def probe_world():
 
     truth = empirical_cdf(network.all_values())
     results = collect_probes(network, 48, buckets=8, rng=np.random.default_rng(0))
-    return network, truth, [r.summary for r in results]
+    return network, truth, results
 
 
 class TestConstruction:
@@ -37,7 +38,7 @@ class TestConstruction:
     def test_validation(self, probe_world):
         network, _, summaries = probe_world
         with pytest.raises(ValueError):
-            bootstrap_confidence_band([], network.domain)
+            bootstrap_confidence_band(ProbeReplies.from_summaries([]), network.domain)
         with pytest.raises(ValueError):
             bootstrap_confidence_band(summaries, network.domain, level=1.5)
         with pytest.raises(ValueError):
@@ -67,7 +68,7 @@ class TestStatisticalBehaviour:
                 network, probes, buckets=8, rng=np.random.default_rng(4)
             )
             band = bootstrap_confidence_band(
-                [r.summary for r in results],
+                results,
                 network.domain,
                 replicates=150,
                 rng=np.random.default_rng(5),

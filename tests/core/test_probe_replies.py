@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.cdf_sampling import (
     SegmentTable,
@@ -25,19 +27,22 @@ from repro.core.cdf_sampling import (
     ht_weights,
 )
 from repro.core.estimator import DistributionFreeEstimator
-from repro.core.replies import ProbeReplies, ProbeResult
+from repro.core.replies import ProbeReplies
 from repro.core.synopsis import PeerSummary, summarize_compact, summarize_peer
 from repro.ring.compact import CompactRing
 from repro.ring.network import RingNetwork
 
 from tests.core.reference_assembly import (
+    density,
     peer_summary,
     reference_assemble,
     reference_ht_weights,
     reference_peer_count,
     reference_segment_table,
     reference_total_items,
+    to_summaries,
 )
+from tests.core.reply_samples import probe_samples
 
 DOMAIN = (0.0, 10.0)
 PER_PROBE = ("target", "hops", "owner", "segment_length", "local_count")
@@ -69,16 +74,16 @@ def assert_same_bytes(ours, theirs):
     assert ours.tobytes() == theirs.tobytes()
 
 
-def assert_same_summary(ours: PeerSummary, theirs: PeerSummary):
-    assert (ours.peer_id, ours.segment_length, ours.local_count) == (
-        theirs.peer_id,
-        theirs.segment_length,
-        theirs.local_count,
-    )
-    for mine, other in zip(ours.segments, theirs.segments, strict=True):
-        assert (mine.value_low, mine.value_high) == (other.value_low, other.value_high)
-        assert_same_bytes(mine.counts, other.counts)
-        assert mine.edges is None and other.edges is None
+def assert_same_batch(ours: ProbeReplies, theirs: ProbeReplies):
+    """Every column equal byte for byte, the optional ones included."""
+    for name in PER_PROBE + PER_SEGMENT + ("seg_buckets", "seg_edges"):
+        mine, other = getattr(ours, name), getattr(theirs, name)
+        if mine is None or other is None:
+            assert mine is None and other is None, name
+        elif mine.dtype == object:
+            assert other.dtype == object and mine.tolist() == other.tolist(), name
+        else:
+            assert_same_bytes(mine, other)
 
 
 def assert_same_columns(ours: ProbeReplies, theirs: ProbeReplies):
@@ -105,7 +110,7 @@ def assert_table_matches_oracle(replies: ProbeReplies, summaries):
 def assert_readers_match_oracle(replies: ProbeReplies, summaries, ring_size: int):
     """The HT readers over columns equal the ones over reply objects."""
     assert replies.density.tobytes() == np.asarray(
-        [s.density for s in summaries], dtype=float
+        [density(s) for s in summaries], dtype=float
     ).tobytes()
     if any(s.local_count for s in summaries):
         assert ht_weights(replies).tobytes() == reference_ht_weights(summaries).tobytes()
@@ -194,7 +199,7 @@ class TestObjectColumns:
         ]
         replies = ProbeReplies.from_summaries(summaries)
         assert replies.seg_buckets is not None and replies.seg_edges is not None
-        assert replies.summaries() == summaries
+        assert_same_batch(ProbeReplies.from_summaries(to_summaries(replies)), replies)
         assert_table_matches_oracle(replies, summaries)
         assert_readers_match_oracle(replies, summaries, network.space.size)
 
@@ -213,41 +218,75 @@ class TestObjectColumns:
         other = peer_summary(2, [(0.6, 0.9), (0.0, 0.1)], [[2, 2], [1, 0]])
         replies = ProbeReplies.from_summaries([first, other, second, other])
         latest = replies.latest()
-        assert latest.summaries() == [second, other]
+        assert latest.owner.tolist() == [1, 2]
         assert latest.seg_probe.tolist() == [0, 1, 1]
         assert latest.seg_counts.tolist() == [[0, 5], [2, 2], [1, 0]]
-        ours = reference_assemble(latest.summaries(), (0.0, 1.0))
+        ours = reference_assemble(to_summaries(latest), (0.0, 1.0))
         theirs = reference_assemble([first, other, second, other], (0.0, 1.0))
         assert ours.cdf.xs.tobytes() == theirs.cdf.xs.tobytes()
         assert ours.cdf.fs.tobytes() == theirs.cdf.fs.tobytes()
 
 
-class TestSequenceView:
-    def test_views_match_object_replies(self):
-        network, compact = loaded_pair(n=64, items=5_000)
-        indices = np.asarray([0, 7, 7], dtype=np.int64)
-        targets = np.asarray([1, 2, 3], dtype=np.uint64)
-        hops = np.asarray([4, 5, 6], dtype=np.int64)
-        replies = summarize_compact(compact, indices, 8, targets=targets, hops=hops)
-        summaries = object_summaries(network, compact, indices)
-        assert len(replies) == 3
-        for ours, theirs in zip(replies.summaries(), summaries, strict=True):
-            assert_same_summary(ours, theirs)
-        views = replies.summaries()
-        assert list(replies) == [
-            ProbeResult(target=t, summary=s, hops=h)
-            for t, s, h in zip([1, 2, 3], views, [4, 5, 6])
-        ]
-        assert replies[-1] == ProbeResult(target=3, summary=views[2], hops=6)
-        assert replies[1:] == list(replies)[1:]
-        with pytest.raises(IndexError):
-            replies[3]
+SETTINGS = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
-    def test_views_are_built_once_per_batch(self):
-        _network, compact = loaded_pair(n=64, items=5_000)
-        replies = summarize_compact(compact, [3, 4], 8)
-        assert replies.summaries()[0] is replies.summaries()[0]
-        assert summarize_compact(compact, [3], 8).summaries()[0] is not replies.summaries()[0]
+
+def routed(summaries):
+    """The records packed with distinct targets and hops per probe."""
+    count = len(summaries)
+    return ProbeReplies.from_summaries(
+        summaries, np.arange(count, dtype=np.uint64) * 7, np.arange(count) % 5
+    )
+
+
+class TestTakeAndConcat:
+    @SETTINGS
+    @given(sample=probe_samples(mixed_buckets=True))
+    def test_take_everything_is_the_same_batch(self, sample):
+        replies = routed(sample[0])
+        assert_same_batch(replies.take(np.arange(len(replies))), replies)
+
+    @SETTINGS
+    @given(sample=probe_samples(mixed_buckets=True), data=st.data())
+    def test_concat_of_any_split_is_the_original(self, sample, data):
+        replies = routed(sample[0])
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(replies)), max_size=4)))
+        bounds = [0, *cuts, len(replies)]
+        pieces = [replies.take(np.arange(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
+        assert_same_batch(ProbeReplies.concat(pieces), replies)
+
+    @SETTINGS
+    @given(first=probe_samples(), second=probe_samples(mixed_buckets=True))
+    def test_concat_pads_like_packing_the_joined_records(self, first, second):
+        """Resolutions and edge columns differ between the batches."""
+        a, b = first[0], second[0]
+        joined = ProbeReplies.concat([ProbeReplies.from_summaries(a), ProbeReplies.from_summaries(b)])
+        assert_same_batch(joined, ProbeReplies.from_summaries(a + b))
+
+    def test_concat_of_compact_and_equi_depth_batches(self):
+        network, compact = loaded_pair(n=40, items=4_000)
+        indices = np.asarray([0, 3, 3, 17])
+        depth = [summarize_peer(network, node, 4, "equi-depth") for node in network.peers()][:6]
+        joined = ProbeReplies.concat(
+            [summarize_compact(compact, indices, 8), ProbeReplies.from_summaries(depth)]
+        )
+        expected = ProbeReplies.from_summaries(object_summaries(network, compact, indices) + depth)
+        assert joined.seg_buckets is not None and joined.seg_edges is not None
+        assert_same_batch(joined, expected)
+
+    @SETTINGS
+    @given(first=probe_samples(), second=probe_samples(mixed_buckets=True))
+    def test_latest_of_a_concat_keeps_each_owners_last_reply(self, first, second):
+        records = first[0] + second[0]
+        joined = ProbeReplies.concat(
+            [ProbeReplies.from_summaries(first[0]), ProbeReplies.from_summaries(second[0])]
+        )
+        last = {summary.peer_id: row for row, summary in enumerate(records)}
+        firsts = list(dict.fromkeys(summary.peer_id for summary in records))
+        assert_same_batch(joined.latest(), joined.take([last[owner] for owner in firsts]))
 
 
 class TestInvariants:
@@ -310,5 +349,5 @@ def test_default_compact_estimate_builds_no_peer_summary(monkeypatch):
     )
     assert estimate.n_items > 0 and estimate.probes == 64
     assert built == []
-    summarize_compact(compact, [1, 2], 8).summaries()
-    assert len(built) == 2  # the counter does see views when they are built
+    to_summaries(summarize_compact(compact, [1, 2], 8))
+    assert len(built) == 2  # the counter does see reply records when they are built

@@ -1,12 +1,30 @@
-"""Tests for per-peer summaries (probe replies)."""
+"""Tests for per-peer summaries (probe replies) and the local CDFs read from them."""
 
 import numpy as np
 import pytest
 
+from repro.core.cdf import PiecewiseCDF
+from repro.core.cdf_sampling import _local_cdfs
+from repro.core.replies import ProbeReplies
 from repro.core.synopsis import PeerSummary, SegmentSummary, summarize_peer
 from repro.ring.network import RingNetwork
 
 from tests.conftest import make_loaded_network
+
+
+def local_cdf(summary: PeerSummary) -> PiecewiseCDF:
+    """The peer's local CDF ``H_p`` as the mixture assembly reads it from columns."""
+    xs, fs, _ = _local_cdfs(ProbeReplies.from_summaries([summary]))
+    return PiecewiseCDF(xs, fs)
+
+
+def count_leq(summary: PeerSummary, x: float) -> float:
+    """Estimated count of the peer's items ``<= x``, from its local CDF."""
+    return float(local_cdf(summary)(x)) * summary.local_count
+
+
+def one_segment(seg: SegmentSummary) -> PeerSummary:
+    return PeerSummary(peer_id=1, segment_length=10, local_count=seg.total, segments=(seg,))
 
 
 class TestSegmentSummary:
@@ -31,16 +49,16 @@ class TestSegmentSummary:
         np.testing.assert_allclose(seg.bucket_edges(), [0.0, 0.1, 0.2, 0.3])
 
     def test_count_leq_edges(self):
-        seg = self.make()
-        assert seg.count_leq(-1.0) == 0.0
-        assert seg.count_leq(0.1) == pytest.approx(2.0)
-        assert seg.count_leq(0.3) == 5.0
-        assert seg.count_leq(99.0) == 5.0
+        summary = one_segment(self.make())
+        assert count_leq(summary, -1.0) == 0.0
+        assert count_leq(summary, 0.1) == pytest.approx(2.0)
+        assert count_leq(summary, 0.3) == 5.0
+        assert count_leq(summary, 99.0) == 5.0
 
     def test_count_leq_interpolates(self):
-        seg = self.make()
+        summary = one_segment(self.make())
         # Halfway through the last bucket (which holds 3 items).
-        assert seg.count_leq(0.25) == pytest.approx(2 + 1.5)
+        assert count_leq(summary, 0.25) == pytest.approx(2 + 1.5)
 
 
 class TestPeerSummaryValidation:
@@ -57,7 +75,7 @@ class TestPeerSummaryValidation:
     def test_density(self):
         seg = SegmentSummary(0.0, 1.0, np.array([4]))
         summary = PeerSummary(peer_id=1, segment_length=8, local_count=4, segments=(seg,))
-        assert summary.density == pytest.approx(0.5)
+        assert ProbeReplies.from_summaries([summary]).density[0] == 0.5
 
     def test_nonpositive_segment_length(self):
         seg = SegmentSummary(0.0, 1.0, np.array([0]))
@@ -69,7 +87,7 @@ class TestLocalCdf:
     def test_local_cdf_shape(self):
         seg = SegmentSummary(0.0, 0.4, np.array([1, 3]))
         summary = PeerSummary(peer_id=1, segment_length=10, local_count=4, segments=(seg,))
-        cdf = summary.local_cdf()
+        cdf = local_cdf(summary)
         assert cdf(0.0) == pytest.approx(0.0)
         assert cdf(0.2) == pytest.approx(0.25)
         assert cdf(0.4) == pytest.approx(1.0)
@@ -78,7 +96,7 @@ class TestLocalCdf:
         a = SegmentSummary(0.8, 1.0, np.array([2]))
         b = SegmentSummary(0.0, 0.2, np.array([2]))
         summary = PeerSummary(peer_id=1, segment_length=10, local_count=4, segments=(a, b))
-        cdf = summary.local_cdf()
+        cdf = local_cdf(summary)
         # Half the items are below the domain's low end region boundary.
         assert cdf(0.2) == pytest.approx(0.5)
         assert cdf(1.0) == pytest.approx(1.0)
@@ -86,15 +104,15 @@ class TestLocalCdf:
     def test_empty_peer_degenerate_cdf(self):
         seg = SegmentSummary(0.0, 1.0, np.array([0]))
         summary = PeerSummary(peer_id=1, segment_length=10, local_count=0, segments=(seg,))
-        cdf = summary.local_cdf()
+        cdf = local_cdf(summary)
         assert cdf(1.0) <= 1.0  # well-formed even with no data
 
     def test_count_leq_across_segments(self):
         a = SegmentSummary(0.8, 1.0, np.array([2]))
         b = SegmentSummary(0.0, 0.2, np.array([2]))
         summary = PeerSummary(peer_id=1, segment_length=10, local_count=4, segments=(a, b))
-        assert summary.count_leq(0.5) == pytest.approx(2.0)
-        assert summary.count_leq(1.0) == pytest.approx(4.0)
+        assert count_leq(summary, 0.5) == pytest.approx(2.0)
+        assert count_leq(summary, 1.0) == pytest.approx(4.0)
 
 
 class TestSummarizePeer:
@@ -150,9 +168,9 @@ class TestSummarizePeer:
         network, _ = make_loaded_network(n_peers=8, n_items=4_000)
         node = max(network.peers(), key=lambda n: n.store.count)
         summary = summarize_peer(network, node, buckets=64)
-        cdf = summary.local_cdf()
+        cdf = local_cdf(summary)
         values = node.store.as_array()
         for q in (0.25, 0.5, 0.75):
             x = float(np.quantile(values, q))
-            expected = node.store.count_leq(x) / node.store.count
+            expected = np.searchsorted(values, x, side="right") / node.store.count
             assert float(cdf(x)) == pytest.approx(expected, abs=0.05)

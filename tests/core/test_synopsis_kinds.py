@@ -6,6 +6,7 @@ import pytest
 from repro.core.synopsis import SegmentSummary, summarize_peer
 
 from tests.conftest import make_loaded_network
+from tests.core.test_synopsis import count_leq, local_cdf, one_segment
 
 
 class TestFromQuantiles:
@@ -37,7 +38,7 @@ class TestFromQuantiles:
         assert np.any(np.diff(edges) == 0)
         # The count up to just past the atom misses at most one mixed
         # bucket's worth of items (the within-bucket lossiness guarantee).
-        assert seg.count_leq(0.5000001) >= 100 - int(seg.counts.max())
+        assert count_leq(one_segment(seg), 0.5000001) >= 100 - int(seg.counts.max())
 
     def test_empty_values(self):
         seg = SegmentSummary.from_quantiles(0.0, 1.0, np.array([]), buckets=4)
@@ -62,7 +63,7 @@ class TestFromQuantiles:
         seg = SegmentSummary.from_quantiles(0.0, 1.0, values, buckets=16)
         for x in (0.3, 0.5, 0.7):
             true_count = int(np.count_nonzero(values <= x))
-            assert seg.count_leq(x) == pytest.approx(true_count, abs=200 / 16 + 1)
+            assert count_leq(one_segment(seg), x) == pytest.approx(true_count, abs=200 / 16 + 1)
 
 
 class TestSummarizeKinds:
@@ -81,11 +82,11 @@ class TestSummarizeKinds:
         network, _ = make_loaded_network(n_peers=8, n_items=4_000)
         node = max(network.peers(), key=lambda n: n.store.count)
         summary = summarize_peer(network, node, 16, kind="equi-depth")
-        cdf = summary.local_cdf()
+        cdf = local_cdf(summary)
         values = node.store.as_array()
         for q in (0.25, 0.5, 0.75):
             x = float(np.quantile(values, q))
-            expected = node.store.count_leq(x) / node.store.count
+            expected = np.searchsorted(values, x, side="right") / node.store.count
             assert float(cdf(x)) == pytest.approx(expected, abs=0.08)
 
     def test_estimator_accepts_kind(self):

@@ -19,6 +19,7 @@ from repro.core.cdf_sampling import (
     collect_probes_resilient,
 )
 from repro.core.estimator import DistributionFreeEstimator
+from repro.core.replies import ProbeReplies
 from repro.core.synopsis import summarize_compact, summarize_peer
 from repro.ring.compact import CompactRing
 from repro.ring.network import RingNetwork
@@ -43,17 +44,16 @@ def _loaded_pair(n=500, seed=11, items=20_000, domain=DOMAIN):
     return network, compact
 
 
-def assert_summaries_identical(obj_summary, compact_summary):
-    """Field-by-field bit equality of two probe replies."""
-    assert compact_summary.peer_id == obj_summary.peer_id
-    assert compact_summary.segment_length == obj_summary.segment_length
-    assert compact_summary.local_count == obj_summary.local_count
-    assert len(compact_summary.segments) == len(obj_summary.segments)
-    for ours, theirs in zip(compact_summary.segments, obj_summary.segments):
-        assert ours.value_low == theirs.value_low
-        assert ours.value_high == theirs.value_high
-        assert np.array_equal(ours.counts, theirs.counts)
-        assert ours.edges is None and theirs.edges is None
+def assert_replies_identical(obj_replies, compact_replies):
+    """Column-by-column bit equality of two probe reply batches."""
+    for name in (
+        "target", "hops", "owner", "segment_length", "local_count",
+        "seg_probe", "seg_low", "seg_high", "seg_counts",
+    ):
+        ours, theirs = getattr(compact_replies, name), getattr(obj_replies, name)
+        assert ours.dtype == theirs.dtype and ours.tolist() == theirs.tolist(), name
+    assert compact_replies.seg_buckets is None and obj_replies.seg_buckets is None
+    assert compact_replies.seg_edges is None and obj_replies.seg_edges is None
 
 
 class TestProbeBitIdentity:
@@ -68,10 +68,7 @@ class TestProbeBitIdentity:
             compact, 64, 8, rng=np.random.default_rng(seed), placement=placement
         )
         assert len(ours) == len(obj) == 64
-        for a, b in zip(obj, ours):
-            assert b.target == a.target
-            assert b.hops == a.hops
-            assert_summaries_identical(a.summary, b.summary)
+        assert_replies_identical(obj, ours)
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
     def test_ledger_identical(self, seed):
@@ -84,33 +81,30 @@ class TestProbeBitIdentity:
         """Full census: all peers — including the wrap-around peer."""
         network, compact = _loaded_pair(n=300, seed=3, items=30_000)
         indices = np.arange(compact.n_peers, dtype=np.int64)
-        ours = summarize_compact(compact, indices, 8).summaries()
-        for index, summary in zip(indices, ours):
-            node = network.node(int(compact.ids[index]))
-            assert_summaries_identical(summarize_peer(network, node, 8), summary)
+        theirs = ProbeReplies.from_summaries(
+            [summarize_peer(network, network.node(int(ident)), 8) for ident in compact.ids]
+        )
+        assert_replies_identical(theirs, summarize_compact(compact, indices, 8))
 
     def test_wrap_around_peer_two_segments(self):
         """The origin-wrapping peer carries two segments, in object order."""
         network, compact = _loaded_pair(n=64, seed=1, items=50_000)
-        (wrap_summary,) = summarize_compact(compact, [0], 8).summaries()
+        wrap = summarize_compact(compact, [0], 8)
         node = network.node(int(compact.ids[0]))
-        theirs = summarize_peer(network, node, 8)
-        assert len(theirs.segments) == 2  # the seed places no peer at id 2^64-1
-        assert_summaries_identical(theirs, wrap_summary)
+        theirs = ProbeReplies.from_summaries([summarize_peer(network, node, 8)])
+        assert theirs.seg_probe.tolist() == [0, 0]  # the seed places no peer at id 2^64-1
+        assert_replies_identical(theirs, wrap)
         # Probing the origin (and just past the top peer) lands on it.
         top_key = int(compact.ids[-1]) + 1
         results = collect_probes_at(compact, [0, top_key], 8)
-        for result in results:
-            assert result.summary.peer_id == wrap_summary.peer_id
+        assert results.owner.tolist() == [int(compact.ids[0])] * 2
 
     def test_collect_probes_at_explicit_targets(self):
         network, compact = _loaded_pair(seed=9)
         targets = [0, 1, int(compact.ids[17]), int(compact.ids[-1]), 2**63]
         obj = collect_probes_at(network, targets, 8)
         ours = collect_probes_at(compact, targets, 8)
-        for a, b in zip(obj, ours):
-            assert (b.target, b.hops) == (a.target, a.hops)
-            assert_summaries_identical(a.summary, b.summary)
+        assert_replies_identical(obj, ours)
 
     def test_resilient_path_is_batch_plus_empty_failures(self):
         network, compact = _loaded_pair(seed=4)
@@ -118,9 +112,7 @@ class TestProbeBitIdentity:
         obj_results, obj_failures = collect_probes_resilient(network, targets, 8)
         ours_results, ours_failures = collect_probes_resilient(compact, targets, 8)
         assert ours_failures == [] and obj_failures == []
-        for a, b in zip(obj_results, ours_results):
-            assert (b.target, b.hops) == (a.target, a.hops)
-            assert_summaries_identical(a.summary, b.summary)
+        assert_replies_identical(obj_results, ours_results)
 
 
 class TestEstimateBitIdentity:
@@ -157,10 +149,10 @@ class TestEstimateBitIdentity:
 
     def test_load_invalidates_memoized_summaries(self):
         _network, compact = _loaded_pair(seed=2)
-        (before,) = summarize_compact(compact, [5], 8).summaries()
-        compact.load_counts(np.full(1000, float(before.segments[-1].value_low)))
-        (after,) = summarize_compact(compact, [5], 8).summaries()
-        assert after is not before
+        before = summarize_compact(compact, [5], 8)
+        compact.load_counts(np.full(1000, float(before.seg_low[-1])))
+        after = summarize_compact(compact, [5], 8)
+        assert after.local_count.tolist() == [before.local_count[0] + 1000]
 
 
 class TestCompactValidation:
@@ -276,8 +268,7 @@ class TestSynopsisPlaneShape:
         )
         assert isinstance(compact, CompactRing)
         compact.load_counts(np.random.default_rng(0).uniform(*DOMAIN, 5000))
-        (summary,) = summarize_compact(compact, [3], 16).summaries()
-        assert summary.segments[-1].buckets == 16
+        assert summarize_compact(compact, [3], 16).seg_counts.shape == (1, 16)
         estimate = DistributionFreeEstimator(probes=16, synopsis_buckets=16).estimate(
             compact, rng=np.random.default_rng(0)
         )
@@ -286,8 +277,7 @@ class TestSynopsisPlaneShape:
     def test_single_peer_ring_owns_whole_domain(self):
         compact = CompactRing.build(1, domain=DOMAIN, seed=0)
         compact.load_counts(np.random.default_rng(0).uniform(*DOMAIN, 100))
-        (summary,) = summarize_compact(compact, [0], 8).summaries()
-        assert summary.segment_length == compact.space.size
-        assert summary.local_count == 100
-        (segment,) = summary.segments
-        assert (segment.value_low, segment.value_high) == DOMAIN
+        reply = summarize_compact(compact, [0], 8)
+        assert reply.segment_length.tolist() == [compact.space.size]
+        assert reply.local_count.tolist() == [100]
+        assert (reply.seg_low.tolist(), reply.seg_high.tolist()) == ([DOMAIN[0]], [DOMAIN[1]])

@@ -90,11 +90,6 @@ class TestRankQueries:
         assert store.rank_of(0.5) == 0
         assert store.rank_of(10.0) == 4
 
-    def test_count_leq(self):
-        store = LocalStore([1.0, 2.0, 2.0, 3.0])
-        assert store.count_leq(2.0) == 3
-        assert store.count_leq(0.0) == 0
-
     def test_kth(self):
         store = LocalStore([3.0, 1.0, 2.0])
         assert store.kth(0) == 1.0
@@ -153,12 +148,6 @@ class TestHistogram:
         store = LocalStore(values)
         counts = store.histogram(0.0, 1.0000001, 7)
         assert counts.sum() == len(values)
-
-    @given(values_strategy, st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-    def test_count_leq_matches_numpy(self, values, threshold):
-        store = LocalStore(values)
-        expected = int(np.count_nonzero(np.asarray(values) <= threshold))
-        assert store.count_leq(threshold) == expected
 
     @given(values_strategy)
     def test_sorted_invariant(self, values):

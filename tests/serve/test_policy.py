@@ -38,7 +38,6 @@ class TestAdaptiveRefreshPolicy:
 
     def test_unknown_rate_predicts_infinity(self):
         policy = AdaptiveRefreshPolicy()
-        assert policy.drift_rate is None
         assert math.isinf(policy.predicted_error(1))
         # First staleness is never trusted: it escalates to a check.
         assert policy.decide(1).action == "refresh"
@@ -74,16 +73,16 @@ class TestAdaptiveRefreshPolicy:
         policy = AdaptiveRefreshPolicy(ewma=0.5)
         policy.observe_check(10, 0.1)   # rate = 0.01
         policy.observe_check(10, 0.3)   # observed 0.03 -> 0.5*0.01 + 0.5*0.03
-        assert policy.drift_rate == pytest.approx(0.02)
+        assert policy.predicted_error(10) - policy.predicted_error(0) == pytest.approx(0.2)
 
     def test_rate_floor_prevents_zero_rate(self):
         policy = AdaptiveRefreshPolicy(rate_floor=1e-6)
         policy.observe_check(10, 0.0)
-        assert policy.drift_rate == pytest.approx(1e-6)
+        assert policy.predicted_error(10) - policy.predicted_error(0) == pytest.approx(1e-5)
         # Prediction keeps growing with bumps instead of flatlining.
         assert policy.predicted_error(10**7) > 1.0
 
     def test_zero_bump_check_does_not_update_rate(self):
         policy = AdaptiveRefreshPolicy()
         policy.observe_check(0, 0.05)
-        assert policy.drift_rate is None
+        assert math.isinf(policy.predicted_error(1))
