@@ -4,7 +4,9 @@ Plain pytest (no pytest-benchmark dependency in the assertions): the CI
 memory-footprint job runs this file directly to enforce the compact
 backend's contract —
 
-* bytes/peer within the CI budget at N=10^5 (the smoke scale), and
+* bytes/peer within the CI budget at N=10^5 (the smoke scale),
+* the N=10^5 scan matrix equal to the compressed full finger slab of the
+  one-search-per-finger oracle, and
 * a full million-peer ring constructs and completes a routing round plus
   a gossip campaign with the process's peak RSS under the CI budget.
 
@@ -22,6 +24,8 @@ import sys
 import numpy as np
 
 from repro.ring.compact import CompactRing
+from repro.ring.lockstep import compress_scan
+from tests.ring.reference_routing import reference_fingers
 
 #: Per-peer budget for the persistent columns (measured: 136 B/peer at
 #: N=10^6 and 120 at N=10^5, 16 B/peer of eager synopsis segment bounds
@@ -53,6 +57,16 @@ def test_e1_bytes_per_peer_budget_at_1e5():
     ring = CompactRing.build(100_000, seed=0)
     report = ring.memory_report()
     assert report["bytes_per_peer"] <= BYTES_PER_PEER_BUDGET, report
+
+
+def test_e1_scan_matches_the_finger_oracle_at_1e5():
+    # At N=10^5 (seed 0) the finger slab starts at level 27 and levels
+    # 27-50 are searched for part of the rows only; the rings of a few
+    # hundred peers in the unit tests start near level 45.
+    ring = CompactRing.build(100_000, seed=0)
+    fingers = reference_fingers(ring.ids, slice(None), ring.space.bits)  # ~51 MB
+    expected = compress_scan(np.arange(ring.n_peers, dtype=np.int32), [(fingers, None)])
+    assert np.array_equal(ring.scan, expected)
 
 
 def test_e1_million_peer_ring_under_memory_budget():

@@ -36,15 +36,16 @@ from numpy.typing import ArrayLike, NDArray
 
 from repro.ring.hashing import OrderPreservingHash
 from repro.ring.identifier import IdentifierSpace
-from repro.ring.lockstep import compress_scan, exact_fingers, route_lockstep
+from repro.ring.lockstep import _sorted_unique, compress_scan, exact_fingers, route_lockstep
 from repro.ring.messages import MessageStats, MessageType
 
 __all__ = ["CompactRing"]
 
 #: Rows per block when building the compressed finger-scan matrix.  The
-#: full ``block x bits`` finger slab is transient (a few MB), so the peak
-#: build footprint stays far below one uncompressed ``n x bits`` matrix
-#: (which alone would be 512 MB at N=10^6).
+#: block's finger slab (the levels at and above the ring's smallest gap,
+#: 39 of 64 columns at N=10^6) is transient (~20 MB), so the peak build
+#: footprint stays far below one uncompressed ``n x bits`` matrix (which
+#: alone would be 512 MB at N=10^6).
 _SCAN_BLOCK = 65536
 
 #: Values per block when binning a bulk load into the synopsis plane; the
@@ -143,8 +144,9 @@ class CompactRing:
 
         Identifier draws replay :meth:`RingNetwork.create` exactly — the
         same ``needed``-sized batches against the same generator state,
-        deduplicated with ``np.unique`` instead of a Python set (distinct
-        counts are equal, so each iteration requests the same batch) —
+        deduplicated by sorting and masking repeats instead of a Python set
+        (distinct counts are equal, so each iteration requests the same
+        batch) —
         which makes the membership seed-identical to the object backend.
         """
         if n_peers < 1:
@@ -156,7 +158,7 @@ class CompactRing:
         while ids.size < n_peers:
             needed = n_peers - ids.size
             draws = rng.integers(0, space.size, size=needed, dtype=np.uint64)
-            ids = np.unique(np.concatenate((ids, draws)))
+            ids = _sorted_unique(np.concatenate((ids, draws)))
         return cls(space, ids, domain=domain, rng=rng, synopsis_buckets=synopsis_buckets)
 
     @staticmethod
@@ -165,15 +167,24 @@ class CompactRing:
     ) -> NDArray[np.int32]:
         """The compressed finger-scan matrix of rows, built blockwise.
 
-        Each block of rows computes its full ``block x bits`` slab of
-        finger rows (:func:`~repro.ring.lockstep.exact_fingers`; every
-        finger is valid on the stabilized ring) and hands it to
-        :func:`~repro.ring.lockstep.compress_scan`, which keeps only the
-        block's compressed entries as ``int32``.  Peak transient memory is
-        one block's finger slab, never ``n x bits``.
+        Every finger at a level ``k`` with ``2^k`` at most the ring's
+        smallest gap is its peer's successor, so its run ends at the
+        highest such level: the slab starts there, and
+        :func:`~repro.ring.lockstep.compress_scan`, which keeps the highest
+        column of each run, keeps the entries the full ``bits`` columns
+        would.  Each block of rows computes its slab of finger rows
+        (:func:`~repro.ring.lockstep.exact_fingers`; every finger is valid
+        on the stabilized ring) and the compressor keeps only the block's
+        compressed entries as ``int32``.  Peak transient memory is one
+        block's finger slab, never ``n x bits``.
         """
+        # The gap of a lone peer is the whole ring.
+        smallest = space.size - int(ids[-1] - ids[0])
+        if ids.size > 1:
+            smallest = min(smallest, int(np.diff(ids).min()))
+        first = min(smallest.bit_length(), space.bits) - 1
         blocks = (
-            (exact_fingers(ids, slice(lo, lo + _SCAN_BLOCK), space.bits), None)
+            (exact_fingers(ids, slice(lo, lo + _SCAN_BLOCK), space.bits, first), None)
             for lo in range(0, ids.size, _SCAN_BLOCK)
         )
         return compress_scan(np.arange(ids.size, dtype=np.int32), blocks)
@@ -339,7 +350,9 @@ class CompactRing:
         The compact backend stores the load column and the synopsis plane,
         not the items: blockwise (so the transient keys/positions/buckets
         never exceed one ``_LOAD_BLOCK`` slab regardless of data volume),
-        each value is hashed, ``searchsorted`` to its owner (the same owner
+        each block is sorted (every result is a count, so value order does
+        not change it, and sorted keys search fastest), each value is
+        hashed, ``searchsorted`` to its owner (the same owner
         :meth:`RingNetwork.load_data` resolves), counted, and binned into
         the owner's histogram row with the exact
         :meth:`~repro.ring.storage.LocalStore.histogram_range` bucket
@@ -364,11 +377,11 @@ class CompactRing:
         n = self.ids.size
         buckets = self.synopsis_buckets
         for block_lo in range(0, arr.size, _LOAD_BLOCK):
-            chunk = arr[block_lo : block_lo + _LOAD_BLOCK]
+            chunk = np.sort(arr[block_lo : block_lo + _LOAD_BLOCK])
             keys = self.data_hash.map_values(chunk)
             positions = np.searchsorted(self.ids, keys, side="left")
             positions[positions == n] = 0
-            self.counts += np.bincount(positions, minlength=n).astype(np.int64)
+            np.add.at(self.counts, positions, 1)
             lows = self.seg_low[positions]
             highs = self.seg_high[positions]
             in_primary = (chunk >= lows) & (chunk < highs)

@@ -32,20 +32,54 @@ __all__ = [
 ]
 
 _Entry = TypeVar("_Entry", np.uint64, np.int32)
+_Sortable = TypeVar("_Sortable", np.uint64, np.int64)
 
 
-def exact_fingers(ids: NDArray[np.uint64], rows: slice, bits: int) -> NDArray[np.int64]:
-    """Stabilized finger tables of the peers ``ids[rows]`` as rows of ``ids``.
+def exact_fingers(
+    ids: NDArray[np.uint64], rows: slice, bits: int, first: int = 0
+) -> NDArray[np.int64]:
+    """Stabilized fingers ``first..bits-1`` of the peers ``ids[rows]`` as rows of ``ids``.
 
-    The result has shape ``(rows, bits)``.  Finger ``k`` of peer ``p`` is
-    the owner of ``(p + 2^k) mod 2^bits``: one ``searchsorted`` into the
-    sorted ids, the scalar oracle's bisection.
+    The result has shape ``(rows, bits - first)``.  Finger ``k`` of peer
+    ``p`` is the owner of ``(p + 2^k) mod 2^bits``, which is ``p``'s
+    successor whenever ``2^k`` is at most the gap from ``p`` to it.  So
+    every finger starts as the successor, and level ``k`` searches the
+    sorted ids only for the rows whose gap is below ``2^k``: on a random
+    ring of n peers the levels below ``log2(2^bits / n)`` search almost
+    nothing.  A lone peer's gap wraps to 0, so it searches every level.
     """
-    powers = np.uint64(1) << np.arange(bits, dtype=np.uint64)
-    targets = (ids[rows, None] + powers) & np.uint64((1 << bits) - 1)
-    indices = np.searchsorted(ids, targets)
-    indices[indices == ids.size] = 0
-    return indices
+    n = ids.size
+    own = np.arange(*rows.indices(n))
+    succ = own + 1
+    succ[succ == n] = 0
+    mask = np.uint64((1 << bits) - 1)
+    base = ids[own]
+    gap = (ids[succ] - base) & mask
+    # Level-major, so that each level writes one contiguous row.
+    fingers = np.empty((bits - first, own.size), dtype=np.int64)
+    for k, level in zip(range(first, bits), fingers):
+        power = np.uint64(1 << k)
+        far = np.flatnonzero(gap < power)
+        level[:] = succ
+        found = np.searchsorted(ids, (base[far] + power) & mask)
+        found[found == n] = 0
+        level[far] = found
+    return fingers.T
+
+
+def _sorted_unique(values: NDArray[_Sortable]) -> NDArray[_Sortable]:
+    """``np.unique`` of a 1-D integer array, by sorting and masking repeats.
+
+    The result equals ``np.unique``'s, whose hash path is tens of times
+    slower than a sort on ``int64``/``uint64`` keys.
+    """
+    ordered = np.sort(values)
+    if ordered.size < 2:
+        return ordered
+    fresh = np.empty(ordered.size, dtype=bool)
+    fresh[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    return ordered[fresh]
 
 
 def compress_scan(

@@ -201,8 +201,7 @@ class RingNetwork:
             needed = n_peers - len(idents)
             draws = rng.integers(0, space.size, size=needed, dtype=np.uint64)
             idents.update(int(d) for d in draws)
-        for ident in idents:
-            network._register(PeerNode(ident, space))
+        network._register_all(PeerNode(ident, space) for ident in idents)
         network.rebuild_overlay()
         # Opt-in fault profile for whole-suite smoke runs: when the
         # environment names a profile (repro-experiments --faults), every
@@ -255,13 +254,13 @@ class RingNetwork:
         network = cls(space, domain=domain, rng=rng)
         quantile_levels = (np.arange(1, n_peers + 1)) / n_peers
         boundaries = np.quantile(arr, quantile_levels)
-        used: set[int] = set()
+        used: dict[int, PeerNode] = {}
         for boundary in boundaries:
             ident = network.data_hash(float(boundary))
             while ident in used:
                 ident = space.add(ident, 1)
-            used.add(ident)
-            network._register(PeerNode(ident, space))
+            used[ident] = PeerNode(ident, space)
+        network._register_all(used.values())
         network.rebuild_overlay()
         return network
 
@@ -316,6 +315,25 @@ class RingNetwork:
         self._arm_store(node)
         self._invalidate_registry_views()
         self.data_version += 1
+
+    def _register_all(self, nodes: Iterable[PeerNode]) -> None:
+        """Insert many nodes into the registry with one sort.
+
+        The registry, the listeners and both version tokens end as
+        :meth:`_register` on each node in turn would leave them.
+        """
+        count = 0
+        for node in nodes:
+            if node.ident in self._nodes:
+                raise ValueError(f"duplicate peer identifier {node.ident}")
+            self._nodes[node.ident] = node
+            self._arm_store(node)
+            count += 1
+        self._sorted_ids = sorted(self._nodes)
+        self._ids_tuple = None
+        self._ids_array = None
+        self.topology_version += count
+        self.data_version += count
 
     def _unregister(self, ident: int) -> PeerNode:
         """Remove a node from the oracle registry."""
@@ -408,7 +426,7 @@ class RingNetwork:
         if n == 0:
             return
         list_length = min(self.SUCCESSOR_LIST_LENGTH, max(n - 1, 1))
-        # All N x bits finger targets at once, each owner one searchsorted.
+        # All N x bits fingers at once, searched only past each successor.
         sorted_ids = self.sorted_ids_array()
         finger_rows = sorted_ids[exact_fingers(sorted_ids, slice(None), self.space.bits)].tolist()
         for index, ident in enumerate(ids):
@@ -518,7 +536,9 @@ class RingNetwork:
         ids = self._sorted_ids
         if not ids:
             raise NetworkError("cannot load data into an empty network")
-        arr = np.asarray(list(values), dtype=float)
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        arr = np.asarray(values, dtype=float)
         if arr.size == 0:
             return
         keys = self.data_hash.map_values(arr)

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, TypeVar
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.ring.lockstep import RingPointers, compress_scan
+from repro.ring.lockstep import RingPointers, _sorted_unique, compress_scan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network imports us)
     from repro.ring.network import RingNetwork
@@ -411,7 +411,7 @@ class RingSnapshot:
             # departed and gets a row of its own among the live ones.
             at, known = locate(fingers.T)
             departed = fingers.T[~known]
-            row_ids = np.union1d(ids, departed)
+            row_ids = _sorted_unique(np.concatenate((ids, departed)))
             m = row_ids.size
             own = np.searchsorted(row_ids, ids)
             rows = own[at]
@@ -475,9 +475,7 @@ class RingSnapshot:
         dst_idx = dst_idx[keep]
         # Symmetrize and deduplicate in one pass over packed (src, dst)
         # keys; n² fits int64 for any simulated ring.
-        keys = np.unique(
-            np.concatenate((src_idx * n + dst_idx, dst_idx * n + src_idx))
-        )
+        keys = _sorted_unique(np.concatenate((src_idx * n + dst_idx, dst_idx * n + src_idx)))
         edge_src = keys // n
         edge_dst = ids[keys % n].tolist()
         boundaries = np.searchsorted(edge_src, np.arange(n + 1, dtype=np.int64))

@@ -8,13 +8,32 @@ a walk over node pointers that consults the plane's stalls and partition
 on every send.  Without loss the two agree bit for bit; under loss each
 attempt here is its own :meth:`RingNetwork.delivery_succeeds` draw, so
 they agree in distribution.
+
+:func:`reference_fingers` is the finger-table oracle of
+:func:`~repro.ring.lockstep.exact_fingers`: one binary search per finger.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.ring.faults import RetryPolicy
 from repro.ring.messages import MessageType
 from repro.ring.routing import RouteOutcome, _last_step, _live_successor, iter_route_steps
+
+
+def reference_fingers(ids, rows, bits):
+    """Stabilized finger tables of the peers ``ids[rows]`` as rows of ``ids``.
+
+    The result has shape ``(rows, bits)``.  Finger ``k`` of peer ``p`` is
+    the owner of ``(p + 2^k) mod 2^bits``: one ``searchsorted`` into the
+    sorted ids.
+    """
+    powers = np.uint64(1) << np.arange(bits, dtype=np.uint64)
+    targets = (ids[rows, None] + powers) & np.uint64((1 << bits) - 1)
+    indices = np.searchsorted(ids, targets)
+    indices[indices == ids.size] = 0
+    return indices
 
 
 def route_with_policy_scalar(network, start, key, policy=None, max_hops=None):

@@ -16,10 +16,10 @@ from repro.core.estimator import DistributionFreeEstimator
 from repro.core.synopsis import summarize_compact
 from repro.ring import compact as compact_module
 from repro.ring.compact import CompactRing
-from repro.ring.lockstep import exact_fingers
 from repro.ring.messages import MessageType
 from repro.ring.network import RingNetwork
 from repro.ring.routing import route_to_key
+from tests.ring.reference_routing import reference_fingers
 
 #: CI memory budget (bytes/peer) the E1 smoke job enforces; the measured
 #: footprint at N=10^6 is 136 B/peer (see docs/PERFORMANCE.md).
@@ -181,7 +181,7 @@ class TestGossip:
         _network, compact = _pair(n=300, seed=6)
         compact.load_counts(np.random.default_rng(3).random(3_000))
         n, width = compact.scan.shape
-        fingers = exact_fingers(compact.ids, slice(None), compact.space.bits)
+        fingers = reference_fingers(compact.ids, slice(None), compact.space.bits)
         cols = np.random.default_rng(4).integers(0, width, size=n)
         partner = np.empty(n, dtype=np.int64)
         for row in range(n):
