@@ -12,9 +12,13 @@ churn / replication / storage modules) and checks, per function:
 
 * **mutation events** — assignments to overlay pointer attributes
   (``predecessor_id``, ``successor_id``, ``successor_list``, ``fingers``,
-  ``alive``), ``set_finger`` calls, registry-container edits
-  (``_nodes`` / ``_sorted_ids``), and — inside ``storage.py`` — direct
-  edits of the store's ``_list`` backing;
+  ``alive``), ``set_finger`` calls, element writes into the overlay
+  table's pointer columns (``table.fingers[rows, cols] = ...``,
+  ``table.successor[slots] = ...`` and the other columns of
+  :class:`~repro.ring.node.OverlayTable` except the finger-repair
+  ``cursor``), registry-container edits (``_nodes`` / ``_sorted_ids`` /
+  ``_sorted_slots``), and — inside ``storage.py`` — direct edits of the
+  store's ``_list`` backing;
 * **bump events** — calls to ``note_overlay_change`` /
   ``_invalidate_registry_views`` / ``_register`` / ``_unregister`` /
   ``_note_data_change`` / ``_mutated`` / ``rebuild_overlay``, or direct
@@ -43,7 +47,21 @@ __all__ = ["VersionBumpRule"]
 _POINTER_ATTRS = frozenset(
     {"predecessor_id", "successor_id", "successor_list", "fingers", "alive"}
 )
-_REGISTRY_ATTRS = frozenset({"_nodes", "_sorted_ids"})
+#: The pointer columns of ``repro.ring.node.OverlayTable``: an element
+#: write into one is an overlay mutation (its ``cursor`` column is not).
+_OVERLAY_COLUMNS = frozenset(
+    {
+        "fingers",
+        "finger_known",
+        "successor",
+        "predecessor",
+        "predecessor_known",
+        "successor_lists",
+        "list_lengths",
+        "alive",
+    }
+)
+_REGISTRY_ATTRS = frozenset({"_nodes", "_sorted_ids", "_sorted_slots"})
 _STORE_BACKING = "_list"
 _LIST_MUTATORS = frozenset(
     {"append", "extend", "insert", "remove", "pop", "clear", "sort", "reverse"}
@@ -98,6 +116,8 @@ class _EventScanner:
             if name in _POINTER_ATTRS:
                 return f"overlay pointer `{name}`"
             if isinstance(target, ast.Subscript):
+                if _attr_name(target.value) in _OVERLAY_COLUMNS:
+                    return f"overlay column `{_attr_name(target.value)}`"
                 if _is_registry_container(target.value):
                     return f"registry container `{_attr_name(target.value)}`"
                 if self.in_storage and _is_store_backing(target.value):

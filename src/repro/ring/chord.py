@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.ring.messages import MessageType
 from repro.ring.network import NetworkError, RingNetwork
-from repro.ring.node import PeerNode
+from repro.ring.node import SUCCESSOR_LIST_LENGTH, PeerNode
 from repro.ring.storage import LocalStore
 from repro.ring.routing import _EMPTY_EXCLUSIONS, _live_successor, route_to_key
 
@@ -167,15 +167,14 @@ def _splice(network: RingNetwork, new_ident: int, successor: PeerNode) -> tuple[
     """
     succ_ident = successor.ident
     predecessor_id = successor.predecessor_id
-    new_node = PeerNode(new_ident, network.space)
+    table = network._overlay
+    new_node = PeerNode(new_ident, network.space, table)
     new_node.predecessor_id = predecessor_id
     new_node.successor_id = succ_ident
-    fingers = list(successor.fingers)
-    fingers[0] = succ_ident
-    new_node.fingers = fingers
-    new_node.successor_list = [succ_ident, *successor.successor_list][
-        : network.SUCCESSOR_LIST_LENGTH
-    ]
+    table.fingers[new_node._slot] = table.fingers[successor._slot]
+    table.finger_known[new_node._slot] = table.finger_known[successor._slot]
+    new_node.set_finger(0, succ_ident)
+    new_node.successor_list = [succ_ident, *successor.successor_list][:SUCCESSOR_LIST_LENGTH]
     start = predecessor_id if predecessor_id is not None else succ_ident
     new_node.store.adopt_sorted(_take_interval(network, successor.store, start, new_ident))
 
@@ -301,7 +300,7 @@ def _stabilize_step(network: RingNetwork, node: PeerNode) -> None:
             successor = candidate
             succ_id = candidate_id
     node.successor_list = _refreshed_list(
-        self_id, succ_id, successor.successor_list, network.SUCCESSOR_LIST_LENGTH
+        self_id, succ_id, successor.successor_list, SUCCESSOR_LIST_LENGTH
     )
     current = successor.predecessor_id
     if (

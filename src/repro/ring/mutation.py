@@ -53,6 +53,7 @@ from numpy.typing import NDArray
 from repro.ring.chord import _draw_unused_identifier, _refreshed_list, _splice
 from repro.ring.messages import MessageType
 from repro.ring.network import RingNetwork
+from repro.ring.node import SUCCESSOR_LIST_LENGTH
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (churn -> chord)
     from repro.ring.churn import ChurnConfig
@@ -94,15 +95,14 @@ def ring_is_clean(network: RingNetwork) -> bool:
     """
     if network.n_peers < KERNEL_MIN_PEERS:
         return False
-    nodes = network._nodes
-    id_list = network.peer_ids()
-    prev = id_list[-1]
-    for ident in id_list:
-        node = nodes[ident]
-        if node.predecessor_id != prev or nodes[prev].successor_id != ident:
-            return False
-        prev = ident
-    return True
+    table = network._overlay
+    slots = network.sorted_slots_array()
+    ids = network.sorted_ids_array()
+    return bool(
+        table.predecessor_known[slots].all()
+        and np.array_equal(table.predecessor[slots], np.roll(ids, 1))
+        and np.array_equal(table.successor[slots], np.roll(ids, -1))
+    )
 
 
 def plan_round(
@@ -213,11 +213,12 @@ def matrix_maintenance_round(network: RingNetwork, fingers_per_peer: int) -> boo
       stabilize writes (which would be no-ops) are skipped wholesale.  A
       round that did change a list leaves no token: lists settle one ring
       step per round, so the next round may still change them.
-    * :meth:`~repro.ring.network.RingNetwork.note_overlay_change` is called
-      only when some pointer actually changed value.  A round that writes
-      nothing leaves every overlay-derived cache (snapshots, finger views)
-      valid, so invalidating them — as the scalar sweep does
-      unconditionally — would only force identical rebuilds.
+    * The pointer columns are written, and
+      :meth:`~repro.ring.network.RingNetwork.note_overlay_change` is
+      called, only when some pointer actually changed value.  A round
+      that changes nothing leaves every overlay-derived cache (snapshots,
+      finger views) valid, so invalidating them — as the scalar sweep
+      does unconditionally — would only force identical rebuilds.
     """
     n = network.n_peers
     if n < KERNEL_MIN_PEERS:
@@ -226,25 +227,20 @@ def matrix_maintenance_round(network: RingNetwork, fingers_per_peer: int) -> boo
     mask = np.uint64(space.mask)
     zero = np.uint64(0)
     bits = space.bits
-    nodes = network._nodes
-    id_list = list(network.peer_ids())
+    table = network._overlay
+    slots = network.sorted_slots_array()
     ids = network.sorted_ids_array()
-    node_list = [nodes[ident] for ident in id_list]
     true_succ = np.roll(ids, -1)
     true_pred = np.roll(ids, 1)
-    list_length = network.SUCCESSOR_LIST_LENGTH
+    list_length = SUCCESSOR_LIST_LENGTH
     exact = network._exact_ring_token == network.topology_version
 
     if exact:
-        stale = None
-        lists = None
         preds_fix = true_pred
         pred_live = None  # all neighbours live and true by the token
     else:
         # --- gate: successor pointers true-or-dead ----------------------
-        succs = np.fromiter(
-            (node.successor_id for node in node_list), dtype=np.uint64, count=n
-        )
+        succs = table.successor[slots]
         stale = succs != true_succ
         if stale.any():
             wrong = succs[stale]
@@ -253,27 +249,24 @@ def matrix_maintenance_round(network: RingNetwork, fingers_per_peer: int) -> boo
             if (ids[where] == wrong).any():
                 return False  # a live-but-wrong pointer: not a churn-round state
         # --- gate: regular successor lists ------------------------------
-        lists = [node.successor_list for node in node_list]
-        if any(len(entry) != list_length for entry in lists):
+        if (table.list_lengths[slots] != list_length).any():
             return False
+        lists = table.successor_lists[slots]
         # The finger classification reads only final stabilized neighbours
         # (true successors; true predecessors for all but the first peer,
         # whose notifier runs last in ring order and therefore fixes
         # against its pre-round predecessor), so it is computable before
         # any mutation.
-        first = node_list[0]
-        pred_first = first.predecessor_id
+        first = slots[0]
         preds_fix = true_pred.copy()
         pred_live = np.ones(n, dtype=bool)
-        if pred_first is None or pred_first not in nodes:
+        if not table.predecessor_known[first] or int(table.predecessor[first]) not in network:
             pred_live[0] = False
         else:
-            preds_fix[0] = np.uint64(pred_first)
+            preds_fix[0] = table.predecessor[first]
 
     # --- gate: every finger fix single-hop ------------------------------
-    ks = np.fromiter(
-        (node.next_finger_index for node in node_list), dtype=np.uint64, count=n
-    )
+    ks = table.cursor[slots].astype(np.uint64)
     d_sp = (ids - preds_fix) & mask
     d_ss = (true_succ - ids) & mask
     self_owned: list[NDArray[np.bool_]] = []
@@ -283,7 +276,7 @@ def matrix_maintenance_round(network: RingNetwork, fingers_per_peer: int) -> boo
         targets = (ids + (np.uint64(1) << kf)) & mask
         d_tp = (targets - preds_fix) & mask
         self_own = (d_tp > zero) & (d_tp <= d_sp)
-        if not exact:
+        if pred_live is not None:
             self_own &= pred_live
             if pred_live[0] and preds_fix[0] == ids[0]:
                 self_own[0] = True  # pred == self: the full-ring interval
@@ -298,66 +291,66 @@ def matrix_maintenance_round(network: RingNetwork, fingers_per_peer: int) -> boo
     lists_settled = exact
     if not exact:
         # --- stabilize: successors, successor lists, predecessors -------
-        stale_indices = np.flatnonzero(stale).tolist()
-        if stale_indices:
-            mutated = True
-            for index in stale_indices:
-                node_list[index].successor_id = int(true_succ[index])  # repro-lint: disable=VER001 (every write sets `mutated`; note_overlay_change fires under that flag at function end)
-        matrix = np.array(lists, dtype=np.uint64)
-        new_rows = np.empty_like(matrix)
-        new_rows[:, 0] = true_succ
-        new_rows[:-1, 1:] = matrix[1:, : list_length - 1]
-        rows = new_rows.tolist()
+        new_lists = np.empty_like(lists)
+        new_lists[:, 0] = true_succ
+        new_lists[:-1, 1:] = lists[1:, : list_length - 1]
+        new_lengths = np.full(n, list_length, dtype=np.int64)
+
+        def refresh(index: int, source: list[int]) -> None:
+            """Row ``index`` refreshed from ``source`` by the scalar rule."""
+            row = _refreshed_list(int(ids[index]), int(true_succ[index]), source, list_length)
+            new_lists[index, : len(row)] = row
+            new_lengths[index] = len(row)
+
         irregular = (
-            (matrix[1:] == ids[:-1, None]) | (matrix[1:] == true_succ[:-1, None])
+            (lists[1:] == ids[:-1, None]) | (lists[1:] == true_succ[:-1, None])
         ).any(axis=1)
         for index in np.flatnonzero(irregular).tolist():
-            rows[index] = _refreshed_list(
-                id_list[index], id_list[index + 1], lists[index + 1], list_length
-            )
-        last_id = id_list[-1]
+            refresh(index, lists[index + 1].tolist())
         # The wrap peer reads its successor's *refreshed* list.
-        rows[-1] = _refreshed_list(last_id, id_list[0], rows[0], list_length)
-        lists_settled = True
-        for index, (node, row) in enumerate(zip(node_list, rows)):
-            if row != lists[index]:
-                node.successor_list = row
-                mutated = True
-                lists_settled = False
-        prev = last_id
-        for node in node_list:
-            if node.predecessor_id != prev:
-                node.predecessor_id = prev
-                mutated = True
-            prev = node.ident
+        refresh(n - 1, new_lists[0, : new_lengths[0]].tolist())
+        lists_changed = (new_lengths != list_length) | (new_lists != lists).any(axis=1)
+        lists_settled = not lists_changed.any()
+        mutated = (
+            bool(stale.any())
+            or not lists_settled
+            or not table.predecessor_known[slots].all()
+            or not np.array_equal(table.predecessor[slots], true_pred)
+        )
 
-    # --- fix fingers -----------------------------------------------------
+    # --- fix fingers: the cells whose owner is new ------------------------
     bulk_hops = 0
-    advance = np.uint64(fingers_per_peer)
     ubits = np.uint64(bits)
+    fixed: list[tuple[NDArray[np.int64], NDArray[np.int64], NDArray[np.uint64]]] = []
     for sub in range(fingers_per_peer):
-        self_own = self_owned[sub]
-        owners = np.where(self_own, ids, true_succ)
+        owners = np.where(self_owned[sub], ids, true_succ)
         bulk_hops += int(succ_owned[sub].sum())
-        kf = ((ks + np.uint64(sub)) % ubits).tolist()
-        for index, owner in enumerate(owners.tolist()):
-            node = node_list[index]
-            k = kf[index]
-            if node._fingers[k] != owner:
-                node._fingers[k] = owner
-                node._finger_scan = None
-                mutated = True
-    next_ks = ((ks + advance) % ubits).tolist()
-    for node, cursor in zip(node_list, next_ks):
-        node.next_finger_index = cursor
+        kf = ((ks + np.uint64(sub)) % ubits).astype(np.int64)
+        new = ~table.finger_known[slots, kf] | (table.fingers[slots, kf] != owners)
+        if new.any():
+            fixed.append((slots[new], kf[new], owners[new]))
+    mutated = mutated or bool(fixed)
+
+    if mutated:
+        if not exact:
+            table.successor[slots] = true_succ
+            table.successor_lists[slots] = new_lists
+            table.list_lengths[slots] = new_lengths
+            table.predecessor[slots] = true_pred
+            table.predecessor_known[slots] = True
+        for rows, cols, owners in fixed:
+            table.fingers[rows, cols] = owners
+            table.finger_known[rows, cols] = True
+            for slot in rows.tolist():
+                table.scans.pop(slot, None)
+        network.note_overlay_change()
+    table.cursor[slots] = (ks + np.uint64(fingers_per_peer)) % ubits
 
     network.record(MessageType.STABILIZE, count=n)
     network.record(MessageType.NOTIFY, count=n)
     network.record(MessageType.FIX_FINGER, count=n * fingers_per_peer)
     if bulk_hops:
         network.record(MessageType.LOOKUP_HOP, count=bulk_hops)
-    if mutated:
-        network.note_overlay_change()
     # Successor lists take up to L rounds to settle after churn: only a
     # round whose refresh changed no list leaves the fixed point that the
     # next round would reproduce.

@@ -21,7 +21,6 @@ from __future__ import annotations
 import bisect
 import os
 from collections import Counter
-from functools import partial
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -31,7 +30,7 @@ from repro.ring.hashing import OrderPreservingHash
 from repro.ring.identifier import IdentifierSpace
 from repro.ring.lockstep import RingPointers, exact_fingers
 from repro.ring.messages import MessageStats, MessageType
-from repro.ring.node import PeerNode
+from repro.ring.node import SUCCESSOR_LIST_LENGTH, OverlayTable, PeerNode
 from repro.ring.snapshot import RingSnapshot
 
 __all__ = ["RingNetwork", "NetworkError"]
@@ -55,9 +54,6 @@ class RingNetwork:
         Source of randomness for peer placement and routing entry points.
     """
 
-    #: Successor-list length: how many fallback routes stabilization keeps.
-    SUCCESSOR_LIST_LENGTH = 4
-
     def __init__(
         self,
         space: IdentifierSpace,
@@ -79,10 +75,15 @@ class RingNetwork:
         self.faults: Optional[FaultPlane] = None
         self._nodes: dict[int, PeerNode] = {}
         self._sorted_ids: list[int] = []
+        #: The peers' overlay pointers; ``_sorted_slots[i]`` is the row of
+        #: the peer ``_sorted_ids[i]``.
+        self._overlay = OverlayTable(space.bits)
+        self._sorted_slots: list[int] = []
         # Cached read-only views of the registry, rebuilt lazily after a
         # membership change (register/unregister bumps topology_version).
         self._ids_tuple: Optional[tuple[int, ...]] = None
         self._ids_array: Optional[np.ndarray] = None
+        self._slots_array: Optional[np.ndarray] = None
         #: Monotone membership-mutation counter (joins/leaves/crashes).
         self.topology_version: int = 0
         #: Monotone data-mutation counter: advanced whenever any peer's
@@ -95,6 +96,8 @@ class RingNetwork:
         #: Peers whose one-shot store listener fired since
         #: :attr:`version_token` was last read (it re-arms them).
         self._fired_stores: set[int] = set()
+        #: The one data-change callback every registered store calls.
+        self._store_listener = self._note_data_change
         #: :attr:`topology_version` as of the last whole-ring matrix
         #: maintenance round (:func:`repro.ring.mutation.matrix_maintenance_round`).
         #: While it still equals the live version, nothing has touched the
@@ -201,7 +204,7 @@ class RingNetwork:
             needed = n_peers - len(idents)
             draws = rng.integers(0, space.size, size=needed, dtype=np.uint64)
             idents.update(int(d) for d in draws)
-        network._register_all(PeerNode(ident, space) for ident in idents)
+        network._register_all(idents)
         network.rebuild_overlay()
         # Opt-in fault profile for whole-suite smoke runs: when the
         # environment names a profile (repro-experiments --faults), every
@@ -254,13 +257,13 @@ class RingNetwork:
         network = cls(space, domain=domain, rng=rng)
         quantile_levels = (np.arange(1, n_peers + 1)) / n_peers
         boundaries = np.quantile(arr, quantile_levels)
-        used: dict[int, PeerNode] = {}
+        used: dict[int, None] = {}
         for boundary in boundaries:
             ident = network.data_hash(float(boundary))
             while ident in used:
                 ident = space.add(ident, 1)
-            used[ident] = PeerNode(ident, space)
-        network._register_all(used.values())
+            used[ident] = None
+        network._register_all(used)
         network.rebuild_overlay()
         return network
 
@@ -307,40 +310,61 @@ class RingNetwork:
         return dict(loads)
 
     def _register(self, node: PeerNode) -> None:
-        """Insert a node into the oracle registry (no overlay wiring)."""
-        if node.ident in self._nodes:
-            raise ValueError(f"duplicate peer identifier {node.ident}")
-        self._nodes[node.ident] = node
-        bisect.insort(self._sorted_ids, node.ident)
+        """Insert a node into the oracle registry (no overlay wiring).
+
+        A node built outside this network's overlay table moves its row in.
+        """
+        ident = node.ident
+        if ident in self._nodes:
+            raise ValueError(f"duplicate peer identifier {ident}")
+        if node._table is not self._overlay:
+            node._move_to(self._overlay)
+        self._nodes[ident] = node
+        index = bisect.bisect_left(self._sorted_ids, ident)
+        self._sorted_ids.insert(index, ident)
+        self._sorted_slots.insert(index, node._slot)
         self._arm_store(node)
         self._invalidate_registry_views()
         self.data_version += 1
 
-    def _register_all(self, nodes: Iterable[PeerNode]) -> None:
-        """Insert many nodes into the registry with one sort.
+    def _register_all(self, idents: Iterable[int]) -> None:
+        """Create and register new peers ``idents`` with one sort.
 
         The registry, the listeners and both version tokens end as
-        :meth:`_register` on each node in turn would leave them.
+        :meth:`_register` on a new node for each identifier in turn would
+        leave them.
         """
-        count = 0
-        for node in nodes:
-            if node.ident in self._nodes:
-                raise ValueError(f"duplicate peer identifier {node.ident}")
-            self._nodes[node.ident] = node
+        ident_list = list(idents)
+        nodes = self._nodes
+        for ident, slot in zip(ident_list, self._overlay.extend(ident_list)):
+            if ident in nodes:
+                raise ValueError(f"duplicate peer identifier {ident}")
+            node = nodes[ident] = PeerNode(ident, self.space, self._overlay, slot)
             self._arm_store(node)
-            count += 1
-        self._sorted_ids = sorted(self._nodes)
+        # One argsort of the uint64 ids: far cheaper than sorting the
+        # 64-bit Python ints.
+        ids = np.fromiter(nodes, dtype=np.uint64, count=len(nodes))
+        slots = np.fromiter((node._slot for node in nodes.values()), dtype=np.int64, count=ids.size)
+        order = np.argsort(ids)
+        self._ids_array, self._slots_array = ids[order], slots[order]
+        self._sorted_ids = self._ids_array.tolist()
+        self._sorted_slots = self._slots_array.tolist()
         self._ids_tuple = None
-        self._ids_array = None
-        self.topology_version += count
-        self.data_version += count
+        self.topology_version += len(ident_list)
+        self.data_version += len(ident_list)
 
     def _unregister(self, ident: int) -> PeerNode:
-        """Remove a node from the oracle registry."""
+        """Remove a node from the oracle registry.
+
+        The node keeps its overlay row in a table of its own, and its slot
+        here is freed for a later joiner.
+        """
         node = self._nodes.pop(ident)
         index = bisect.bisect_left(self._sorted_ids, ident)
         del self._sorted_ids[index]
-        node.store._listener = None
+        del self._sorted_slots[index]
+        node.store._armed = False
+        node._move_to(OverlayTable(self.space.bits))
         self._invalidate_registry_views()
         self.data_version += 1
         return node
@@ -359,13 +383,17 @@ class RingNetwork:
         self.data_version += 1
 
     def _arm_store(self, node: PeerNode) -> None:
-        """(Re-)install the one-shot data-change listener on a peer store."""
-        node.store._listener = partial(self._note_data_change, node.ident)
+        """Install the shared one-shot data-change listener on a peer store."""
+        store = node.store
+        store._listener = self._store_listener
+        store._owner = node.ident
+        store._armed = True
 
     def _invalidate_registry_views(self) -> None:
         """Drop cached id views after a membership change."""
         self._ids_tuple = None
         self._ids_array = None
+        self._slots_array = None
         self.topology_version += 1
 
     @property
@@ -387,7 +415,7 @@ class RingNetwork:
             for ident in self._fired_stores:
                 node = nodes.get(ident)
                 if node is not None:
-                    self._arm_store(node)
+                    node.store._armed = True
             self._fired_stores.clear()
         return (self.topology_version, self.data_version)
 
@@ -414,29 +442,40 @@ class RingNetwork:
             self._ids_array = np.asarray(self._sorted_ids, dtype=np.uint64)
         return self._ids_array
 
+    def sorted_slots_array(self) -> np.ndarray:
+        """Overlay-table rows of the live peers in ring order (cached).
+
+        Gathering a column at these rows gives it in the order of
+        :meth:`sorted_ids_array`.  Treat as read-only, like that array.
+        """
+        if self._slots_array is None:
+            self._slots_array = np.asarray(self._sorted_slots, dtype=np.int64)
+        return self._slots_array
+
     def rebuild_overlay(self) -> None:
         """Recompute every peer's pointers exactly (oracle operation).
 
-        Gives each node its true predecessor, successor, and finger table.
-        Used after bulk construction; churn experiments instead rely on the
-        incremental protocol in :mod:`repro.ring.chord`.
+        Gives each node its true predecessor, successor, successor list
+        and finger table.  Used after bulk construction; churn experiments
+        instead rely on the incremental protocol in :mod:`repro.ring.chord`.
         """
-        ids = self._sorted_ids
-        n = len(ids)
+        ids = self.sorted_ids_array()
+        n = ids.size
         if n == 0:
             return
-        list_length = min(self.SUCCESSOR_LIST_LENGTH, max(n - 1, 1))
+        list_length = min(SUCCESSOR_LIST_LENGTH, max(n - 1, 1))
+        slots = self.sorted_slots_array()
+        table = self._overlay
+        table.successor[slots] = np.roll(ids, -1)
+        table.predecessor[slots] = np.roll(ids, 1)
+        table.predecessor_known[slots] = True
+        for offset in range(list_length):
+            table.successor_lists[slots, offset] = np.roll(ids, -1 - offset)
+        table.list_lengths[slots] = list_length
         # All N x bits fingers at once, searched only past each successor.
-        sorted_ids = self.sorted_ids_array()
-        finger_rows = sorted_ids[exact_fingers(sorted_ids, slice(None), self.space.bits)].tolist()
-        for index, ident in enumerate(ids):
-            node = self._nodes[ident]
-            node.predecessor_id = ids[index - 1] if n > 1 else ident
-            node.successor_id = ids[(index + 1) % n] if n > 1 else ident
-            node.successor_list = [
-                ids[(index + 1 + offset) % n] for offset in range(list_length)
-            ]
-            node.fingers = finger_rows[index]
+        table.fingers[slots] = ids[exact_fingers(ids, slice(None), self.space.bits)]
+        table.finger_known[slots] = True
+        table.scans.clear()
         self.note_overlay_change()
 
     def _oracle_successor(self, key: int) -> int:
@@ -541,17 +580,28 @@ class RingNetwork:
         arr = np.asarray(values, dtype=float)
         if arr.size == 0:
             return
-        keys = self.data_hash.map_values(arr)
-        positions = np.searchsorted(self.sorted_ids_array(), keys, side="left")
-        positions[positions == len(ids)] = 0
-        order = np.argsort(positions, kind="stable")
-        sorted_positions = positions[order]
-        sorted_values = arr[order]
-        boundaries = np.searchsorted(sorted_positions, np.arange(len(ids) + 1))
-        for index, ident in enumerate(ids):
-            chunk = sorted_values[boundaries[index] : boundaries[index + 1]]
-            if chunk.size:
-                self._nodes[ident].store.insert_many(chunk)
+        # One stable sort: the hash preserves order, so each peer's values
+        # are one run of it, already in store order.  Peer i's run ends
+        # after the last key at or below its identifier; the keys past the
+        # last peer wrap to peer 0 and, being the largest, follow its run.
+        ordered = np.sort(arr, kind="stable")
+        ends = np.searchsorted(
+            self.data_hash.map_values(ordered), self.sorted_ids_array(), side="right"
+        ).tolist()
+        flat = ordered.tolist()
+        wrapped = flat[ends[-1] :]
+        start = 0
+        for index, (ident, end) in enumerate(zip(ids, ends)):
+            chunk = flat[start:end]
+            if index == 0:
+                chunk += wrapped
+            start = end
+            if chunk:
+                store = self._nodes[ident].store
+                if store.count:
+                    store.insert_many(chunk)
+                else:
+                    store.adopt_sorted(chunk)
 
     # ------------------------------------------------------------------
     # Snapshot plane / ground truth (oracle view)

@@ -1,7 +1,8 @@
 """Peer node state.
 
-A :class:`PeerNode` is deliberately thin: identifier, overlay pointers
-(predecessor, successor, finger table), and a local store.  Protocol logic
+A :class:`PeerNode` is deliberately thin: identifier, a local store, and
+one row of an :class:`OverlayTable`, which holds its overlay pointers
+(predecessor, successor, finger table, successor list).  Protocol logic
 (routing, join/leave, stabilization) lives in :mod:`repro.ring.routing` and
 :mod:`repro.ring.chord`; estimation logic never reaches into a node beyond
 the public accessors here, mirroring what a real peer would expose over RPC.
@@ -9,14 +10,130 @@ the public accessors here, mirroring what a real peer would expose over RPC.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.ring.identifier import IdentifierSpace, RingInterval
 from repro.ring.storage import LocalStore
 
-__all__ = ["PeerNode"]
+__all__ = ["OverlayTable", "PeerNode", "SUCCESSOR_LIST_LENGTH"]
 
 _NO_EXCLUSIONS: frozenset[int] = frozenset()
+
+#: Successor-list length: how many fallback routes stabilization keeps.
+SUCCESSOR_LIST_LENGTH = 4
+
+#: The columns of an :class:`OverlayTable`: name -> (row shape, dtype),
+#: where ``"bits"`` and ``"list"`` stand for the table's widths.
+_COLUMNS: dict[str, tuple[tuple[str, ...], type]] = {
+    "fingers": (("bits",), np.uint64),
+    "finger_known": (("bits",), np.bool_),
+    "successor": ((), np.uint64),
+    "predecessor": ((), np.uint64),
+    "predecessor_known": ((), np.bool_),
+    "successor_lists": (("list",), np.uint64),
+    "list_lengths": ((), np.int64),
+    "cursor": ((), np.int64),
+    "alive": ((), np.bool_),
+}
+
+
+class OverlayTable:
+    """The overlay pointers of many peers as columns, one row (*slot*) per peer.
+
+    Columns, all indexed by slot:
+
+    * ``fingers`` ``(slots, bits)`` ``uint64`` with ``finger_known``;
+    * ``successor``;
+    * ``predecessor`` with ``predecessor_known``;
+    * ``successor_lists`` ``(slots, SUCCESSOR_LIST_LENGTH)`` with ``list_lengths``;
+    * ``cursor`` — the round-robin finger-repair index;
+    * ``alive``.
+
+    An unknown pointer (``None`` on the :class:`PeerNode` accessors) is
+    stored as 0 with its known flag cleared.  A network keeps one table
+    for all its peers.  A slot is assigned when a peer is created and
+    released when it leaves, so a peer keeps its slot while joins shift its
+    rank; bulk paths gather the slots of the live peers in rank order.  A
+    peer created outside a network has a one-row table of its own until it
+    registers.  Writing a pointer column is an overlay mutation: the writer
+    advances the network's overlay token
+    (:meth:`~repro.ring.network.RingNetwork.note_overlay_change`), as for
+    writes through the node accessors.
+    """
+
+    def __init__(self, bits: int, capacity: int = 1) -> None:
+        self.bits = bits
+        self._used = 0  # slots handed out, released ones included
+        self._free: list[int] = []
+        #: Memoized routing scan order per slot (see
+        #: :meth:`PeerNode._finger_scan_order`); a finger write drops it.
+        self.scans: dict[int, list[int]] = {}
+        self._resize(capacity)
+
+    def _resize(self, capacity: int) -> None:
+        """Reallocate every column to ``capacity`` rows, keeping the used ones."""
+        used = self._used
+        widths = {"bits": self.bits, "list": SUCCESSOR_LIST_LENGTH}
+        for name, (shape, dtype) in _COLUMNS.items():
+            column = np.zeros((capacity, *(widths[w] for w in shape)), dtype=dtype)
+            if used:
+                column[:used] = getattr(self, name)[:used]
+            setattr(self, name, column)
+        # Memoryviews index at C speed to Python ints and bools: the scalar
+        # accessors below read through them.
+        self._finger_view = memoryview(self.fingers)
+        self._known_view = memoryview(self.finger_known)
+        self._succ_view = memoryview(self.successor)
+        self._pred_view = memoryview(self.predecessor)
+        self._pred_known_view = memoryview(self.predecessor_known)
+        self._cursor_view = memoryview(self.cursor)
+        self._alive_view = memoryview(self.alive)
+
+    def extend(self, idents: Sequence[int]) -> range:
+        """Fresh rows for new peers ``idents``, one slot each, in order."""
+        start = self._used
+        end = start + len(idents)
+        if end > self.alive.size:
+            self._resize(max(end, 2 * self.alive.size))
+        self._used = end
+        self.successor[start:end] = idents  # self-loop until joined
+        self.alive[start:end] = True
+        return range(start, end)
+
+    def allocate(self, ident: int) -> int:
+        """A fresh row for one new peer (a released slot when there is one)."""
+        if not self._free:
+            return self.extend((ident,))[0]
+        slot = self._free.pop()
+        for name in _COLUMNS:
+            getattr(self, name)[slot] = 0
+        self.successor[slot] = ident
+        self.alive[slot] = True
+        return slot
+
+    def release(self, slot: int) -> None:
+        """Hand a departed peer's slot back for reuse."""
+        self.scans.pop(slot, None)
+        self._free.append(slot)
+
+    def copy_row(self, slot: int, source: "OverlayTable", source_slot: int) -> None:
+        """Overwrite row ``slot`` with row ``source_slot`` of ``source``."""
+        for name in _COLUMNS:
+            getattr(self, name)[slot] = getattr(source, name)[source_slot]
+        self.scans.pop(slot, None)
+
+    def copy(self) -> "OverlayTable":
+        """An independent table with the same rows and free slots."""
+        used = self._used
+        clone = OverlayTable(self.bits, capacity=max(used, 1))
+        for name in _COLUMNS:
+            getattr(clone, name)[:used] = getattr(self, name)[:used]
+        clone._used = used
+        clone._free = list(self._free)
+        clone.scans = dict(self.scans)  # scan lists are never mutated in place
+        return clone
 
 
 class PeerNode:
@@ -25,26 +142,40 @@ class PeerNode:
     Overlay pointers hold peer *identifiers*, not object references — the
     network layer resolves identifiers to nodes, which keeps stale pointers
     representable (a pointer may name a departed peer until stabilization
-    repairs it, exactly as in a real deployment).
+    repairs it, exactly as in a real deployment).  They live in row
+    ``_slot`` of ``_table`` (see :class:`OverlayTable`); the accessors
+    below read and write that row in Python ints.  ``table`` and ``slot``
+    place a new node in an existing table: with ``slot`` given, the row is
+    taken as already initialized.
     """
 
-    def __init__(self, ident: int, space: IdentifierSpace) -> None:
+    __slots__ = (
+        "ident",
+        "space",
+        "_table",
+        "_slot",
+        "store",
+        "host_id",
+        "byzantine",
+        "replicas",
+        "summary_cache",
+    )
+
+    def __init__(
+        self,
+        ident: int,
+        space: IdentifierSpace,
+        table: Optional[OverlayTable] = None,
+        slot: Optional[int] = None,
+    ) -> None:
         space.validate(ident)
         self.ident = ident
         self.space = space
-        self.predecessor_id: Optional[int] = None
-        self.successor_id: int = ident  # self-loop until joined
-        self._fingers: list[Optional[int]] = [None] * space.bits
-        # Memoized routing scan order (deduplicated reversed finger list);
-        # rebuilt lazily after any finger change.
-        self._finger_scan: Optional[list[int]] = None
+        if table is None:
+            table = OverlayTable(space.bits)
+        self._table = table
+        self._slot = table.allocate(ident) if slot is None else slot
         self.store = LocalStore()
-        self.alive = True
-        # Round-robin cursor for incremental finger repair (fix_fingers).
-        self.next_finger_index = 0
-        # Successor list: fallback routes when the successor fails.  Kept
-        # short (Chord uses O(log N)); refreshed by stabilization.
-        self.successor_list: list[int] = []
         # Physical host this (possibly virtual) node runs on.  Plain
         # networks use one node per host; virtual-node deployments map
         # several ring nodes to one host id (see RingNetwork.create_virtual).
@@ -59,6 +190,75 @@ class PeerNode:
         # repro.core.synopsis.summarize_peer.
         self.summary_cache: dict = {}
 
+    def _move_to(self, table: OverlayTable) -> None:
+        """Carry this node's row into ``table``, releasing its current slot."""
+        slot = table.allocate(self.ident)
+        table.copy_row(slot, self._table, self._slot)
+        self._table.release(self._slot)
+        self._table, self._slot = table, slot
+
+    # ------------------------------------------------------------------
+    # Overlay pointers (row accessors)
+    # ------------------------------------------------------------------
+    @property
+    def successor_id(self) -> int:
+        """The successor pointer (the node itself until it has joined)."""
+        return self._table._succ_view[self._slot]
+
+    @successor_id.setter
+    def successor_id(self, value: int) -> None:
+        self._table._succ_view[self._slot] = value
+
+    @property
+    def predecessor_id(self) -> Optional[int]:
+        """The predecessor pointer; ``None`` while unknown."""
+        table = self._table
+        if table._pred_known_view[self._slot]:
+            return table._pred_view[self._slot]
+        return None
+
+    @predecessor_id.setter
+    def predecessor_id(self, value: Optional[int]) -> None:
+        table = self._table
+        table._pred_view[self._slot] = 0 if value is None else value
+        table._pred_known_view[self._slot] = value is not None
+
+    @property
+    def successor_list(self) -> list[int]:
+        """Fallback successors, nearest first (a fresh list per read).
+
+        Kept short (Chord uses O(log N)); refreshed by stabilization.
+        """
+        table = self._table
+        slot = self._slot
+        return table.successor_lists[slot, : table.list_lengths[slot]].tolist()
+
+    @successor_list.setter
+    def successor_list(self, value: list[int]) -> None:
+        table = self._table
+        if len(value) > SUCCESSOR_LIST_LENGTH:
+            raise ValueError(f"successor list longer than {SUCCESSOR_LIST_LENGTH}")
+        table.successor_lists[self._slot, : len(value)] = value
+        table.list_lengths[self._slot] = len(value)
+
+    @property
+    def next_finger_index(self) -> int:
+        """Round-robin cursor for incremental finger repair (fix_fingers)."""
+        return self._table._cursor_view[self._slot]
+
+    @next_finger_index.setter
+    def next_finger_index(self, value: int) -> None:
+        self._table._cursor_view[self._slot] = value
+
+    @property
+    def alive(self) -> bool:
+        """False once the peer has left or crashed."""
+        return self._table._alive_view[self._slot]
+
+    @alive.setter
+    def alive(self, value: bool) -> None:
+        self._table._alive_view[self._slot] = bool(value)
+
     # ------------------------------------------------------------------
     # Ownership
     # ------------------------------------------------------------------
@@ -70,7 +270,8 @@ class PeerNode:
         full ring by the Chord convention; callers that care should check
         :attr:`predecessor_id` first.
         """
-        start = self.predecessor_id if self.predecessor_id is not None else self.ident
+        predecessor_id = self.predecessor_id
+        start = predecessor_id if predecessor_id is not None else self.ident
         return RingInterval(self.space, start, self.ident)
 
     def owns(self, key: int) -> bool:
@@ -96,40 +297,53 @@ class PeerNode:
 
     @property
     def fingers(self) -> list[Optional[int]]:
-        """The finger table.  Mutate through :meth:`set_finger` or by
-        assigning a whole list — both invalidate the routing scan memo;
-        writing ``node.fingers[k] = ...`` directly would not."""
-        return self._fingers
+        """The finger table, ``None`` marking unknown entries (a fresh list
+        per read).  Change it through :meth:`set_finger` or by assigning a
+        whole list."""
+        table = self._table
+        row = table.fingers[self._slot].tolist()
+        known = table.finger_known[self._slot]
+        if known.all():
+            return row
+        return [f if k else None for f, k in zip(row, known.tolist())]
 
     @fingers.setter
-    def fingers(self, value: list[Optional[int]]) -> None:
-        self._fingers = value
-        self._finger_scan = None
+    def fingers(self, value: Sequence[Optional[int]]) -> None:
+        table = self._table
+        if len(value) != table.bits:
+            raise ValueError(f"finger table needs {table.bits} entries, got {len(value)}")
+        table.fingers[self._slot] = [0 if f is None else f for f in value]
+        table.finger_known[self._slot] = [f is not None for f in value]
+        table.scans.pop(self._slot, None)
 
     def set_finger(self, k: int, node_id: Optional[int]) -> None:
         """Install the ``k``-th finger (``None`` marks it unknown/broken)."""
         if not 0 <= k < self.space.bits:
             raise IndexError(f"finger index {k} outside [0, {self.space.bits})")
-        self._fingers[k] = node_id
-        self._finger_scan = None
+        table = self._table
+        table._finger_view[self._slot, k] = 0 if node_id is None else node_id
+        table._known_view[self._slot, k] = node_id is not None
+        table.scans.pop(self._slot, None)
 
     def _finger_scan_order(self) -> list[int]:
         """Fingers in routing scan order: reversed, ``None``s and duplicate
         values dropped (a duplicate re-tests the same predicate, so skipping
         it never changes which finger a scan returns).  With ``bits`` well
         above ``log2 N`` most entries collapse, shrinking the per-hop scan
-        from ``bits`` to ~``log2 N`` candidates."""
-        scan = self._finger_scan
+        from ``bits`` to ~``log2 N`` candidates.  Memoized per slot until
+        the next finger write."""
+        scans = self._table.scans
+        scan = scans.get(self._slot)
         if scan is None:
             # dict.fromkeys deduplicates at C speed keeping first
             # occurrence, which in the reversed table is the farthest
             # finger holding each value — the entry the scan must keep.
             scan = [
                 finger_id
-                for finger_id in dict.fromkeys(reversed(self._fingers))
+                for finger_id in dict.fromkeys(reversed(self.fingers))
                 if finger_id is not None
             ]
-            self._finger_scan = scan
+            scans[self._slot] = scan
         return scan
 
     def closest_preceding_finger(
@@ -153,23 +367,8 @@ class PeerNode:
         ident = self.ident
         # target == ident means the open arc is the whole ring minus self.
         reach = (target - ident) & mask or space.size
-        scan = self._finger_scan
-        if scan is None:
-            scan = self._finger_scan_order()
-        if not excluded:
-            # Fast path for the overwhelmingly common timeout-free lookup:
-            # skip the per-finger membership test entirely.
-            for finger_id in scan:
-                if 0 < (finger_id - ident) & mask < reach:
-                    return finger_id
-            successor_id = self.successor_id
-            if successor_id != ident and 0 < (successor_id - ident) & mask < reach:
-                return successor_id
-            return ident
-        for finger_id in scan:
-            if finger_id in excluded:
-                continue
-            if 0 < (finger_id - ident) & mask < reach:
+        for finger_id in self._finger_scan_order():
+            if 0 < (finger_id - ident) & mask < reach and finger_id not in excluded:
                 return finger_id
         successor_id = self.successor_id
         if (

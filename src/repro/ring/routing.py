@@ -208,9 +208,7 @@ def iter_route_steps(
                 # implementation, kept there for the excluded case):
                 # scan the memoized finger order for the farthest
                 # finger inside (ident, key), then successor, then self.
-                scan = current._finger_scan
-                if scan is None:
-                    scan = current._finger_scan_order()
+                scan = current._finger_scan_order()
                 reach = (key - ident) & mask or size
                 candidate = ident
                 for finger_id in scan:

@@ -80,15 +80,11 @@ def clone_network(network: RingNetwork) -> RingNetwork:
     clone_bg.state = source_bg.state  # the property returns a fresh dict
     clone.rng = np.random.Generator(clone_bg)
 
+    # The overlay columns copy in one step; every peer keeps its slot.
+    table = clone._overlay = network._overlay.copy()
     nodes = clone._nodes
     for src in network._nodes.values():
-        node = PeerNode(src.ident, network.space)
-        node.predecessor_id = src.predecessor_id
-        node.successor_id = src.successor_id
-        node._fingers = list(src._fingers)
-        node.successor_list = list(src.successor_list)
-        node.next_finger_index = src.next_finger_index
-        node.alive = src.alive
+        node = PeerNode(src.ident, network.space, table, src._slot)
         node.host_id = src.host_id
         node.byzantine = src.byzantine
         node.replicas = dict(src.replicas)  # value snapshots are immutable tuples
@@ -101,6 +97,7 @@ def clone_network(network: RingNetwork) -> RingNetwork:
         nodes[node.ident] = node
         clone._arm_store(node)
     clone._sorted_ids = list(network._sorted_ids)
+    clone._sorted_slots = list(network._sorted_slots)
 
     # Hand the clone a pre-warmed snapshot plane instead of letting it pay
     # a full rebuild (global sort plus overlay reconstruction) on first
@@ -122,10 +119,9 @@ def clone_network(network: RingNetwork) -> RingNetwork:
         snap._successors = source_snapshot._successors
         snap._predecessors = source_snapshot._predecessors
         snap._predecessor_valid = source_snapshot._predecessor_valid
-        snap._finger_matrix = source_snapshot._finger_matrix
-        snap._finger_valid = source_snapshot._finger_valid
         snap._adjacency = source_snapshot._adjacency
         snap._overlay_ids = source_snapshot._overlay_ids
+        snap._overlay_slots = source_snapshot._overlay_slots
         snap._routing = source_snapshot._routing
     return clone
 
@@ -178,7 +174,7 @@ def network_from_dict(payload: dict[str, Any]) -> RingNetwork:
         # as an equivalent base-loss plane (the scalar field's one owner).
         network.install_faults(FaultPlane(loss_rate=loss_rate))
     for entry in payload["peers"]:
-        node = PeerNode(int(entry["ident"]), space)
+        node = PeerNode(int(entry["ident"]), space, network._overlay)
         node.predecessor_id = (
             int(entry["predecessor"]) if entry["predecessor"] is not None else None
         )

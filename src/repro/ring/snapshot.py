@@ -18,8 +18,9 @@ of the network:
   dataset),
 * the routing view — the compressed finger-scan matrix of rows plus
   successor and predecessor rows, over the live ids and the departed ids
-  fingers still name, with a liveness mask — derived from the overlay
-  pointers (lazy; keyed on the overlay token).
+  fingers still name, with a liveness mask — gathered from the network's
+  overlay-table columns at the live peers' slots in ring order (lazy;
+  keyed on the overlay token).
 
 The snapshot is keyed on ``(topology_version, data_version)`` and is
 **updated incrementally**: the network records which stores mutated
@@ -33,8 +34,7 @@ is a pure view and never a second source of truth.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import TYPE_CHECKING, Iterator, Optional, TypeVar
+from typing import TYPE_CHECKING, Optional, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -55,9 +55,8 @@ _EMPTY_I = np.empty(0, dtype=np.int64)
 # is cheaper (and trivially equal, since both produce the sorted multiset).
 _FULL_REBUILD_FRACTION = 0.5
 
-# Peers per block when finger tables are read off the nodes: the routing
-# view compresses them block by block, so no full ``(n, bits)`` matrix (nor
-# the Python list behind it) is held to build it.
+# Peers per block when the routing view compresses the finger columns, so
+# no second full ``(n, bits)`` matrix is held to build it.
 _FINGER_BLOCK = 2048
 
 
@@ -101,12 +100,9 @@ class RingSnapshot:
         self._successors: NDArray[np.uint64] = _EMPTY_U
         self._predecessors: NDArray[np.uint64] = _EMPTY_U
         self._predecessor_valid: NDArray[np.bool_] = np.empty(0, dtype=bool)
-        # The full finger matrix, built on first use (only the overlay
-        # graph needs it; routing compresses the tables block by block).
-        self._finger_matrix: Optional[NDArray[np.uint64]] = None
-        self._finger_valid: Optional[NDArray[np.bool_]] = None
         self._adjacency: Optional[dict[int, list[int]]] = None
         self._overlay_ids: NDArray[np.uint64] = _EMPTY_U
+        self._overlay_slots: NDArray[np.int64] = _EMPTY_I
         # Routing view (row identifiers, scan matrix, resolved pointers),
         # derived lazily.
         self._routing: Optional[
@@ -191,9 +187,9 @@ class RingSnapshot:
         nodes = network._nodes
         chunks: dict[int, NDArray[np.float64]] = {}
         for ident in ids.tolist():
-            node = nodes[ident]
-            chunks[ident] = node.store.as_array()
-            network._arm_store(node)
+            store = nodes[ident].store
+            chunks[ident] = store.as_array()
+            store._armed = True
         self._ids = ids
         self._chunks = chunks
         self._repack()
@@ -247,17 +243,17 @@ class RingSnapshot:
             old_chunk = chunks[ident]
             if old_chunk.size:
                 removed_arrays.append(old_chunk)
-            node = nodes[ident]
-            new_chunk = node.store.as_array()
+            store = nodes[ident].store
+            new_chunk = store.as_array()
             chunks[ident] = new_chunk
-            network._arm_store(node)
+            store._armed = True
             if new_chunk.size:
                 added_arrays.append(new_chunk)
         for ident in came.tolist():
-            node = nodes[ident]
-            new_chunk = node.store.as_array()
+            store = nodes[ident].store
+            new_chunk = store.as_array()
             chunks[ident] = new_chunk
-            network._arm_store(node)
+            store._armed = True
             if new_chunk.size:
                 added_arrays.append(new_chunk)
 
@@ -293,76 +289,19 @@ class RingSnapshot:
         token = network.topology_version
         if self._overlay_token == token:
             return
-        nodes = network._nodes
-        ids = network.sorted_ids_array()
-        n = ids.size
-        successor_list: list[int] = []
-        predecessors = np.zeros(n, dtype=np.uint64)
-        predecessor_valid = np.zeros(n, dtype=bool)
-        for index, ident in enumerate(ids.tolist()):
-            node = nodes[ident]
-            successor_list.append(node.successor_id)
-            pred = node.predecessor_id
-            if pred is not None:
-                predecessors[index] = pred
-                predecessor_valid[index] = True
-        self._successors = np.asarray(successor_list, dtype=np.uint64)
-        self._predecessors = predecessors
-        self._predecessor_valid = predecessor_valid
-        self._finger_matrix = None
-        self._finger_valid = None
+        table = network._overlay
+        slots = network.sorted_slots_array()
+        self._successors = table.successor[slots]
+        self._predecessors = table.predecessor[slots]
+        self._predecessor_valid = table.predecessor_known[slots]
         self._adjacency = None
         self._routing = None
         self._overlay_token = token
         # The overlay views diff membership through sorted_ids_array, so
         # they can serve callers that never touch the data plane; ids may
         # therefore be newer than self._ids until the next data refresh.
-        self._overlay_ids = ids
-
-    def _finger_blocks(
-        self, lead: Optional[NDArray[np.uint64]] = None
-    ) -> Iterator[tuple[NDArray[np.uint64], NDArray[np.bool_]]]:
-        """The overlay's finger tables in row blocks, with validity masks.
-
-        ``lead``, when given, is one more (valid) column per row, placed
-        before the fingers.
-        """
-        nodes = self._network._nodes
-        bits = self._network.space.bits
-        ids = self._overlay_ids.tolist()
-        for start in range(0, len(ids), _FINGER_BLOCK):
-            rows: list[list[Optional[int]]] = [
-                nodes[ident]._fingers for ident in ids[start : start + _FINGER_BLOCK]
-            ]
-            valid = np.ones((len(rows), bits), dtype=bool)
-            try:
-                flat = np.fromiter(chain.from_iterable(rows), dtype=np.uint64, count=valid.size)
-            except TypeError:
-                # A broken (None) finger, rare outside heavy churn: searching
-                # every row for one costs more than reading the block twice.
-                for index, row in enumerate(rows):
-                    if None in row:
-                        valid[index] = [f is not None for f in row]
-                        rows[index] = [0 if f is None else f for f in row]
-                flat = np.fromiter(chain.from_iterable(rows), dtype=np.uint64, count=valid.size)
-            fingers = flat.reshape(valid.shape)
-            if lead is not None:
-                first = lead[start : start + len(rows), None]
-                fingers = np.concatenate((first, fingers), axis=1)
-                valid = np.concatenate((np.ones(first.shape, dtype=bool), valid), axis=1)
-            yield fingers, valid
-
-    def _finger_tables(self) -> tuple[NDArray[np.uint64], NDArray[np.bool_]]:
-        """The full ``(n, bits)`` finger matrix and its validity mask."""
-        self._ensure_overlay()
-        fingers, valid = self._finger_matrix, self._finger_valid
-        if fingers is None or valid is None:
-            bits = self._network.space.bits
-            blocks = list(self._finger_blocks())
-            fingers = np.concatenate([f for f, _ in blocks] or [_EMPTY_U.reshape(0, bits)])
-            valid = np.concatenate([v for _, v in blocks] or [np.empty((0, bits), dtype=bool)])
-            self._finger_matrix, self._finger_valid = fingers, valid
-        return fingers, valid
+        self._overlay_ids = network.sorted_ids_array()
+        self._overlay_slots = slots
 
     def finger_scan_tables(self) -> NDArray[np.int32]:
         """The finger matrix compressed for routing, as :meth:`routing_view` rows."""
@@ -384,20 +323,31 @@ class RingSnapshot:
         self._ensure_overlay()
         if self._routing is None:
             ids = self._overlay_ids
+            slots = self._overlay_slots
             n = ids.size
-            nodes = self._network._nodes
-            lists = [nodes[ident].successor_list for ident in ids.tolist()]
-            width = 1 + max(map(len, lists), default=0)
+            table = self._network._overlay
+            lengths = table.list_lengths[slots]
+            width = 1 + int(lengths.max(initial=0))
             # Primary pointer, then the successor list, padded with the
             # peer's own id (never a usable entry).
             order = np.repeat(ids[:, None], width, axis=1)
             order[:, 0] = self._successors
-            lengths = np.fromiter(map(len, lists), dtype=np.int64, count=n)
-            listed = order[:, 1:]
-            listed[np.arange(width - 1) < lengths[:, None]] = np.fromiter(
-                chain.from_iterable(lists), dtype=np.uint64, count=int(lengths.sum())
+            listed = np.arange(width - 1) < lengths[:, None]
+            order[:, 1:][listed] = table.successor_lists[slots, : width - 1][listed]
+
+            def block(rows: slice) -> tuple[NDArray[np.uint64], NDArray[np.bool_]]:
+                """Rows ``rows`` of the finger columns, after the successor column."""
+                lead = self._successors[rows, None]
+                return (
+                    np.concatenate((lead, table.fingers[slots[rows]]), axis=1),
+                    np.concatenate(
+                        (np.ones(lead.shape, dtype=bool), table.finger_known[slots[rows]]), axis=1
+                    ),
+                )
+
+            fingers = compress_scan(
+                ids, (block(slice(lo, lo + _FINGER_BLOCK)) for lo in range(0, n, _FINGER_BLOCK))
             )
-            fingers = compress_scan(ids, self._finger_blocks(lead=self._successors))
             last = max(n - 1, 0)
 
             def locate(values: NDArray[np.uint64]) -> tuple[NDArray[np.int64], NDArray[np.bool_]]:
@@ -453,8 +403,9 @@ class RingSnapshot:
         if n == 0:
             self._adjacency = {}
             return self._adjacency
-        fingers, valid_rows = self._finger_tables()
-        valid = valid_rows.ravel()
+        table = self._network._overlay
+        fingers = table.fingers[self._overlay_slots]
+        valid = table.finger_known[self._overlay_slots].ravel()
         finger_src = np.repeat(np.arange(n, dtype=np.int64), fingers.shape[1])[valid]
         finger_dst = fingers.ravel()[valid]
         succ_src = np.arange(n, dtype=np.int64)

@@ -14,8 +14,8 @@ experiments), with a lazily materialised ``float64`` array for the bulk
 vectorized queries (histograms, range scans).  Every mutation bumps a
 monotone :attr:`LocalStore.version` counter that downstream caches (peer
 summaries, cached value views, the network snapshot plane) key their
-invalidation on, and fires an optional listener so the owning network can
-advance its global data-version token.
+invalidation on, and, while the store is armed, calls its network's
+listener so the owning network can advance its global data-version token.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 __all__ = ["LocalStore"]
 
 _EMPTY = np.empty(0, dtype=float)
+_NO_VALUES: tuple[float, ...] = ()
 
 
 class LocalStore:
@@ -42,36 +43,40 @@ class LocalStore:
         valid exactly as long as the version they were built at.
     """
 
-    __slots__ = ("_list", "_array", "_values_tuple", "version", "_listener")
+    __slots__ = ("_list", "_array", "_values_tuple", "version", "_listener", "_owner", "_armed")
 
-    def __init__(self, values: Iterable[float] = ()) -> None:
-        if isinstance(values, np.ndarray):
+    def __init__(self, values: Iterable[float] = _NO_VALUES) -> None:
+        items: list[float]
+        if values is _NO_VALUES:
+            items = []
+        elif isinstance(values, np.ndarray):
             items = sorted(values.astype(float, copy=False).tolist())
         else:
             items = sorted(float(v) for v in values)
-        self._list: list[float] = items
+        self._list = items
         self._array: Optional[np.ndarray] = None
         self._values_tuple: Optional[tuple[float, ...]] = None
         self.version: int = 0
-        # Invoked (no arguments) after a mutation; the owning network
-        # installs its data-version bump here so global views (the snapshot
-        # plane) notice store changes without polling every peer.  The hook
-        # is ONE-SHOT: it is consumed by the first mutation and must be
-        # re-armed by its owner (the snapshot refresh does this), so a
-        # burst of k mutations between refreshes costs one callback, not k
-        # — the refresh reads the live store state, which already reflects
-        # the whole burst.
-        self._listener: Optional[Callable[[], None]] = None
+        # The owning network's data-change callback, shared by all its
+        # stores and called with ``_owner`` (the peer identifier) after a
+        # mutation, so global views (the snapshot plane) notice store
+        # changes without polling every peer.  It is ONE-SHOT: the first
+        # mutation clears ``_armed`` and the owner re-arms the store (the
+        # snapshot refresh does this), so a burst of k mutations between
+        # refreshes costs one callback, not k — the refresh reads the live
+        # store state, which already reflects the whole burst.
+        self._listener: Optional[Callable[[int], None]] = None
+        self._owner = 0
+        self._armed = False
 
     def _mutated(self) -> None:
         """Invalidate derived caches and advance version after a mutation."""
         self._array = None
         self._values_tuple = None
         self.version += 1
-        listener = self._listener
-        if listener is not None:
-            self._listener = None
-            listener()
+        if self._armed:
+            self._armed = False
+            self._listener(self._owner)  # type: ignore[misc]
 
     # ------------------------------------------------------------------
     # Basic container protocol

@@ -32,6 +32,13 @@ class Network:
         node.alive = False
         self.topology_version += 1
 
+    def column_write_then_bump(self, table, slots, changed: bool) -> None:
+        if changed:
+            table.successor_lists[slots] = 0
+            table.list_lengths[slots] = 1
+            self.note_overlay_change()
+        table.cursor[slots] = 3  # the finger-repair cursor is not a pointer
+
     def read_only(self, node) -> int:
         return node.successor_id if node.alive else -1
 

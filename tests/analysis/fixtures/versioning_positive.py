@@ -21,5 +21,15 @@ class Network:
     def registry_edit(self, ident: int) -> None:
         del self._nodes[ident]
 
+    def column_write(self, table, slots, changed: bool) -> None:
+        table.successor[slots] = 0  # an overlay-table pointer column
+        if changed:
+            self.note_overlay_change()
+        # fall-through without a bump when nothing changed
+
+    def finger_cells(self, table, rows, cols) -> None:
+        table.fingers[rows, cols] = 7
+        table.finger_known[rows, cols] = True
+
     def note_overlay_change(self) -> None:
         self.topology_version += 1

@@ -9,6 +9,8 @@ widens or narrows shows up here.
 from __future__ import annotations
 
 from repro.analysis import lint_source
+from repro.analysis.rules.versioning import _OVERLAY_COLUMNS
+from repro.ring.node import _COLUMNS
 
 from tests.analysis.conftest import fixture_source
 
@@ -58,6 +60,8 @@ class TestVersionBumpRule:
             "Network.conditional_bump",
             "Network.early_return",
             "Network.registry_edit",
+            "Network.column_write",
+            "Network.finger_cells",
         }
 
     def test_negative_fixture(self, rules):
@@ -71,6 +75,11 @@ class TestVersionBumpRule:
             "versioning_positive.py", "src/repro/core/fake.py", rules
         )
         assert [f for f in active if f.rule == "VER001"] == []
+
+    def test_pointer_columns_match_the_overlay_table(self):
+        # The rule is stdlib-only, so it keeps its own list of the table's
+        # columns; every column but the finger-repair cursor is a pointer.
+        assert _OVERLAY_COLUMNS == set(_COLUMNS) - {"cursor"}
 
 
 class TestAccumulationRule:

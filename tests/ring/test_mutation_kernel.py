@@ -37,7 +37,7 @@ def ring_state(network: RingNetwork) -> dict:
         peers[ident] = {
             "predecessor": node.predecessor_id,
             "successor": node.successor_id,
-            "fingers": tuple(node._fingers),
+            "fingers": tuple(node.fingers),
             "successor_list": tuple(node.successor_list),
             "next_finger_index": node.next_finger_index,
             "values": tuple(node.store.values()),

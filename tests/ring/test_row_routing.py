@@ -188,5 +188,5 @@ def test_routing_view_ranks_departed_fingers(seed):
     assert not np.isin(row_ids[~pointers.live], live).any()
     for row, ident in zip(pointers.live_rows.tolist(), live.tolist()):
         node = network.node(ident)
-        named = {f for f in node._fingers if f is not None} | {node.successor_id}
+        named = {f for f in node.fingers if f is not None} | {node.successor_id}
         assert set(row_ids[scan[row]].tolist()) - {ident} == named - {ident}

@@ -4,6 +4,7 @@ import numpy as np
 
 from repro.ring import chord
 from repro.ring.network import RingNetwork
+from repro.ring.node import SUCCESSOR_LIST_LENGTH
 from repro.ring.routing import route_to_key
 
 from tests.conftest import make_loaded_network
@@ -17,7 +18,7 @@ class TestConstruction:
             node = network.node(ident)
             expected = [
                 ids[(index + 1 + offset) % len(ids)]
-                for offset in range(network.SUCCESSOR_LIST_LENGTH)
+                for offset in range(SUCCESSOR_LIST_LENGTH)
             ]
             assert node.successor_list == expected
 
