@@ -5,15 +5,16 @@ memory-footprint job runs this file directly to enforce the compact
 backend's contract —
 
 * bytes/peer within the CI budget at N=10^5 (the smoke scale),
-* the N=10^5 scan matrix equal to the compressed full finger slab of the
-  one-search-per-finger oracle, and
+* the N=10^5 scan matrix equal to the oracle compressor's output over the
+  full finger slab of the one-search-per-finger oracle, and
 * a full million-peer ring constructs and completes a routing round plus
   a gossip campaign with the process's peak RSS under the CI budget.
 
-``resource.getrusage`` is a coarse, monotone high-water mark, so the
-budget is deliberately generous (the measured peak is ~0.5 GB; the budget
-is 3 GB) — the assertion exists to catch an accidental return to O(n x
-bits) intermediates, not to measure precisely.
+``resource.getrusage`` is a coarse, monotone high-water mark.  The
+million-peer run peaks at ~290 MB (Python 3.11, NumPy 2.4, x86-64 Linux)
+and the budget allows a quarter more: enough for another platform's
+allocator, not for a second copy of the scan or an O(n x bits)
+intermediate.
 """
 
 from __future__ import annotations
@@ -24,25 +25,24 @@ import sys
 import numpy as np
 
 from repro.ring.compact import CompactRing
-from repro.ring.lockstep import compress_scan
-from tests.ring.reference_routing import reference_fingers
+from tests.ring.reference_routing import reference_compress_scan, reference_fingers
 
-#: Per-peer budget for the persistent columns (measured: 136 B/peer at
-#: N=10^6 and 120 at N=10^5, 16 B/peer of eager synopsis segment bounds
-#: included; the scan holds 4 B per entry and its width grows with
-#: log2 n).
-BYTES_PER_PEER_BUDGET = 256.0
+#: Per-peer budget for the persistent columns: 16 B of ids and counts plus
+#: 4 B per scan entry, whose width grows with log2 n (measured: 104 B/peer
+#: at N=10^5, width 22; 120 B/peer at N=10^6, width 26).  The headroom is
+#: two scan columns at N=10^6.
+BYTES_PER_PEER_BUDGET = 128.0
 
-#: Per-peer budget once data is loaded and the synopsis plane's histogram
-#: matrix exists (B=8 int64 buckets = 64 B/peer on top of the structural
-#: columns; measured 200 B/peer at N=10^6).  This is a deliberate,
-#: explicit raise over the structural budget — the estimation plane costs
-#: ~80 B/peer and that spend is asserted here rather than silently
-#: absorbed into BYTES_PER_PEER_BUDGET.
-BYTES_PER_PEER_LOADED_BUDGET = 320.0
+#: Per-peer budget once data is loaded and the synopsis plane's bucket
+#: matrix exists: B=8 int32 buckets add 32 B/peer to the structural
+#: columns (measured 152 B/peer at N=10^6).  The raise over the structural
+#: budget is the plane's spend, asserted here rather than absorbed into
+#: BYTES_PER_PEER_BUDGET; the headroom is again two scan columns.
+BYTES_PER_PEER_LOADED_BUDGET = 160.0
 
-#: Peak-RSS ceiling for the million-peer run, in bytes.
-PEAK_RSS_BUDGET = 3 * 1024**3
+#: Peak-RSS ceiling for the million-peer run, in bytes (measured ~290 MB,
+#: plus a quarter).
+PEAK_RSS_BUDGET = 360 * 1024**2
 
 MILLION = 1_000_000
 
@@ -65,7 +65,7 @@ def test_e1_scan_matches_the_finger_oracle_at_1e5():
     # hundred peers in the unit tests start near level 45.
     ring = CompactRing.build(100_000, seed=0)
     fingers = reference_fingers(ring.ids, slice(None), ring.space.bits)  # ~51 MB
-    expected = compress_scan(np.arange(ring.n_peers, dtype=np.int32), [(fingers, None)])
+    expected = reference_compress_scan(np.arange(ring.n_peers, dtype=np.int32), [(fingers, None)])
     assert np.array_equal(ring.scan, expected)
 
 
@@ -79,7 +79,8 @@ def test_e1_million_peer_ring_under_memory_budget():
     ring.load_counts(rng.random(MILLION))
     loaded = ring.memory_report()
     assert loaded["bytes_per_peer"] <= BYTES_PER_PEER_LOADED_BUDGET, loaded
-    assert loaded["synopsis_bytes"] > 0.0, loaded
+    # The plane holds one int32 row per peer plus the wrap row.
+    assert loaded["synopsis_bytes"] == (MILLION + 1) * ring.synopsis_buckets * 4, loaded
     routing = ring.routing_round(lookups=131_072, rng=rng)
     assert routing["lookups"] == 131_072.0
     # ~log2(1e6)/2 = 10 expected hops on a stabilized Chord ring.

@@ -249,8 +249,9 @@ def summarize_compact(
 ) -> ProbeReplies:
     """Probe replies of the peers at ``peer_indices``, from the synopsis plane.
 
-    One gather per column: primary-segment bounds from ``seg_low`` and
-    ``seg_high``, bucket counts from the ``(n, B)`` histogram matrix, and,
+    One gather per column: primary-segment bounds derived for the probed
+    rows (:meth:`CompactRing.segment_bounds`), bucket counts from the
+    ``(n, B)`` ``int32`` histogram matrix widened to ``int64``, and,
     for every reply of peer 0 when its arc wraps the ring origin, the wrap
     row placed before its primary segment (the object backend's order).
     ``targets`` and ``hops`` are the routed probes' columns (zeros when the
@@ -283,7 +284,8 @@ def summarize_compact(
     if ring.wrap_bounds is not None:
         per_probe[indices == 0] = 2
     rows = np.repeat(indices, per_probe)  # the plane row behind each segment
-    seg_low, seg_high, seg_counts = ring.seg_low[rows], ring.seg_high[rows], hist[rows]
+    seg_low, seg_high = ring.segment_bounds(rows)
+    seg_counts = hist[rows].astype(np.int64)
     if ring.wrap_bounds is not None:
         wrap = (np.cumsum(per_probe) - per_probe)[indices == 0]
         seg_low[wrap], seg_high[wrap] = ring.wrap_bounds

@@ -43,10 +43,13 @@ __all__ = ["CompactRing"]
 
 #: Rows per block when building the compressed finger-scan matrix.  The
 #: block's finger slab (the levels at and above the ring's smallest gap,
-#: 39 of 64 columns at N=10^6) is transient (~20 MB), so the peak build
-#: footprint stays far below one uncompressed ``n x bits`` matrix (which
-#: alone would be 512 MB at N=10^6).
-_SCAN_BLOCK = 65536
+#: 39 of 64 columns at N=10^6) is transient (~5 MB); the compressor packs
+#: each block's kept entries into the one buffer that becomes the scan, so
+#: the build never holds an uncompressed ``n x bits`` matrix (512 MB at
+#: N=10^6) nor a second copy of the scan.  At 65536 rows the ~20 MB slabs
+#: and their temporaries, freed and reallocated block after block, left
+#: ~35 MB more resident at the build's peak, and the build was no faster.
+_SCAN_BLOCK = 16384
 
 #: Values per block when binning a bulk load into the synopsis plane; the
 #: per-block temporaries (keys, owner positions, bucket indices) stay a few
@@ -55,6 +58,9 @@ _LOAD_BLOCK = 65536
 
 #: Default lookups per vectorized slab in :meth:`CompactRing.routing_round`.
 _ROUTE_SLAB = 131072
+
+#: The largest count a synopsis bucket holds.
+_BUCKET_MAX = int(np.iinfo(np.int32).max)
 
 
 class CompactRing:
@@ -70,7 +76,13 @@ class CompactRing:
       highest column, highest first, and short rows padded with the peer's
       own row (which fails every strict in-arc test), exactly the
       :meth:`~repro.ring.snapshot.RingSnapshot.finger_scan_tables` layout
-      (see :func:`~repro.ring.lockstep.compress_scan`).
+      (see :func:`~repro.ring.lockstep.compress_scan`);
+    * :attr:`hist` — the synopsis plane's bucket counts, ``int32`` of
+      shape ``(n, B)``, allocated by the first load together with the wrap
+      segment's row (see :meth:`synopsis_plane`).
+
+    Segment value bounds are not stored: :meth:`segment_bounds` derives
+    them from :attr:`ids` for the rows a caller asks about.
 
     Successors and predecessors are not stored: on the stabilized ring they
     are row rolls (``succ(i) = (i+1) % n``).  Every row is a live peer, so
@@ -109,18 +121,15 @@ class CompactRing:
         #: the serving layer's version-keyed cache invalidates on.
         self.topology_version: int = 0
         self.data_version: int = 0
-        # Columnar synopsis plane: the value-range bounds of every peer's
-        # primary ownership segment (and the single wrap-around segment at
-        # the ring origin), plus the per-peer bucket-count matrix filled by
-        # load_counts.  Bounds are geometry (eager, 16 B/peer); the count
-        # matrix is data (lazy, 8*B B/peer once anything loads).
+        # Columnar synopsis plane: the per-peer bucket-count matrix filled
+        # by load_counts (lazy, 4*B B/peer once anything loads) and the row
+        # of the single wrap-around segment at the ring origin.  Segment
+        # bounds are geometry, derived from ids on demand (segment_bounds);
+        # only the wrap segment's scalar pair is kept.
         self.synopsis_buckets = int(synopsis_buckets)
-        self.seg_low: NDArray[np.float64]
-        self.seg_high: NDArray[np.float64]
-        self._wrap_bounds: Optional[tuple[float, float]]
-        self._build_segment_bounds()
-        self.hist: Optional[NDArray[np.int64]] = None
-        self._wrap_hist: Optional[NDArray[np.int64]] = None
+        self._wrap_bounds = self._build_wrap_bounds()
+        # The (n + 1, B) counts: one row per peer, then the wrap row.
+        self._plane: Optional[NDArray[np.int32]] = None
         # Push-sum state (created on first gossip round): estimating the
         # network-wide mean load needs one value and one weight column.
         self._gossip_value: Optional[NDArray[np.float64]] = None
@@ -189,53 +198,63 @@ class CompactRing:
         )
         return compress_scan(np.arange(ids.size, dtype=np.int32), blocks)
 
-    def _build_segment_bounds(self) -> None:
-        """Per-peer value-range bounds of the synopsis plane.
+    def _edges(self, rows: NDArray[np.int64]) -> NDArray[np.float64]:
+        """The value ``to_value(ids[rows] + 1)``: where each row's segment ends."""
+        low = self.data_hash.low
+        after = self.ids[rows] + np.uint64(1)  # wraps to 0 only at the top identifier
+        u = after.astype(np.float64) / float(self.space.size)
+        return low + u * (self.data_hash.high - low)
+
+    def segment_bounds(
+        self, rows: NDArray[np.int64]
+    ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """Value-range bounds ``(low, high)`` of the primary segments of ``rows``.
 
         Replicates :func:`repro.core.synopsis._build_summary`'s geometry
         exactly, vectorized: peer ``i``'s arc ``(ids[i-1], ids[i]]`` maps to
         the value range ``[to_value(ids[i-1]+1), to_value(ids[i]+1))`` by
         monotonicity of the hash, the top identifier's successor wraps to
         the domain high, peer 0 owns ``[low, to_value(ids[0]+1))`` plus the
-        wrap-around high-end segment, and float-degenerate ranges widen by
-        one ulp (the object path's ``nonempty``).  ``uint64 -> float64``
-        conversion followed by division by the exact power of two ``2^m``
-        rounds identically to Python's correctly rounded int/int division,
-        so every bound is bit-identical to the scalar ``to_value``.
+        wrap-around high-end segment (:attr:`wrap_bounds`), and
+        float-degenerate ranges widen by one ulp (the object path's
+        ``nonempty``).  ``uint64 -> float64`` conversion followed by
+        division by the exact power of two ``2^m`` rounds identically to
+        Python's correctly rounded int/int division, so every bound is
+        bit-identical to the scalar ``to_value``.  Each bound is computed
+        elementwise, so it does not depend on which other rows are asked.
         """
+        rows = np.asarray(rows, dtype=np.int64)
         low = self.data_hash.low
         high = self.data_hash.high
         n = self.ids.size
         if n == 1:
             # A single peer owns the whole ring, hence the whole domain.
-            self.seg_low = np.array([low], dtype=np.float64)
-            self.seg_high = np.array([high], dtype=np.float64)
-            self._wrap_bounds = None
-            return
-        after = self.ids + np.uint64(1)  # wraps to 0 only at the top identifier
-        u = after.astype(np.float64) / float(self.space.size)
-        edges = low + u * (high - low)
-        seg_high = edges.copy()
-        top_wraps = bool(self.ids[-1] == np.uint64(self.space.mask))
-        if top_wraps:
-            seg_high[-1] = high
-        seg_low = np.empty(n, dtype=np.float64)
-        seg_low[0] = low
-        seg_low[1:] = edges[:-1]
+            return np.full(rows.shape, low), np.full(rows.shape, high)
+        seg_high = self._edges(rows)
+        if self.ids[-1] == np.uint64(self.space.mask):
+            seg_high[rows == n - 1] = high
+        seg_low = self._edges(rows - 1)
+        seg_low[rows == 0] = low
         degenerate = ~(seg_low < seg_high)
         if degenerate.any():
             seg_high[degenerate] = np.nextafter(seg_low[degenerate], np.inf)
-        self.seg_low = seg_low
-        self.seg_high = seg_high
-        if top_wraps:
-            # first_start == 0: peer 0's ownership is [0, ids[0]] only.
-            self._wrap_bounds = None
-        else:
-            w_low = float(edges[-1])
-            w_high = high
-            if not w_low < w_high:
-                w_high = float(np.nextafter(w_low, np.inf))
-            self._wrap_bounds = (w_low, w_high)
+        return seg_low, seg_high
+
+    def _build_wrap_bounds(self) -> Optional[tuple[float, float]]:
+        """Value bounds of peer 0's high-end wrap segment, or ``None``.
+
+        A lone peer owns the whole domain, and a top identifier equal to
+        the mask leaves peer 0 only ``[0, ids[0]]``; otherwise peer 0 also
+        owns ``[to_value(ids[-1]+1), high)``, widened by one ulp if empty.
+        """
+        n = self.ids.size
+        if n == 1 or self.ids[-1] == np.uint64(self.space.mask):
+            return None
+        w_low = float(self._edges(np.array([n - 1]))[0])
+        w_high = self.data_hash.high
+        if not w_low < w_high:
+            w_high = float(np.nextafter(w_low, np.inf))
+        return (w_low, w_high)
 
     # ------------------------------------------------------------------
     # Basic views
@@ -267,18 +286,30 @@ class CompactRing:
             return np.full(indices.size, self.space.size, dtype=object)
         return (self.ids[indices] - self.ids[indices - 1]) & np.uint64(self.space.mask)
 
-    def synopsis_plane(self) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
-        """The bucket-count matrix and the wrap segment's row, allocated lazily.
+    def _cells(self) -> NDArray[np.int32]:
+        """The ``(n + 1, B)`` count plane, allocated on first use."""
+        if self._plane is None:
+            self._plane = np.zeros((self.ids.size + 1, self.synopsis_buckets), dtype=np.int32)
+        return self._plane
+
+    @property
+    def hist(self) -> Optional[NDArray[np.int32]]:
+        """The ``(n, B)`` bucket-count matrix, or ``None`` before the first load."""
+        return None if self._plane is None else self._plane[:-1]
+
+    def synopsis_plane(self) -> tuple[NDArray[np.int32], NDArray[np.int32]]:
+        """The ``int32`` bucket-count matrix and the wrap segment's row, allocated lazily.
 
         ``hist[i]`` holds peer ``i``'s primary-segment bucket counts over
-        ``[seg_low[i], seg_high[i])``; the separate wrap row holds peer 0's
-        high-end segment (at most one peer wraps the ring origin).
+        the range :meth:`segment_bounds` gives for row ``i``; the wrap row
+        holds peer 0's high-end segment (at most one peer wraps the ring
+        origin).  Both are views of one plane, whose last row is the wrap
+        row.  No bucket holds more than its peer's count, and
+        :meth:`load_counts` refuses a load that would push one past
+        ``int32``.
         """
-        if self.hist is None:
-            self.hist = np.zeros((self.ids.size, self.synopsis_buckets), dtype=np.int64)
-        if self._wrap_hist is None:
-            self._wrap_hist = np.zeros(self.synopsis_buckets, dtype=np.int64)
-        return self.hist, self._wrap_hist
+        plane = self._cells()
+        return plane[:-1], plane[-1]
 
     @property
     def wrap_bounds(self) -> Optional[tuple[float, float]]:
@@ -308,31 +339,25 @@ class CompactRing:
         """Per-column resident bytes and the bytes/peer total.
 
         Covers every persistent column (identifiers, loads, the scan
-        matrix, gossip state when materialized); transient build slabs are
-        excluded because they are freed before the ring is usable.
+        matrix, the synopsis plane's bucket counts once a load allocates
+        them, gossip state when materialized); transient build slabs are
+        excluded because they are freed before the ring is usable.  Segment
+        bounds are derived, so they cost nothing here.
         """
         columns = {
             "ids": float(self.ids.nbytes),
             "counts": float(self.counts.nbytes),
             "scan": float(self.scan.nbytes),
-            "synopsis_seg_low": float(self.seg_low.nbytes),
-            "synopsis_seg_high": float(self.seg_high.nbytes),
         }
-        if self.hist is not None:
-            columns["synopsis_hist"] = float(self.hist.nbytes)
-        if self._wrap_hist is not None:
-            columns["synopsis_wrap_hist"] = float(self._wrap_hist.nbytes)
+        if self._plane is not None:
+            columns["synopsis_hist"] = float(self._plane[:-1].nbytes)
+            columns["synopsis_wrap_hist"] = float(self._plane[-1].nbytes)
         if self._gossip_value is not None:
             columns["gossip_value"] = float(self._gossip_value.nbytes)
         if self._gossip_weight is not None:
             columns["gossip_weight"] = float(self._gossip_weight.nbytes)
         total = sum(columns.values())  # repro-lint: disable=SUM001 (byte-count bookkeeping; order-insensitive)
-        synopsis_bytes = (
-            columns["synopsis_seg_low"]
-            + columns["synopsis_seg_high"]
-            + columns.get("synopsis_hist", 0.0)
-            + columns.get("synopsis_wrap_hist", 0.0)
-        )
+        synopsis_bytes = columns.get("synopsis_hist", 0.0) + columns.get("synopsis_wrap_hist", 0.0)
         report = dict(columns)
         report["total_bytes"] = total
         report["bytes_per_peer"] = total / self.n_peers
@@ -362,7 +387,9 @@ class CompactRing:
 
         Raises ``ValueError`` up front — the object backend's storage
         taxonomy — when the values cannot be coerced to floats or contain
-        non-finite entries.
+        non-finite entries; and, before placing a block, when that block
+        would push an ``int32`` synopsis bucket past its limit (the blocks
+        placed before it stay placed).
         """
         arr = np.asarray(values, dtype=float).ravel()
         if arr.size == 0:
@@ -372,8 +399,7 @@ class CompactRing:
                 "could not place data values: non-finite entries (nan/inf) "
                 "have no position on the ring"
             )
-        hist, wrap_hist = self.synopsis_plane()
-        hist_flat = hist.reshape(-1)
+        cells = self._cells().reshape(-1)
         n = self.ids.size
         buckets = self.synopsis_buckets
         for block_lo in range(0, arr.size, _LOAD_BLOCK):
@@ -381,20 +407,17 @@ class CompactRing:
             keys = self.data_hash.map_values(chunk)
             positions = np.searchsorted(self.ids, keys, side="left")
             positions[positions == n] = 0
-            np.add.at(self.counts, positions, 1)
-            lows = self.seg_low[positions]
-            highs = self.seg_high[positions]
+            lows, highs = self.segment_bounds(positions)
             in_primary = (chunk >= lows) & (chunk < highs)
             prim = np.flatnonzero(in_primary)
-            if prim.size:
-                # The quotient is non-negative inside the range, so int
-                # truncation equals floor; only the top clamp remains —
-                # byte-for-byte the histogram_range expression.
-                bucket = (
-                    (chunk[prim] - lows[prim]) / (highs[prim] - lows[prim]) * buckets
-                ).astype(np.int64)
-                np.minimum(bucket, buckets - 1, out=bucket)
-                np.add.at(hist_flat, positions[prim] * buckets + bucket, 1)
+            # The quotient is non-negative inside the range, so int
+            # truncation equals floor; only the top clamp remains —
+            # byte-for-byte the histogram_range expression.
+            bucket = (
+                (chunk[prim] - lows[prim]) / (highs[prim] - lows[prim]) * buckets
+            ).astype(np.int64)
+            np.minimum(bucket, buckets - 1, out=bucket)
+            targets = [positions[prim] * buckets + bucket]
             out = ~in_primary
             if self._wrap_bounds is not None and out.any():
                 w_low, w_high = self._wrap_bounds
@@ -405,36 +428,46 @@ class CompactRing:
                         (chunk[wrap_i] - w_low) / (w_high - w_low) * buckets
                     ).astype(np.int64)
                     np.minimum(bucket, buckets - 1, out=bucket)
-                    np.add.at(wrap_hist, bucket, 1)
+                    targets.append(n * buckets + bucket)
                     out &= ~wrap
-            for stray in np.flatnonzero(out):
-                self._bin_straggler(float(chunk[stray]), int(positions[stray]), hist, wrap_hist)
+            strays = [
+                self._straggler_cell(float(chunk[stray]), int(positions[stray]))
+                for stray in np.flatnonzero(out)
+            ]
+            targets.append(np.array(strays, dtype=np.int64))
+            block = np.concatenate(targets)
+            # A bucket never wraps.  The exact tally per bucket is only
+            # taken when a touched bucket is within the block's size of it.
+            if int(cells[block].max(initial=0)) > _BUCKET_MAX - block.size:
+                touched, added = np.unique(block, return_counts=True)
+                if (cells[touched] > _BUCKET_MAX - added).any():
+                    raise ValueError(
+                        f"could not place data values: a synopsis bucket would exceed {_BUCKET_MAX}"
+                    )
+            # An int32 one keeps ufunc.at on its fast path: with a Python
+            # int, the int32 plane takes a generic loop ~15x slower.
+            np.add.at(cells, block, np.int32(1))
+            np.add.at(self.counts, positions, 1)
         self.data_version += 1
         # New load invalidates any in-progress push-sum estimate.
         self._gossip_value = None
         self._gossip_weight = None
 
-    def _bin_straggler(
-        self,
-        value: float,
-        owner: int,
-        hist: NDArray[np.int64],
-        wrap_hist: NDArray[np.int64],
-    ) -> None:
-        """Fold one float-edge straggler into the nearest segment's edge bucket.
+    def _straggler_cell(self, value: float, owner: int) -> int:
+        """The plane cell of one float-edge straggler: the nearest segment's edge bucket.
 
         Mirrors :func:`repro.core.synopsis._repair_segments` exactly:
         segments in the object backend's order (wrap segment first for the
         origin peer), nearest boundary wins with first-wins ties, and the
         value lands in bucket 0 below the segment or the top bucket above.
+        The cell indexes the flattened plane, whose row ``n`` is the wrap row.
         """
-        segments: list[tuple[float, float, NDArray[np.int64]]] = []
+        segments: list[tuple[float, float, int]] = []
         if owner == 0 and self._wrap_bounds is not None:
             w_low, w_high = self._wrap_bounds
-            segments.append((w_low, w_high, wrap_hist))
-        segments.append(
-            (float(self.seg_low[owner]), float(self.seg_high[owner]), hist[owner])
-        )
+            segments.append((w_low, w_high, self.ids.size))
+        lows, highs = self.segment_bounds(np.array([owner]))
+        segments.append((float(lows[0]), float(highs[0]), owner))
         distances = [
             min(abs(value - seg_low), abs(value - seg_high))
             for seg_low, seg_high, _ in segments
@@ -442,7 +475,7 @@ class CompactRing:
         index = int(np.argmin(distances))
         seg_low, _seg_high, row = segments[index]
         bucket = 0 if value < seg_low else self.synopsis_buckets - 1
-        row[bucket] += 1
+        return row * self.synopsis_buckets + bucket
 
     # ------------------------------------------------------------------
     # Routing

@@ -89,37 +89,62 @@ def compress_scan(
     """The compressed finger-scan matrix of finger tables, in ``own``'s dtype.
 
     ``own`` holds each row's own entry (its row, or its identifier), and
-    ``blocks`` yields consecutive row blocks of the ``(rows, bits)`` finger
-    matrix in the same terms with their validity mask (``None``: all
-    valid).  A row holds ~log2(n) distinct fingers in consecutive runs, and
-    routing only asks "highest column inside an arc", so each run collapses
-    to its highest column: an entry is dropped when the next column is
-    valid and equal (stale tables under churn at worst keep duplicates,
-    never lose a value).  Invalid fingers are dropped.  Rows are stored
-    highest column first, so the highest in-arc column is the first
-    in-arc entry: the kept entries are right-aligned in reverse column
-    order, and rows pad on the left to the common width with the row's
-    own entry, which fails every strict in-arc test.
+    ``blocks`` yields consecutive row blocks, covering every row, of the
+    ``(rows, columns)`` finger matrix in the same terms with their validity
+    mask (``None``: all valid).  A row holds ~log2(n) distinct fingers in
+    consecutive runs, and routing only asks "highest column inside an
+    arc", so each run collapses to its highest column: an entry is dropped
+    when the next column is valid and equal (stale tables under churn at
+    worst keep duplicates, never lose a value).  Invalid fingers are
+    dropped.  Rows are stored highest column first, so the highest in-arc
+    column is the first in-arc entry: the kept entries are right-aligned
+    in reverse column order, and rows pad on the left to the common width
+    ``W`` with the row's own entry, which fails every strict in-arc test.
+
+    One buffer of ``n x columns`` entries holds the result.  Each block
+    appends its kept entries, row after row, highest column first; once
+    the widest row is known, the blocks expand in place, last block
+    first, into the padded ``(n, W)`` layout.  Row ``i`` lands at
+    ``i * W``, never before its packed offset, so a block's destination
+    only covers its own entries and those of blocks already expanded.  The
+    buffer is then trimmed to ``n * W`` entries; pages past what the packed
+    entries and the padded rows touched are never written.
     """
-    kept_blocks: list[tuple[NDArray[_Entry], NDArray[np.int64]]] = []
-    width = 1
+    n = own.size
+    scan = np.empty(0, dtype=own.dtype)
+    widths = np.empty(n, dtype=np.int64)
+    # (first row, end row, first packed entry) of each block.
+    spans: list[tuple[int, int, int]] = []
+    row = 0
+    end = 0
     for fingers, valid in blocks:
+        if not spans:
+            scan = np.empty(n * max(fingers.shape[1], 1), dtype=own.dtype)
         keep = np.ones(fingers.shape, dtype=bool) if valid is None else valid.copy()
         repeats = fingers[:, :-1] == fingers[:, 1:]
         if valid is not None:
             repeats &= valid[:, 1:]
         keep[:, :-1] &= ~repeats
-        widths = keep.sum(axis=1)
-        width = max(width, int(widths.max(initial=0)))
-        kept_blocks.append((fingers[keep].astype(own.dtype, copy=False), widths))
-    scan = np.repeat(own[:, None], width, axis=1)
-    row = 0
-    for kept, widths in kept_blocks:
-        rows = np.repeat(np.arange(widths.size, dtype=np.int64), widths)
-        starts = np.cumsum(widths) - widths
-        scan[row + rows, width - 1 - (np.arange(kept.size, dtype=np.int64) - starts[rows])] = kept
-        row += widths.size
-    return scan
+        kept = fingers[:, ::-1][keep[:, ::-1]]
+        scan[end : end + kept.size] = kept
+        widths[row : row + keep.shape[0]] = keep.sum(axis=1)
+        spans.append((row, row + keep.shape[0], end))
+        row += keep.shape[0]
+        end += kept.size
+    if row != n:
+        raise ValueError(f"the blocks cover {row} rows, not {n}")
+    width = max(1, int(widths.max(initial=0)))
+    columns = np.arange(width)
+    for lo, hi, start in reversed(spans):
+        padded = np.repeat(own[lo:hi, None], width, axis=1)
+        packed = columns >= width - widths[lo:hi, None]
+        padded[packed] = scan[start:end]
+        scan[lo * width : hi * width] = padded.reshape(-1)
+        end = start
+    # No view of the buffer is alive here.  The reference check would
+    # only count the bound method a profiler creates for this call.
+    scan.resize(n * width, refcheck=False)
+    return scan.reshape(n, width)
 
 
 class RingPointers(NamedTuple):

@@ -247,8 +247,8 @@ class TestScaleBench:
 
 FAKE_ESTIMATION_METRICS = {
     "items_per_s": 1_900_000.0,
-    "bytes_per_peer": 296.0,
-    "synopsis_bytes_per_peer": 80.0,
+    "bytes_per_peer": 148.0,
+    "synopsis_bytes_per_peer": 32.0,
     "estimate_s": 0.01,
     "probes": 256.0,
     "ks_256": 0.13,
@@ -292,6 +292,9 @@ class TestEstimationBench:
             assert key in metrics
             assert isinstance(metrics[key], float)
         assert metrics["peers"] >= 10_000  # the compact-plane floor
-        assert metrics["synopsis_bytes_per_peer"] >= 80.0  # plane allocated
+        # The plane is allocated: B int32 buckets per peer plus the wrap row.
+        assert metrics["synopsis_bytes_per_peer"] == (
+            (metrics["peers"] + 1) * metrics["synopsis_buckets"] * 4 / metrics["peers"]
+        )
         assert 0.0 < metrics["ks_256"] < 0.5  # estimation ran, not garbage
         assert metrics["mean_hops"] > 1.0

@@ -11,6 +11,10 @@ they agree in distribution.
 
 :func:`reference_fingers` is the finger-table oracle of
 :func:`~repro.ring.lockstep.exact_fingers`: one binary search per finger.
+:func:`reference_compress_scan` is the compressor's oracle: it collects
+every block's kept entries and scatters them into a fresh padded matrix.
+:func:`reference_segment_bounds` computes the compact ring's synopsis
+segment bounds for every peer at once, as eager columns.
 """
 
 from __future__ import annotations
@@ -34,6 +38,72 @@ def reference_fingers(ids, rows, bits):
     indices = np.searchsorted(ids, targets)
     indices[indices == ids.size] = 0
     return indices
+
+
+def reference_compress_scan(own, blocks):
+    """The compressed finger-scan matrix, as :func:`~repro.ring.lockstep.compress_scan` defines it.
+
+    Every block's kept entries (each run of equal valid fingers collapsed
+    to its highest column, invalid fingers dropped) are collected first;
+    then each row's entries are scattered, highest column first, into the
+    right end of a fresh ``(n, W)`` matrix padded with ``own``.
+    """
+    kept_blocks = []
+    width = 1
+    for fingers, valid in blocks:
+        keep = np.ones(fingers.shape, dtype=bool) if valid is None else valid.copy()
+        repeats = fingers[:, :-1] == fingers[:, 1:]
+        if valid is not None:
+            repeats &= valid[:, 1:]
+        keep[:, :-1] &= ~repeats
+        widths = keep.sum(axis=1)
+        width = max(width, int(widths.max(initial=0)))
+        kept_blocks.append((fingers[keep].astype(own.dtype, copy=False), widths))
+    scan = np.repeat(own[:, None], width, axis=1)
+    row = 0
+    for kept, widths in kept_blocks:
+        rows = np.repeat(np.arange(widths.size, dtype=np.int64), widths)
+        starts = np.cumsum(widths) - widths
+        scan[row + rows, width - 1 - (np.arange(kept.size, dtype=np.int64) - starts[rows])] = kept
+        row += widths.size
+    return scan
+
+
+def reference_segment_bounds(ring):
+    """``(seg_low, seg_high, wrap_bounds)`` of every peer of a :class:`CompactRing`.
+
+    Peer ``i``'s primary segment is ``[to_value(ids[i-1]+1),
+    to_value(ids[i]+1))``, computed for all peers in one pass: peer 0
+    starts at the domain low, a top identifier equal to the mask ends at
+    the domain high (and leaves no wrap segment), and float-degenerate
+    ranges widen by one ulp.
+    """
+    low = ring.data_hash.low
+    high = ring.data_hash.high
+    ids = ring.ids
+    n = ids.size
+    if n == 1:
+        return np.array([low]), np.array([high]), None
+    after = ids + np.uint64(1)
+    u = after.astype(np.float64) / float(ring.space.size)
+    edges = low + u * (high - low)
+    seg_high = edges.copy()
+    top_wraps = bool(ids[-1] == np.uint64(ring.space.mask))
+    if top_wraps:
+        seg_high[-1] = high
+    seg_low = np.empty(n, dtype=np.float64)
+    seg_low[0] = low
+    seg_low[1:] = edges[:-1]
+    degenerate = ~(seg_low < seg_high)
+    if degenerate.any():
+        seg_high[degenerate] = np.nextafter(seg_low[degenerate], np.inf)
+    if top_wraps:
+        return seg_low, seg_high, None
+    w_low = float(edges[-1])
+    w_high = high
+    if not w_low < w_high:
+        w_high = float(np.nextafter(w_low, np.inf))
+    return seg_low, seg_high, (w_low, w_high)
 
 
 def route_with_policy_scalar(network, start, key, policy=None, max_hops=None):

@@ -213,28 +213,19 @@ class TestMemoryFootprint:
     def test_memory_report_shape(self):
         _network, compact = _pair(n=64, seed=2)
         report = compact.memory_report()
-        assert report["total_bytes"] == (
-            report["ids"]
-            + report["counts"]
-            + report["scan"]
-            + report["synopsis_seg_low"]
-            + report["synopsis_seg_high"]
-        )
+        assert report["total_bytes"] == report["ids"] + report["counts"] + report["scan"]
         assert report["bytes_per_peer"] == report["total_bytes"] / 64.0
         assert report["scan_width"] == float(compact.scan.shape[1])
-        # The bucket-count matrix is lazy: geometry only before any load.
-        assert report["synopsis_bytes"] == (
-            report["synopsis_seg_low"] + report["synopsis_seg_high"]
-        )
+        # The bucket-count matrix is lazy and segment bounds are derived:
+        # nothing of the synopsis plane is stored before any load.
+        assert report["synopsis_bytes"] == 0.0
         assert "synopsis_hist" not in report
         compact.load_counts(np.random.default_rng(3).random(500))
         summarize_compact(compact, [0, 5, 5, 9], compact.synopsis_buckets)
         grown = compact.memory_report()
         assert grown["total_bytes"] == sum(
             grown[column]
-            for column in ("ids", "counts", "scan", "synopsis_seg_low", "synopsis_seg_high")
-            + ("synopsis_hist", "synopsis_wrap_hist")
-            if column in grown
+            for column in ("ids", "counts", "scan", "synopsis_hist", "synopsis_wrap_hist")
         )
         assert grown["bytes_per_peer"] == grown["total_bytes"] / 64.0
 

@@ -3,26 +3,37 @@
 :func:`~repro.ring.lockstep.exact_fingers` searches only the finger levels
 that pass a peer's successor, and :meth:`CompactRing._build_scan` starts
 its slab at the ring's smallest gap; both must give what one
-``searchsorted`` per finger gives.  :meth:`CompactRing.load_counts` sorts
-each block before placing it, which must not change a count.  The object
-ring registers its peers with one sort and must end in the state
-registering them one by one left.
+``searchsorted`` per finger gives.  :func:`~repro.ring.lockstep.compress_scan`
+expands its packed entries in place and must give what collecting them and
+scattering into a fresh matrix gives.  :meth:`CompactRing.segment_bounds`
+derives the synopsis bounds of the rows asked for and must give the eager
+columns bit for bit.  :meth:`CompactRing.load_counts` sorts each block
+before placing it, which must not change a count.  The object ring
+registers its peers with one sort and must end in the state registering
+them one by one left.
 """
 
 from __future__ import annotations
 
+import cProfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.ring import compact as compact_module
 from repro.ring.compact import CompactRing
 from repro.ring.identifier import IdentifierSpace
 from repro.ring.lockstep import _sorted_unique, compress_scan, exact_fingers
 from repro.ring.network import RingNetwork
-from tests.ring.reference_routing import reference_fingers
+from tests.ring.reference_routing import (
+    reference_compress_scan,
+    reference_fingers,
+    reference_segment_bounds,
+)
 
 SETTINGS = settings(
     max_examples=60,
@@ -88,11 +99,146 @@ def test_exact_fingers_match_the_oracle(ring, data):
 def test_scan_matches_the_compressed_oracle(ring, block):
     bits, ids = ring
     own = np.arange(ids.size, dtype=np.int32)
-    expected = compress_scan(own, [(reference_fingers(ids, slice(None), bits), None)])
+    expected = reference_compress_scan(own, [(reference_fingers(ids, slice(None), bits), None)])
     with mock.patch.object(compact_module, "_SCAN_BLOCK", block):
         scan = CompactRing(IdentifierSpace(bits), ids).scan
     assert scan.dtype == expected.dtype
     assert np.array_equal(scan, expected)
+
+
+@st.composite
+def finger_blocks(draw):
+    """``(own, blocks)``: a finger matrix cut into consecutive row blocks.
+
+    Few distinct values make runs of equal fingers; the validity mask, if
+    any, holds one explicit run of invalid fingers besides its random
+    gaps.  ``own`` is ``int32`` rows or ``uint64`` identifiers near the
+    top of the range, with fingers in the same terms.  The widest row can
+    be forced into the first or the last block.
+    """
+    n = draw(st.integers(1, 40))
+    columns = draw(st.integers(1, 10))
+    values = draw(st.integers(1, 5))
+    fingers = draw(arrays(np.int64, (n, columns), elements=st.integers(0, values - 1)))
+    valid = None
+    if draw(st.booleans()):
+        valid = draw(arrays(np.bool_, (n, columns)))
+        row = draw(st.integers(0, n - 1))
+        lo = draw(st.integers(0, columns - 1))
+        valid[row, lo : draw(st.integers(lo + 1, columns))] = False
+    sizes = draw(st.sampled_from(["one-row", "random", "whole"]))
+    if sizes == "one-row":
+        cuts = list(range(1, n))
+    elif sizes == "random":
+        cuts = sorted(draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=6)) - {n})
+    else:
+        cuts = []
+    bounds = [0, *cuts, n]
+    widest = draw(st.sampled_from([None, "first", "last"]))
+    if widest is not None:
+        row = 0 if widest == "first" else bounds[-2]
+        fingers[row] = values + np.arange(columns)
+        if valid is not None:
+            valid[row] = True
+    if draw(st.booleans()):
+        own = np.arange(n, dtype=np.int32)
+    else:
+        offset = np.uint64((1 << 64) - 1000)
+        own = np.arange(n, dtype=np.uint64) + offset
+        fingers = fingers.astype(np.uint64) + offset
+    blocks = [
+        (fingers[lo:hi], None if valid is None else valid[lo:hi])
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    return own, blocks
+
+
+@SETTINGS
+@given(case=finger_blocks())
+# One row of one column; then a last block whose one row is the widest.
+@example(case=(np.arange(1, dtype=np.int32), [(np.array([[0]]), None)]))
+@example(
+    case=(
+        np.arange(3, dtype=np.int32),
+        [
+            (np.array([[1, 1, 1], [2, 2, 0]]), None),
+            (np.array([[0, 1, 2]]), np.array([[True, True, True]])),
+        ],
+    )
+)
+def test_compress_scan_matches_its_oracle(case):
+    own, blocks = case
+    expected = reference_compress_scan(own, blocks)
+    scan = compress_scan(own, iter(blocks))
+    assert scan.dtype == expected.dtype == own.dtype
+    assert scan.shape == expected.shape
+    assert np.array_equal(scan, expected)
+
+
+def test_compress_scan_runs_under_a_profiler():
+    # A profiler holds the bound ``resize`` method, one more reference to
+    # the buffer than the compressor's own.
+    own = np.arange(3, dtype=np.int32)
+    blocks = [(np.array([[1, 1, 2], [2, 0, 0], [0, 1, 1]]), None)]
+    scan = cProfile.Profile().runcall(compress_scan, own, blocks)
+    assert np.array_equal(scan, reference_compress_scan(own, blocks))
+
+
+def test_compress_scan_needs_every_row():
+    own = np.arange(4, dtype=np.int32)
+    with pytest.raises(ValueError, match="cover 2 rows, not 4"):
+        compress_scan(own, [(np.zeros((2, 3), dtype=np.int64), None)])
+
+
+def _bounds_ring(bits, idents, domain=(0.0, 1.0)):
+    _bits, ids = _ring(bits, idents)
+    return CompactRing(IdentifierSpace(bits), ids, domain=domain)
+
+
+@SETTINGS
+@given(ring=rings(), data=st.data())
+@example(ring=_ring(64, [5]), data=None)
+@example(ring=_ring(64, [0, (1 << 64) - 1]), data=None)
+@example(ring=_ring(8, [3, 255]), data=None)
+@example(ring=_ring(6, range(64)), data=None)
+@example(ring=_ring(64, [(1 << 63) + 1000 * k for k in range(6)]), data=None)
+def test_segment_bounds_match_the_eager_columns(ring, data):
+    # Rings with a top identifier equal to the mask have no wrap segment;
+    # the run of peers 1000 identifiers apart near 2^63 sits far below one
+    # float ulp of its values, so its ranges are one-ulp degenerate.
+    bits, ids = ring
+    compact = CompactRing(IdentifierSpace(bits), ids, domain=(-2.0, 3.0))
+    seg_low, seg_high, wrap = reference_segment_bounds(compact)
+    if data is None:
+        rows = np.arange(ids.size)
+    else:
+        rows = np.array(
+            data.draw(st.lists(st.integers(0, ids.size - 1), min_size=1, max_size=20)),
+            dtype=np.int64,
+        )
+    low, high = compact.segment_bounds(rows)
+    assert low.dtype == high.dtype == np.float64
+    assert low.tobytes() == seg_low[rows].tobytes()
+    assert high.tobytes() == seg_high[rows].tobytes()
+    assert compact.wrap_bounds == wrap
+    # Row 0 alone, as load_counts' straggler repair asks for it.
+    first = compact.segment_bounds(np.array([0]))
+    assert (first[0].tobytes(), first[1].tobytes()) == (
+        seg_low[:1].tobytes(),
+        seg_high[:1].tobytes(),
+    )
+
+
+def test_segment_bound_edge_cases():
+    lone = _bounds_ring(64, [5], domain=(-1.0, 2.0))
+    assert [b.tolist() for b in lone.segment_bounds(np.array([0, 0]))] == [[-1.0, -1.0], [2.0, 2.0]]
+    assert lone.wrap_bounds is None
+    top = _bounds_ring(8, [3, 255])
+    assert top.wrap_bounds is None
+    assert top.segment_bounds(np.array([1]))[1].tolist() == [1.0]
+    cluster = _bounds_ring(64, [(1 << 63) + 1000 * k for k in range(4)])
+    low, high = cluster.segment_bounds(np.arange(1, 4))
+    assert np.array_equal(high, np.nextafter(low, np.inf))
 
 
 @given(st.lists(st.integers(-(1 << 62), 1 << 62), max_size=80))
@@ -118,7 +264,7 @@ class TestLoadOrder:
 
     def _values(self):
         ring = self._ring()
-        edges = np.concatenate((ring.seg_low, ring.seg_high))
+        edges = np.concatenate(ring.segment_bounds(np.arange(ring.n_peers)))
         values = np.concatenate(
             (
                 edges,
@@ -132,14 +278,14 @@ class TestLoadOrder:
     def _load(self, values, block):
         ring = self._ring()
         calls = []
-        bin_straggler = ring._bin_straggler
+        straggler_cell = ring._straggler_cell
 
-        def spy(value, owner, hist, wrap_hist):
+        def spy(value, owner):
             calls.append(value)
-            bin_straggler(value, owner, hist, wrap_hist)
+            return straggler_cell(value, owner)
 
         with mock.patch.object(compact_module, "_LOAD_BLOCK", block):
-            with mock.patch.object(ring, "_bin_straggler", spy):
+            with mock.patch.object(ring, "_straggler_cell", spy):
                 ring.load_counts(values)
         hist, wrap_hist = ring.synopsis_plane()
         return ring.counts, hist, wrap_hist, sorted(calls)

@@ -8,6 +8,8 @@ backends at the same seed — across seeds, probe placements, and the
 wrap-around peer whose ownership spans the ring origin.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.core.cdf_sampling import (
 from repro.core.estimator import DistributionFreeEstimator
 from repro.core.replies import ProbeReplies
 from repro.core.synopsis import summarize_compact, summarize_peer
+from repro.ring import compact as compact_module
 from repro.ring.compact import CompactRing
 from repro.ring.network import RingNetwork
 from repro.serve.service import EstimationService
@@ -169,6 +172,67 @@ class TestCompactValidation:
         # A rejected load leaves the counts untouched.
         assert compact.total_count == 0
 
+    @staticmethod
+    def _bucket_of(make_ring, value):
+        """``(row, bucket)`` of the plane cell one value lands in; row -1 is the wrap row."""
+        ring = make_ring()
+        ring.load_counts([value])
+        hist, wrap_hist = ring.synopsis_plane()
+        if wrap_hist.any():
+            return -1, int(np.flatnonzero(wrap_hist)[0])
+        row, bucket = np.argwhere(hist)[0]
+        return int(row), int(bucket)
+
+    @staticmethod
+    def _straggler_case():
+        """A ring and a value float rounding pushes outside every segment."""
+        cluster = np.uint64(1 << 63) + np.arange(40, dtype=np.uint64) * np.uint64(1000)
+        ids = np.sort(cluster)
+
+        def make_ring():
+            return CompactRing(compact_module.IdentifierSpace(64), ids)
+
+        ring = make_ring()
+        low, high = ring.segment_bounds(np.arange(ring.n_peers))
+        strays = []
+        with mock.patch.object(
+            ring, "_straggler_cell", lambda value, owner: strays.append(value) or 0
+        ):
+            ring.load_counts(np.concatenate((low, high, np.nextafter(high, np.inf))))
+        return make_ring, strays[0]
+
+    @pytest.mark.parametrize("kind", ["primary", "wrap", "straggler"])
+    def test_a_full_bucket_refuses_one_more_value(self, kind):
+        limit = np.iinfo(np.int32).max
+        if kind == "straggler":
+            make_ring, value = self._straggler_case()
+        else:
+            make_ring = lambda: _pair(n=32, seed=0)[1]  # noqa: E731
+            w_low, w_high = make_ring().wrap_bounds
+            value = 0.5 * (w_low + w_high) if kind == "wrap" else 4.321
+        row, bucket = self._bucket_of(make_ring, value)
+        assert (row == -1) == (kind == "wrap")
+        for start, load, fits in (
+            (limit - 1, [value], True),
+            (limit - 1, [value, value], False),
+            (limit, [value], False),
+        ):
+            ring = make_ring()
+            hist, wrap_hist = ring.synopsis_plane()
+            cells = wrap_hist if row == -1 else hist[row]
+            cells[bucket] = start
+            if fits:
+                ring.load_counts(load)
+                assert cells[bucket] == limit
+                continue
+            with pytest.raises(ValueError, match="synopsis bucket"):
+                ring.load_counts(load)
+            # Nothing wrapped and nothing else moved.
+            assert cells[bucket] == start
+            assert hist.min() >= 0 and wrap_hist.min() >= 0
+            assert hist.sum() + wrap_hist.sum() == start
+            assert ring.total_count == 0
+
     def test_summarize_rejects_other_bucket_widths(self):
         _network, compact = _loaded_pair(n=32, seed=0, items=100)
         with pytest.raises(ValueError, match="B=8"):
@@ -227,29 +291,26 @@ class TestSynopsisPlaneShape:
         assert compact.hist is None
         report = compact.memory_report()
         assert "synopsis_hist" not in report
-        assert report["synopsis_seg_low"] == 64 * 8.0
+        assert report["synopsis_bytes"] == 0.0
+        assert not any(key.startswith("synopsis_seg") for key in report)
         compact.load_counts(np.random.default_rng(0).uniform(*DOMAIN, 100))
         report = compact.memory_report()
-        assert report["synopsis_hist"] == 64 * compact.synopsis_buckets * 8.0
+        assert compact.hist.dtype == np.int32
+        assert report["synopsis_hist"] == 64 * compact.synopsis_buckets * 4.0
+        assert report["synopsis_wrap_hist"] == compact.synopsis_buckets * 4.0
 
     def test_memory_report_itemizes_synopsis_plane(self):
         _network, compact = _loaded_pair(n=64, seed=0, items=1000)
         report = compact.memory_report()
         for key in (
-            "synopsis_seg_low",
-            "synopsis_seg_high",
             "synopsis_hist",
             "synopsis_wrap_hist",
             "synopsis_bytes",
             "synopsis_buckets",
         ):
             assert key in report
-        assert report["synopsis_bytes"] == (
-            report["synopsis_seg_low"]
-            + report["synopsis_seg_high"]
-            + report["synopsis_hist"]
-            + report["synopsis_wrap_hist"]
-        )
+        assert not any(key.startswith("synopsis_seg") for key in report)
+        assert report["synopsis_bytes"] == report["synopsis_hist"] + report["synopsis_wrap_hist"]
         itemized = [v for k, v in report.items() if k not in (
             "total_bytes", "bytes_per_peer", "scan_width", "synopsis_bytes", "synopsis_buckets",
         )]
